@@ -141,12 +141,18 @@ def _load_csv(path) -> TimeSeriesPanel:
         data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
     if not data:
         raise ParseError(f"{path}: no data rows")
+    return TimeSeriesPanel(values=_coerce_integral(data), labels=tuple(labels))
+
+
+def _coerce_integral(data) -> np.ndarray:
+    """Parsed cells as an array: int64 when every cell is an integer below
+    2**31 in magnitude that round-trips exactly, float otherwise."""
     values = np.asarray(data, dtype=float)
     if np.allclose(values, np.round(values)) and np.all(np.abs(values) < 2**31):
         as_int = np.round(values).astype(np.int64)
         if np.array_equal(as_int.astype(float), values):
-            values = as_int
-    return TimeSeriesPanel(values=values, labels=tuple(labels))
+            return as_int
+    return values
 
 
 def _load_json(path) -> TimeSeriesPanel:
@@ -168,10 +174,8 @@ def _load_json(path) -> TimeSeriesPanel:
         if len(row) != width:
             raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
-    values = np.asarray(data, dtype=float)
-    if np.array_equal(values, np.round(values)):
-        values = np.round(values).astype(np.int64)
-    return TimeSeriesPanel(values=values, labels=tuple(str(x) for x in labels))
+    return TimeSeriesPanel(values=_coerce_integral(data),
+                           labels=tuple(str(x) for x in labels))
 
 
 def _format_number(x) -> str:
@@ -387,7 +391,11 @@ def cells_of(nodes, times) -> frozenset[Cell]:
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """Scalar information measure in nats over a fixed horizon."""
+    """Scalar information measure in nats over a fixed horizon.
+
+    ``horizon == 0`` marks an exact infinite-horizon rate (the Gaussian
+    Geweke indices and rates), not a horizon of zero samples.
+    """
 
     value: float
     horizon: int

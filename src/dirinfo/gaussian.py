@@ -4,9 +4,11 @@ risks, Geweke indices and Gaussian information rates.
 Risks are generalized variances ``log det`` of the one-step prediction
 error covariance, so every index below is a log variance ratio in Geweke's
 classical convention (twice the corresponding Shannon rate in nats).  A
-subprocess of a VAR is generally not finite-order autoregressive, so all
-risks are computed by projecting on a long but finite window of lagged
-values; window length doubles until the reported value is stable.
+subprocess of a VAR is a state-space model: its innovation covariance given
+its entire past solves one discrete algebraic Riccati equation (Barnett &
+Seth, Phys. Rev. E 91, 040101(R), 2015), so indices and rates are exact
+infinite-horizon values.  :func:`prediction_variance` projects on a finite
+lag window instead and serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from .errors import (
     UnstableFitWarning,
     UnstableModel,
 )
-
-DEFAULT_TRUNCATION = 128
-MAX_TRUNCATION = 4096
-TRUNCATION_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class VarModel:
@@ -114,11 +111,7 @@ def autocovariance(model: VarModel, max_lag: int) -> np.ndarray:
     for h in range(min(p, max_lag + 1)):
         gammas[h] = big[:d, h * d:(h + 1) * d]
     for h in range(p, max_lag + 1):
-        acc = np.zeros((d, d))
-        for j in range(1, p + 1):
-            g = gammas[h - j] if h - j >= 0 else gammas[j - h].T
-            acc += model.coeffs[j - 1] @ g
-        gammas[h] = acc
+        gammas[h] = sum(model.coeffs[j - 1] @ gammas[h - j] for j in range(1, p + 1))
     gammas.setflags(write=False)
     model._gamma_cache["gammas"] = gammas
     return gammas[:max_lag + 1]
@@ -184,15 +177,14 @@ def prediction_variance(model: VarModel, target, predictors) -> PredictionRisk:
     if not cells:
         err = g0_bb
     else:
-        m = len(cells)
-        G = np.empty((m, m))
-        for i, (a, la) in enumerate(cells):
-            for j, (b, lb) in enumerate(cells):
-                G[i, j] = gammas[lb - la][a, b] if lb >= la else gammas[la - lb][b, a]
-        c = np.empty((len(target), m))
-        for i, b in enumerate(target):
-            for j, (a, la) in enumerate(cells):
-                c[i, j] = gammas[la][b, a]
+        nodes = np.array([a for a, _ in cells])
+        lags = np.array([lag for _, lag in cells])
+        # block-Toeplitz: G[i, j] = Gamma(lb-la)[a, b] if lb >= la else Gamma(la-lb)[b, a]
+        ahead = lags[None, :] >= lags[:, None]
+        G = gammas[np.abs(lags[None, :] - lags[:, None]),
+                   np.where(ahead, nodes[:, None], nodes[None, :]),
+                   np.where(ahead, nodes[None, :], nodes[:, None])]
+        c = gammas[lags[None, :], np.array(target)[:, None], nodes[None, :]]
         try:
             sol = sla.solve(G, c.T, assume_a="pos")
         except np.linalg.LinAlgError:
@@ -206,6 +198,35 @@ def prediction_variance(model: VarModel, target, predictors) -> PredictionRisk:
                           error_cov=err, risk=float(logdet))
 
 
+def innovation_cov(model: VarModel, nodes) -> np.ndarray:
+    """Covariance of the one-step prediction error of x_S, S = ``nodes``
+    (in that order), given the entire past of x_S.
+
+    The state z(t) = (x(t-1), ..., x(t-p)) moves by ``model.companion()``
+    plus K w(t), K = [I 0 ... 0]', and x_S(t) = C z(t) + w_S(t) with C the
+    rows S of the stacked coefficients.  The steady-state Kalman covariance
+    P solves one Riccati equation; the result is C P C' + Sigma_SS.
+    """
+    nodes = [int(a) for a in nodes]
+    p, d = model.order, model.n_nodes
+    if not nodes or len(set(nodes)) != len(nodes) or not all(0 <= a < d for a in nodes):
+        raise ParamError(f"nodes must be distinct indices in 0..{d - 1}, got {nodes}")
+    if not model.is_stable:
+        raise UnstableModel(
+            f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
+    F = model.companion()
+    C = F[nodes]
+    K = np.eye(p * d, d)
+    sigma = model.noise_cov
+    R = sigma[np.ix_(nodes, nodes)]
+    try:
+        P = sla.solve_discrete_are(F.T, C.T, K @ sigma @ K.T, R, s=K @ sigma[:, nodes])
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularDesign(f"Riccati equation for nodes {nodes} failed: {exc}") from None
+    cov = C @ P @ C.T + R
+    return 0.5 * (cov + cov.T)
+
+
 # ---------------------------------------------------------------------------
 # Geweke indices and Gaussian rates
 # ---------------------------------------------------------------------------
@@ -214,46 +235,24 @@ GEWEKE_KINDS = ("directed", "instantaneous", "directed_conditional",
                 "instantaneous_conditional")
 
 
-def _risk(model, target, groups, L):
-    spec = [(nodes, L, contemp) for nodes, contemp in groups if nodes]
-    return prediction_variance(model, target, spec).risk
+def _risk(model, target, past, present=()):
+    """log det error covariance of ``target`` given the entire past of the
+    ``past`` nodes and the present of ``present``, a subset of ``past``.  The
+    Schur complement of a positive definite covariance is never singular."""
+    if not set(target) <= set(past):
+        raise ParamError(f"information set lacks the past of target {target}")
+    cov = innovation_cov(model, past)
+    t = [past.index(b) for b in target]
+    q = [past.index(a) for a in present]
+    err = cov[np.ix_(t, t)]
+    if q:
+        err = err - cov[np.ix_(t, q)] @ sla.solve(cov[np.ix_(q, q)], cov[np.ix_(q, t)],
+                                                  assume_a="pos")
+    return float(np.linalg.slogdet(err)[1])
 
 
-def _geweke_at(model, a, b, c, kind, side_past_only, L):
-    if kind == "directed":
-        num = _risk(model, b, [(b, False)], L)
-        den = _risk(model, b, [(b, False), (a, False)], L)
-    elif kind == "instantaneous":
-        num = _risk(model, b, [(b, False), (a, False)], L)
-        den = _risk(model, b, [(b, False), (a, True)], L)
-    elif kind == "directed_conditional":
-        side = (c, not side_past_only)
-        num = _risk(model, b, [(b, False), side], L)
-        den = _risk(model, b, [(b, False), (a, False), side], L)
-    elif kind == "instantaneous_conditional":
-        side = (c, not side_past_only)
-        num = _risk(model, b, [(b, False), (a, False), side], L)
-        den = _risk(model, b, [(b, False), (a, True), side], L)
-    else:
-        raise ParamError(f"kind must be one of {GEWEKE_KINDS}, got {kind!r}")
-    return num - den
-
-
-def _converge(fn, initial_lag, tol, max_lag):
-    L = initial_lag
-    value = fn(L)
-    while 2 * L <= max_lag:
-        nxt = fn(2 * L)
-        L *= 2
-        if abs(nxt - value) < tol:
-            return nxt, L
-        value = nxt
-    return value, L
-
-
-def geweke_index(model: VarModel, partition, kind: str, side_past_only: bool = True,
-                 initial_lag: int = DEFAULT_TRUNCATION, tol: float = TRUNCATION_TOL,
-                 max_lag: int = MAX_TRUNCATION) -> MeasureValue:
+def geweke_index(model: VarModel, partition, kind: str,
+                 side_past_only: bool = True) -> MeasureValue:
     """Geweke log variance-ratio index for the partition's (A, B) pair.
 
     ``directed``: how much A's past improves the one-step prediction of B
@@ -261,43 +260,42 @@ def geweke_index(model: VarModel, partition, kind: str, side_past_only: bool = T
     present.  The ``*_conditional`` kinds add the side set C, through its
     past only when ``side_past_only`` (the convention under which the
     conditional decomposition closes); with ``side_past_only=False`` C's
-    present is conditioned on as well.
-
-    The projection window doubles from ``initial_lag`` until the index moves
-    by less than ``tol``.  The reported horizon is the window that was used.
+    present is conditioned on as well.  Every risk conditions on the entire
+    past, so the index is the exact infinite-horizon rate: ``horizon`` is 0.
     """
     a, b, c = tuple(partition.a), tuple(partition.b), tuple(partition.c)
-    value, L = _converge(lambda L: _geweke_at(model, a, b, c, kind, side_past_only, L),
-                         initial_lag, tol, max_lag)
-    return MeasureValue(value=value, horizon=L, kind="rate")
+    c_now = () if side_past_only else c
+    # (past, present) nodes of the numerator and the denominator risk
+    information_sets = {
+        "directed": ((b, ()), (b + a, ())),
+        "instantaneous": ((b + a, ()), (b + a, a)),
+        "directed_conditional": ((b + c, c_now), (b + a + c, c_now)),
+        "instantaneous_conditional": ((b + a + c, c_now), (b + a + c, a + c_now)),
+    }
+    if kind not in information_sets:
+        raise ParamError(f"kind must be one of {GEWEKE_KINDS}, got {kind!r}")
+    num, den = information_sets[kind]
+    return MeasureValue(value=_risk(model, b, *num) - _risk(model, b, *den),
+                        horizon=0, kind="rate")
 
 
-def gaussian_mi_rate(model: VarModel, a_nodes, b_nodes, conditional_on_past_c: bool = False,
-                     initial_lag: int = DEFAULT_TRUNCATION, tol: float = TRUNCATION_TOL,
-                     max_lag: int = MAX_TRUNCATION) -> MeasureValue:
+def gaussian_mi_rate(model: VarModel, a_nodes, b_nodes,
+                     conditional_on_past_c: bool = False) -> MeasureValue:
     """Mutual information rate between node groups, in the same log
     variance-ratio convention as the Geweke indices.
 
     Assembled from the marginal and joint one-step prediction problems:
     ``risk(A | own past) + risk(B | own past) - risk(A,B | both pasts)``,
     optionally with the strict past of the remaining nodes C in every
-    information set (``conditional_on_past_c``).
+    information set (``conditional_on_past_c``).  Exact; ``horizon`` is 0.
     """
     a = tuple(int(x) for x in a_nodes)
     b = tuple(int(x) for x in b_nodes)
     if set(a) & set(b):
         raise ParamError("node groups overlap")
-    c = tuple(i for i in range(model.n_nodes) if i not in set(a) | set(b))
-    side = (c if conditional_on_past_c else (), False)
-
-    def at(L):
-        ra = _risk(model, a, [(a, False), side], L)
-        rb = _risk(model, b, [(b, False), side], L)
-        rj = _risk(model, a + b, [(a, False), (b, False), side], L)
-        return ra + rb - rj
-
-    value, L = _converge(at, initial_lag, tol, max_lag)
-    return MeasureValue(value=value, horizon=L, kind="rate")
+    c = tuple(i for i in range(model.n_nodes) if i not in a + b) if conditional_on_past_c else ()
+    value = _risk(model, a, a + c) + _risk(model, b, b + c) - _risk(model, a + b, a + b + c)
+    return MeasureValue(value=value, horizon=0, kind="rate")
 
 
 # ---------------------------------------------------------------------------

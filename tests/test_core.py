@@ -54,6 +54,19 @@ def test_load_json_duplicate_labels(tmp_path):
         load_panel(path, format="json")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_load_keeps_huge_integral_values_float(tmp_path, fmt):
+    path = tmp_path / f"huge.{fmt}"
+    if fmt == "csv":
+        path.write_text("a,b\n1e300,1\n2,3\n")
+    else:
+        path.write_text('{"labels": ["a", "b"], "values": [[1e300, 1], [2, 3]]}')
+    panel = load_panel(path, format=fmt)
+    assert not panel.is_integer()
+    assert panel.values[0, 0] == 1e300
+    assert panel.values[1, 1] == 3.0
+
+
 def test_csv_roundtrip_bit_exact(tmp_path, rng):
     panel = TimeSeriesPanel(values=rng.normal(size=(50, 2)), labels=("u", "v"))
     first = tmp_path / "a.csv"

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from dirinfo import gaussian
 from dirinfo.core import TimeSeriesPanel, make_partition, symbolize
 from dirinfo.discrete import enumerate_joint, fit_plugin
 from dirinfo.errors import InvalidModel, ParamError, SingularDesign, UnstableModel
 from dirinfo.gaussian import (
+    GEWEKE_KINDS,
     VarModel,
     autocovariance,
     fit_var,
     gaussian_mi_rate,
     geweke_index,
+    innovation_cov,
     prediction_variance,
     var_from_json,
     var_to_json,
@@ -64,6 +67,7 @@ def test_full_information_set_recovers_noise_block():
     model = random_var_model(5, nodes=3, order=1, noise_corr=0.2)
     risk = prediction_variance(model, (1,), [((0, 1, 2), 16, False)])
     assert np.max(np.abs(risk.error_cov - model.noise_cov[1:2, 1:2])) < 1e-10
+    assert np.max(np.abs(innovation_cov(model, (0, 1, 2)) - model.noise_cov)) < 1e-10
 
 
 def test_irrelevant_predictors_leave_risk_unchanged():
@@ -150,14 +154,89 @@ def test_geweke_indices_nonnegative(kind):
         assert geweke_index(model, part, kind).value >= -1e-8
 
 
-def test_truncation_doubling_stable():
-    model = random_var_model(3, nodes=2, order=2, radius=0.9, noise_corr=0.4)
-    part = make_partition(model.labels, ["x0"], ["x1"])
-    at_128 = geweke_index(model, part, "directed", initial_lag=128, tol=0.0,
-                          max_lag=128).value
-    at_256 = geweke_index(model, part, "directed", initial_lag=256, tol=0.0,
-                          max_lag=256).value
-    assert abs(at_256 - at_128) < 1e-7
+WINDOW = 256
+
+
+def _window_risk(model, target, groups):
+    spec = [(nodes, WINDOW, contemp) for nodes, contemp in groups if nodes]
+    return prediction_variance(model, target, spec).risk
+
+
+def _window_geweke(model, part, kind, side_past_only):
+    a, b, c = part.a, part.b, part.c
+    side = (c, not side_past_only)
+    num, den = {
+        "directed": ([(b, False)], [(b, False), (a, False)]),
+        "instantaneous": ([(b, False), (a, False)], [(b, False), (a, True)]),
+        "directed_conditional": ([(b, False), side], [(b, False), (a, False), side]),
+        "instantaneous_conditional": ([(b, False), (a, False), side],
+                                      [(b, False), (a, True), side]),
+    }[kind]
+    return _window_risk(model, b, num) - _window_risk(model, b, den)
+
+
+def _window_mi(model, a, b, conditional_on_past_c):
+    c = tuple(i for i in range(model.n_nodes) if i not in a + b)
+    side = (c if conditional_on_past_c else (), False)
+    return (_window_risk(model, a, [(a, False), side])
+            + _window_risk(model, b, [(b, False), side])
+            - _window_risk(model, a + b, [(a, False), (b, False), side]))
+
+
+@pytest.mark.parametrize("nodes, order, radius, a, b", [
+    (2, 2, 0.9, ["x0"], ["x1"]),
+    (3, 3, 0.8, ["x0"], ["x1"]),
+    (4, 3, 0.8, ["x0"], ["x1"]),
+    (4, 3, 0.8, ["x0", "x1"], ["x2"]),
+    (4, 3, 0.8, ["x2"], ["x0", "x1"]),
+], ids=["bivariate", "3-node", "4-node", "4-node-A-group", "4-node-B-group"])
+def test_exact_rates_match_finite_window(nodes, order, radius, a, b):
+    # DERIVED oracle: the exact Riccati rates against differences of
+    # finite-window projection risks, independent of innovation_cov
+    model = random_var_model(3, nodes=nodes, order=order, radius=radius, noise_corr=0.4)
+    part = make_partition(model.labels, a, b)
+    for kind in GEWEKE_KINDS:
+        for side_past_only in (True, False):
+            exact = geweke_index(model, part, kind, side_past_only=side_past_only)
+            assert exact.horizon == 0
+            window = _window_geweke(model, part, kind, side_past_only)
+            assert abs(exact.value - window) < 1e-7, (kind, side_past_only)
+    for conditional in (False, True):
+        exact = gaussian_mi_rate(model, part.a, part.b, conditional_on_past_c=conditional)
+        window = _window_mi(model, part.a, part.b, conditional)
+        assert abs(exact.value - window) < 1e-7, conditional
+
+
+def test_unstable_model_raises_before_riccati(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Riccati solver called on an unstable model")
+
+    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", refuse)
+    model = VarModel(order=1, coeffs=np.array([[[1.05, 0.0], [0.3, 0.2]]]),
+                     noise_cov=np.eye(2), labels=("a", "b"))
+    part = make_partition(("a", "b"), ["a"], ["b"])
+    for kind in GEWEKE_KINDS:
+        with pytest.raises(UnstableModel):
+            geweke_index(model, part, kind)
+    with pytest.raises(UnstableModel):
+        gaussian_mi_rate(model, (0,), (1,))
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("no stabilizing solution"),
+                                   ValueError("ill-posed pencil")])
+def test_riccati_failure_is_singular_design(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", fail)
+    part = make_partition(("a", "b"), ["a"], ["b"])
+    with pytest.raises(SingularDesign):
+        geweke_index(bivariate_var1(), part, "directed")
+
+
+def test_risk_requires_target_past():
+    with pytest.raises(ParamError):
+        gaussian._risk(bivariate_var1(), (1,), (0,), (0,))
 
 
 def test_bivariate_geweke_decomposition():
