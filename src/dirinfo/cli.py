@@ -25,6 +25,9 @@ from .measures import EXACT_RESIDUAL_TOL, ConditioningMode, decompose
 from .simulate import gen_chain_example, gen_glm_spiking, gen_nonlinear_example, gen_var
 
 SCHEMA_VERSION = 1
+# bound on the Geweke identity te_ab + te_ba + iie - mi of a Gaussian
+# decomposition (acceptance criterion 4)
+GEWEKE_RESIDUAL_TOL = 1e-6
 
 
 def _die(message: str, code: int = 2) -> int:
@@ -277,6 +280,22 @@ def _cmd_graph(args) -> int:
 # check and replay
 # ---------------------------------------------------------------------------
 
+def _geweke_problems(doc) -> list[str]:
+    """A Gaussian decomposition holds its Geweke residual to
+    ``GEWEKE_RESIDUAL_TOL`` and its sums to the terms it was built from."""
+    problems = []
+    residual = doc["residuals"]["geweke"]
+    if abs(residual) > GEWEKE_RESIDUAL_TOL:
+        problems.append(f"residual geweke = {residual:.3e} exceeds {GEWEKE_RESIDUAL_TOL}")
+    te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
+    for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
+                                  ("di_ba", doc["di_ba"], te_ba + iie),
+                                  ("residual geweke", residual, te_ab + te_ba + iie - doc["mi"])):
+        if abs(recorded - value) > EXACT_RESIDUAL_TOL:
+            problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
+    return problems
+
+
 def _cmd_check(args) -> int:
     with open(args.result) as fh:
         doc = json.load(fh)
@@ -287,6 +306,8 @@ def _cmd_check(args) -> int:
                 if abs(value) > EXACT_RESIDUAL_TOL:
                     problems.append(f"residual {name} = {value:.3e} exceeds "
                                     f"{EXACT_RESIDUAL_TOL}")
+        elif doc.get("convention") == "geweke-log-variance-ratio":
+            problems.extend(_geweke_problems(doc))
     entries = []
     if "decision" in doc:
         entries.append(doc)

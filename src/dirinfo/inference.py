@@ -35,6 +35,8 @@ from .measures import ConditioningMode, rate as measure_rate
 
 DEFAULT_SURROGATES = 200
 MIN_SURROGATES = 20
+# relative pivot floor of the regressor Cholesky factor (see _cholesky)
+_PIVOT_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -185,71 +187,158 @@ def _discrete_values(panel):
     return panel.values
 
 
-def _discrete_causality_stat(values, a_idx, b_idx, c_idx, sizes, k, alpha):
+@dataclass(frozen=True)
+class _Symbols:
+    """Symbol panel of the discrete family, with the alphabet sizes of the
+    observed data; permuting a column keeps its alphabet."""
+
+    values: np.ndarray
+    sizes: tuple
+
+    def with_values(self, values):
+        return _Symbols(values, self.sizes)
+
+
+def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
+    """Statistic function, dof and n_obs of the discrete causality test.
+
+    The restricted fit (B on the past of B and C) does not involve A, so
+    it is computed once here; the returned function evaluates only the
+    full fit on a panel whose A columns may have been permuted.
+    """
+    values, sizes = data.values, data.sizes
     T = values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
     full_idx = tuple(sorted(a_idx + b_idx + c_idx))
     res_idx = tuple(sorted(b_idx + c_idx))
-    full_codes, m_full = _encode(values, full_idx, tuple(sizes[a] for a in full_idx))
+    full_sizes = tuple(sizes[a] for a in full_idx)
     res_codes, m_res = _encode(values, res_idx, tuple(sizes[a] for a in res_idx))
     tgt_codes, m_tgt = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
-    ctx_full = _window(full_codes, k, m_full)
-    ctx_res = _window(res_codes, k, m_res)
     tgt = tgt_codes[k:]
     n_obs = T - k
-    ll_full = _cond_loglik(ctx_full, tgt, m_tgt, alpha)
-    ll_res = _cond_loglik(ctx_res, tgt, m_tgt, alpha)
+    ll_res = _cond_loglik(_window(res_codes, k, m_res), tgt, m_tgt, alpha)
+
+    def stat_of(sym):
+        full_codes, m_full = _encode(sym.values, full_idx, full_sizes)
+        ll_full = _cond_loglik(_window(full_codes, k, m_full), tgt, m_tgt, alpha)
+        return (ll_full - ll_res) / n_obs
+
     m_a = int(np.prod([sizes[a] for a in a_idx]))
     dof = (m_a**k - 1) * (m_res**k) * (m_tgt - 1)
-    return (ll_full - ll_res) / n_obs, dof, n_obs
+    return stat_of, dof, n_obs
 
 
-def _discrete_coupling_stat(values, a_idx, b_idx, c_idx, sizes, k, alpha, mode):
+def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
+    """Statistic function, dof and n_obs of the discrete coupling test.
+    A's past enters every term's context, so nothing is held fixed."""
+    values, sizes = data.values, data.sizes
     T = values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
     past_idx = tuple(sorted(a_idx + b_idx + c_idx))
-    past_codes, m_past = _encode(values, past_idx, tuple(sizes[a] for a in past_idx))
-    ctx = _window(past_codes, k, m_past)
+    past_sizes = tuple(sizes[a] for a in past_idx)
+    m_past = int(np.prod(past_sizes))
+    n_ctx_struct = m_past**k
     if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
         c_codes, m_c = _encode(values, tuple(sorted(c_idx)),
                                tuple(sizes[a] for a in sorted(c_idx)))
-        ctx = ctx * m_c + c_codes[k:]
-        n_ctx_struct = (m_past**k) * m_c
-    else:
-        n_ctx_struct = m_past**k
-    a_codes, m_a = _encode(values, a_idx, tuple(sizes[a] for a in a_idx))
+        n_ctx_struct *= m_c
+    a_sizes = tuple(sizes[a] for a in a_idx)
     b_codes, m_b = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
-    a_t, b_t = a_codes[k:], b_codes[k:]
+    b_t = b_codes[k:]
     n_obs = T - k
-    ll_joint = _cond_loglik(ctx, a_t * m_b + b_t, m_a * m_b, alpha)
-    ll_a = _cond_loglik(ctx, a_t, m_a, alpha)
-    ll_b = _cond_loglik(ctx, b_t, m_b, alpha)
-    dof = n_ctx_struct * (m_a - 1) * (m_b - 1)
-    return (ll_joint - ll_a - ll_b) / n_obs, dof, n_obs
+
+    def stat_of(sym):
+        past_codes, _ = _encode(sym.values, past_idx, past_sizes)
+        ctx = _window(past_codes, k, m_past)
+        if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
+            ctx = ctx * m_c + c_codes[k:]
+        a_codes, m_a = _encode(sym.values, a_idx, a_sizes)
+        a_t = a_codes[k:]
+        ll_joint = _cond_loglik(ctx, a_t * m_b + b_t, m_a * m_b, alpha)
+        ll_a = _cond_loglik(ctx, a_t, m_a, alpha)
+        ll_b = _cond_loglik(ctx, b_t, m_b, alpha)
+        return (ll_joint - ll_a - ll_b) / n_obs
+
+    dof = n_ctx_struct * (int(np.prod(a_sizes)) - 1) * (m_b - 1)
+    return stat_of, dof, n_obs
 
 
-def _lagged_design(x, k, cols):
-    """Regressor block [x(t-1) .. x(t-k)] restricted to ``cols``."""
-    T = x.shape[0]
-    parts = [x[k - j:T - j][:, cols] for j in range(1, k + 1)]
-    return np.concatenate(parts, axis=1) if parts else np.empty((T - k, 0))
+def _cholesky(gram):
+    """Lower Cholesky factor of a regressor Gram block.
+
+    Raises ``SingularDesign`` when the factorization fails or when a pivot
+    ``L_ii**2`` falls to ``1e-10 * G_ii`` or below.  That pivot is the
+    residual sum of squares of regressor i on the regressors before it, so
+    the test reads 1 - R_i**2 <= 1e-10: the design is rank deficient to
+    working precision (an exactly repeated or constant column).
+    """
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise SingularDesign("rank-deficient regressor matrix") from None
+    if np.any(np.diag(chol) ** 2 <= _PIVOT_RTOL * np.diag(gram)):
+        raise SingularDesign("rank-deficient regressor matrix")
+    return chol
 
 
-def _residual_cov(y, design):
-    n = y.shape[0]
-    if design.shape[1] == 0:
-        resid = y
-    else:
-        if design.shape[0] <= design.shape[1]:
+class _LaggedGram:
+    """Gram matrix of the centred panel's lags 1..k and present, summed over
+    t = k..T-1: the one source of every VAR regression on the panel (as in
+    MVGC, Barnett & Seth, J. Neurosci. Methods 223, 2014).
+
+    Row and column ``(j - 1) * d + c`` is lag j of node c, ``k * d + c`` the
+    present of node c.  Each d x d block is one product of two lag-slice
+    views of the panel, so no lagged design matrix is ever stacked.  Every
+    residual covariance is a Schur complement of a sub-block (``fit``).
+    """
+
+    def __init__(self, x, k):
+        T, d = x.shape
+        if T <= k:
+            raise SingularDesign(f"T={T} too short for order {k}")
+        self.values, self.k, self.d, self.n = x, k, d, T - k
+        self.blocks = [x[k - j:T - j] for j in range(1, k + 1)] + [x[k:]]
+        m = len(self.blocks)
+        self.gram = np.empty((m * d, m * d))
+        for i in range(m):
+            for j in range(i, m):
+                block = self.blocks[i].T @ self.blocks[j]
+                self.gram[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+                self.gram[j * d:(j + 1) * d, i * d:(i + 1) * d] = block.T
+
+    def with_values(self, x):
+        """The Gram of an already centred panel of the same shape."""
+        return _LaggedGram(x, self.k)
+
+    def lags(self, cols):
+        """Indices of lags 1..k of ``cols``, lag-major."""
+        return [j * self.d + c for j in range(self.k) for c in cols]
+
+    def present(self, cols):
+        return [self.k * self.d + c for c in cols]
+
+    def fit(self, design, target):
+        """Per-row residual covariance of the least-squares regression of
+        ``target`` on ``design`` (index lists), and its coefficients."""
+        g_yy = self.gram[np.ix_(target, target)]
+        if not design:
+            return g_yy / self.n, np.empty((0, len(target)))
+        if self.n <= len(design):
             raise SingularDesign("not enough rows for the regression")
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
-            raise SingularDesign("rank-deficient regressor matrix")
-        resid = y - design @ beta
-    cov = resid.T @ resid / n
-    return cov, resid
+        chol = _cholesky(self.gram[np.ix_(design, design)])
+        # np.linalg.solve on the factor: scipy's triangular solver left
+        # about 0.7 MB more resident memory in a process running these fits
+        w = np.linalg.solve(chol, self.gram[np.ix_(design, target)])
+        coef = np.linalg.solve(chol.T, w)
+        return (g_yy - w.T @ w) / self.n, coef
+
+    def rows(self, coef):
+        """Rows of the panel's lags and present times ``coef`` (indexed like
+        the Gram), summed over the lag-slice views."""
+        d = self.d
+        return sum(block @ coef[j * d:(j + 1) * d] for j, block in enumerate(self.blocks))
 
 
 def _logdet(cov):
@@ -259,59 +348,84 @@ def _logdet(cov):
     return val
 
 
-def _var_causality_stat(values, a_idx, b_idx, c_idx, k):
-    """Gaussian LLR for the nested VAR fits plus the sandwich eigenvalue
-    weights of the tested coefficient block.
+def _var_causality(g, a_idx, b_idx, c_idx):
+    """Statistic function, dof and n_obs of the VAR causality test: the
+    Gaussian LLR of B on the past of (A, B, C) against B on the past of
+    (B, C).  The restricted log-det does not involve A and is computed once
+    on ``g``; the returned function fits only the full model on the Gram of
+    a panel whose A columns may have been permuted."""
+    y = g.present(b_idx)
+    full = g.lags(sorted(a_idx + b_idx + c_idx))
+    logdet_res = _logdet(g.fit(g.lags(sorted(b_idx + c_idx)), y)[0])
+
+    def stat_of(gram):
+        return 0.5 * (logdet_res - _logdet(gram.fit(full, y)[0]))
+
+    return stat_of, g.k * len(a_idx) * len(b_idx), g.n
+
+
+def _sandwich_weights(g, a_idx, b_idx, c_idx):
+    """Sandwich eigenvalue weights of the tested coefficient block (A's lags).
 
     Under correct specification the weights are all 1 and ``2 T stat`` is
     the classical chi-square variate; under conditionally heteroskedastic
     innovations (e.g. a quadratic hidden coupling) the asymptotic law is
-    the weighted chi-square sum instead.
+    the weighted chi-square sum instead.  The tested regressors are
+    projected off the kept ones (B's and C's lags); the bread is that
+    projection's Schur complement, the meat weights its rows by the squared
+    row residuals of the full fit.
     """
-    x = values.astype(float)
-    x = x - x.mean(axis=0)
-    T = x.shape[0]
-    y = x[k:][:, list(b_idx)]
-    full_cols = sorted(a_idx + b_idx + c_idx)
-    res_cols = sorted(b_idx + c_idx)
-    design_full = _lagged_design(x, k, full_cols)
-    cov_full, resid_full = _residual_cov(y, design_full)
-    cov_res, _ = _residual_cov(y, _lagged_design(x, k, res_cols))
-    stat = 0.5 * (_logdet(cov_res) - _logdet(cov_full))
-    dof = k * len(a_idx) * len(b_idx)
-
-    # sandwich weights: project the tested columns off the kept ones,
-    # then compare robust and model-based coefficient covariances
-    tested = [j for j, col in enumerate(full_cols * k) if col in a_idx]
-    kept = [j for j in range(design_full.shape[1]) if j not in tested]
-    xs = design_full[:, tested]
-    if kept:
-        xr = design_full[:, kept]
-        xs = xs - xr @ np.linalg.lstsq(xr, xs, rcond=None)[0]
-    gram = xs.T @ xs
+    y = g.present(b_idx)
+    tested, kept = g.lags(sorted(a_idx)), g.lags(sorted(b_idx + c_idx))
+    full = g.lags(sorted(a_idx + b_idx + c_idx))
+    cov_full, beta = g.fit(full, y)
+    proj_cov, gamma = g.fit(kept, tested)
+    # one pass over the panel gives the full fit's residuals and the
+    # tested regressors' residuals on the kept ones
+    ny = len(y)
+    coef = np.zeros((g.gram.shape[0], ny + len(tested)))
+    coef[y, :ny] = np.eye(ny)
+    coef[full, :ny] -= beta
+    coef[tested, ny:] = np.eye(len(tested))
+    coef[kept, ny:] -= gamma
+    both = g.rows(coef)
+    resid, xs = both[:, :ny], both[:, ny:]
+    bread = g.n * proj_cov
     weights = []
-    for i in range(y.shape[1]):
-        u2 = resid_full[:, i] ** 2
-        meat = xs.T @ (xs * u2[:, None])
-        lam = np.linalg.eigvals(np.linalg.solve(gram, meat)) / cov_full[i, i]
+    for i in range(len(y)):
+        meat = xs.T @ (xs * resid[:, i:i + 1] ** 2)
+        lam = np.linalg.eigvals(np.linalg.solve(bread, meat)) / cov_full[i, i]
         weights.extend(np.clip(lam.real, 1e-12, None))
-    return stat, dof, T - k, weights
+    return weights
 
 
-def _var_coupling_stat(values, a_idx, b_idx, c_idx, k, mode):
-    x = values.astype(float)
-    x = x - x.mean(axis=0)
-    T = x.shape[0]
-    cols = sorted(a_idx + b_idx + c_idx)
-    design = _lagged_design(x, k, cols)
+def _var_coupling(g, a_idx, b_idx, c_idx, mode):
+    """Statistic function, dof and n_obs of the VAR coupling test: the
+    mutual information of the present of A and B given the history (and
+    C's present under the contemporaneous mode), from one joint fit."""
+    design = g.lags(sorted(a_idx + b_idx + c_idx))
     if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
-        design = np.concatenate([design, x[k:][:, sorted(c_idx)]], axis=1)
-    y = x[k:][:, list(a_idx + b_idx)]
-    cov, _ = _residual_cov(y, design)
+        design += g.present(sorted(c_idx))
+    y = g.present(a_idx + b_idx)
     na = len(a_idx)
-    stat = 0.5 * (_logdet(cov[:na, :na]) + _logdet(cov[na:, na:]) - _logdet(cov))
-    dof = na * len(b_idx)
-    return stat, dof, T - k
+
+    def stat_of(gram):
+        cov = gram.fit(design, y)[0]
+        return 0.5 * (_logdet(cov[:na, :na]) + _logdet(cov[na:, na:]) - _logdet(cov))
+
+    return stat_of, na * len(b_idx), g.n
+
+
+def _prepare(panel, family, caller):
+    """Per-panel data every test of ``family`` on ``panel`` shares: the
+    symbol values and alphabet (discrete) or the lagged Gram (VAR)."""
+    if isinstance(family, DiscreteMarkovFamily):
+        values = _discrete_values(panel)
+        return _Symbols(values, _alphabet(values, range(panel.n_nodes)))
+    if isinstance(family, VarFamily):
+        x = panel.values.astype(float)
+        return _LaggedGram(x - x.mean(axis=0), family.order)
+    raise ParamError(f"unsupported family {family!r} for {caller}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,37 +452,99 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
 
 
 def _block_permutation(T, block_len, rng):
-    """Circular block permutation of 0..T-1: rotate, cut into blocks,
-    shuffle the block order."""
+    """Circular block permutation of 0..T-1: rotate by a random offset, cut
+    into ``max(1, T // block_len)`` blocks whose first ``T % n_blocks`` are
+    one longer, and concatenate the blocks in a random order."""
     offset = int(rng.integers(T))
-    idx = np.concatenate([np.arange(offset, T), np.arange(offset)])
     n_blocks = max(1, T // block_len)
-    blocks = np.array_split(idx, n_blocks)
-    order = rng.permutation(len(blocks))
-    return np.concatenate([blocks[i] for i in order])
+    size, extra = divmod(T, n_blocks)
+    order = rng.permutation(n_blocks)
+    lengths = size + (order < extra)
+    starts = order * size + np.minimum(order, extra)
+    within = np.arange(T) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return (np.repeat(starts, lengths) + within + offset) % T
 
 
-def _surrogate_result(stat_fn, values, a_idx, block_len, n_surrogates, alpha,
-                      seed, dof, n_obs, stat) -> TestResult:
+def _quantile_rank(alpha, n_surrogates):
+    """1-based rank of the surrogate (1 - alpha) quantile among n + 1 values."""
+    return math.ceil((1.0 - alpha) * (n_surrogates + 1))
+
+
+def _check_surrogates(n_surrogates, alpha):
+    """Refuse a surrogate count that cannot calibrate a test at level
+    ``alpha``: the (1 - alpha) quantile of n surrogates plus the observed
+    value exists only when its rank is at most n."""
     if n_surrogates < MIN_SURROGATES:
         raise CalibrationError(
             f"need at least {MIN_SURROGATES} surrogates, got {n_surrogates}")
+    if not 0.0 < alpha < 1.0:
+        raise ParamError(f"alpha must lie in (0, 1), got {alpha}")
+    if _quantile_rank(alpha, n_surrogates) > n_surrogates:
+        need = max(MIN_SURROGATES, math.ceil(1.0 / alpha) - 2)
+        while _quantile_rank(alpha, need) > need:
+            need += 1
+        raise CalibrationError(
+            f"surrogate calibration at level {alpha:.6g} needs at least {need} "
+            f"surrogates, got {n_surrogates}")
+
+
+def _surrogate_result(stat_of, data, a_idx, block_len, n_surrogates, alpha,
+                      seed, n_obs, stat) -> TestResult:
+    """Calibrate ``stat`` against ``stat_of`` evaluated on ``data`` with A's
+    columns circularly block-permuted; ``stat_of`` refits only what A
+    enters."""
+    _check_surrogates(n_surrogates, alpha)
     rng = np.random.default_rng(seed)
+    values = data.values
     T = values.shape[0]
     a_cols = list(a_idx)
     surr_stats = np.empty(n_surrogates)
     work = values.copy()
     for s in range(n_surrogates):
         perm = _block_permutation(T, block_len, rng)
-        work[:, a_cols] = values[perm][:, a_cols]
-        surr_stats[s] = stat_fn(work)
-    k = math.ceil((1.0 - alpha) * (n_surrogates + 1))
-    if k > n_surrogates:
-        threshold = math.inf
-    else:
-        threshold = float(np.sort(surr_stats)[k - 1])
+        work[:, a_cols] = values[np.ix_(perm, a_cols)]
+        surr_stats[s] = stat_of(data.with_values(work))
+    rank = _quantile_rank(alpha, n_surrogates)
+    threshold = float(np.sort(surr_stats)[rank - 1])
     p_value = float((1 + np.sum(surr_stats >= stat)) / (n_surrogates + 1))
     return _decide(stat, threshold, p_value, "surrogate", None, n_obs)
+
+
+def _check_calibration(calibration):
+    if calibration not in ("chi_square", "surrogate"):
+        raise ParamError(f"unknown calibration {calibration!r}")
+
+
+def _causality_test(data, family, a_idx, b_idx, c_idx, alpha, calibration,
+                    surrogates, seed) -> TestResult:
+    """``llr_causality`` on the panel data ``_prepare`` returned."""
+    if isinstance(family, VarFamily):
+        stat_of, dof, n_obs = _var_causality(data, a_idx, b_idx, c_idx)
+    else:
+        stat_of, dof, n_obs = _discrete_causality(data, a_idx, b_idx, c_idx,
+                                                  family.order, family.smoothing)
+    stat = stat_of(data)
+    if calibration == "surrogate":
+        return _surrogate_result(stat_of, data, a_idx, 5 * family.order, surrogates,
+                                 alpha, seed, n_obs, stat)
+    weights = (_sandwich_weights(data, a_idx, b_idx, c_idx)
+               if isinstance(family, VarFamily) else None)
+    return _chi_square_result(stat, dof, n_obs, alpha, weights=weights)
+
+
+def _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
+                   surrogates, seed) -> TestResult:
+    """``llr_coupling`` on the panel data ``_prepare`` returned."""
+    if isinstance(family, VarFamily):
+        stat_of, dof, n_obs = _var_coupling(data, a_idx, b_idx, c_idx, mode)
+    else:
+        stat_of, dof, n_obs = _discrete_coupling(data, a_idx, b_idx, c_idx,
+                                                 family.order, family.smoothing, mode)
+    stat = stat_of(data)
+    if calibration == "surrogate":
+        return _surrogate_result(stat_of, data, a_idx, 5 * family.order, surrogates,
+                                 alpha, seed, n_obs, stat)
+    return _chi_square_result(stat, dof, n_obs, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +572,10 @@ def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     b_idx = _group_indices(panel, b_labels)
     c_idx = _group_indices(panel, c_labels)
     _check_disjoint(a_idx, b_idx, c_idx)
-
-    if isinstance(family, DiscreteMarkovFamily):
-        values = _discrete_values(panel)
-        sizes = _alphabet(values, range(panel.n_nodes))
-
-        def stat_fn(vals):
-            return _discrete_causality_stat(vals, a_idx, b_idx, c_idx, sizes,
-                                            family.order, family.smoothing)[0]
-
-        stat, dof, n_obs = _discrete_causality_stat(
-            values, a_idx, b_idx, c_idx, sizes, family.order, family.smoothing)
-        order = family.order
-    elif isinstance(family, VarFamily):
-        values = panel.values
-
-        def stat_fn(vals):
-            return _var_causality_stat(vals, a_idx, b_idx, c_idx, family.order)[0]
-
-        stat, dof, n_obs, weights = _var_causality_stat(values, a_idx, b_idx, c_idx,
-                                                        family.order)
-        order = family.order
-    else:
-        raise ParamError(f"unsupported family {family!r} for llr_causality")
-
-    if calibration == "chi_square":
-        return _chi_square_result(stat, dof, n_obs, alpha,
-                                  weights=weights if isinstance(family, VarFamily) else None)
-    if calibration == "surrogate":
-        return _surrogate_result(stat_fn, values, a_idx, 5 * order, surrogates,
-                                 alpha, seed, dof, n_obs, stat)
-    raise ParamError(f"unknown calibration {calibration!r}")
+    data = _prepare(panel, family, "llr_causality")
+    _check_calibration(calibration)
+    return _causality_test(data, family, a_idx, b_idx, c_idx, alpha, calibration,
+                           surrogates, seed)
 
 
 def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
@@ -447,41 +596,22 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     b_idx = _group_indices(panel, b_labels)
     c_idx = _group_indices(panel, c_labels)
     _check_disjoint(a_idx, b_idx, c_idx)
-
-    if isinstance(family, DiscreteMarkovFamily):
-        values = _discrete_values(panel)
-        sizes = _alphabet(values, range(panel.n_nodes))
-
-        def stat_fn(vals):
-            return _discrete_coupling_stat(vals, a_idx, b_idx, c_idx, sizes,
-                                           family.order, family.smoothing, mode)[0]
-
-        stat, dof, n_obs = _discrete_coupling_stat(
-            values, a_idx, b_idx, c_idx, sizes, family.order, family.smoothing, mode)
-        order = family.order
-    elif isinstance(family, VarFamily):
-        values = panel.values
-
-        def stat_fn(vals):
-            return _var_coupling_stat(vals, a_idx, b_idx, c_idx, family.order, mode)[0]
-
-        stat, dof, n_obs = _var_coupling_stat(values, a_idx, b_idx, c_idx,
-                                              family.order, mode)
-        order = family.order
-    else:
-        raise ParamError(f"unsupported family {family!r} for llr_coupling")
-
-    if calibration == "chi_square":
-        return _chi_square_result(stat, dof, n_obs, alpha)
-    if calibration == "surrogate":
-        return _surrogate_result(stat_fn, values, a_idx, 5 * order, surrogates,
-                                 alpha, seed, dof, n_obs, stat)
-    raise ParamError(f"unknown calibration {calibration!r}")
+    data = _prepare(panel, family, "llr_coupling")
+    _check_calibration(calibration)
+    return _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
+                          surrogates, seed)
 
 
 # ---------------------------------------------------------------------------
 # generalized LLR over parameter restrictions
 # ---------------------------------------------------------------------------
+
+def _lagged_design(x, k, cols):
+    """Regressor block [x(t-1) .. x(t-k)] restricted to ``cols``."""
+    T = x.shape[0]
+    parts = [x[k - j:T - j][:, cols] for j in range(1, k + 1)]
+    return np.concatenate(parts, axis=1) if parts else np.empty((T - k, 0))
+
 
 def _glm_loglik(theta, design, y):
     z = design @ theta
@@ -538,26 +668,20 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
     masked_by_target = {t: sorted({s for tt, s in pairs if tt == t}) for t in targets}
 
     if isinstance(family, VarFamily):
-        k = family.order
-        x = panel.values.astype(float)
-        x = x - x.mean(axis=0)
-        T = x.shape[0]
+        g = _prepare(panel, family, "generalized_llr")
+        all_cols = list(range(panel.n_nodes))
+        full = g.lags(all_cols)
         ll_full = 0.0
         ll_res = 0.0
-        n_obs = T - k
         for t_lab in targets:
-            t_idx = panel.index_of(t_lab)
-            y = x[k:][:, [t_idx]]
-            all_cols = list(range(panel.n_nodes))
+            y = g.present([panel.index_of(t_lab)])
             keep_cols = [cidx for cidx in all_cols
                          if panel.labels[cidx] not in masked_by_target[t_lab]]
-            cov_f, _ = _residual_cov(y, _lagged_design(x, k, all_cols))
-            cov_r, _ = _residual_cov(y, _lagged_design(x, k, keep_cols))
-            ll_full += -0.5 * n_obs * _logdet(cov_f)
-            ll_res += -0.5 * n_obs * _logdet(cov_r)
-        stat = (ll_full - ll_res) / n_obs
-        dof = k * len(pairs)
-        return _chi_square_result(stat, dof, n_obs, alpha)
+            ll_full += -0.5 * g.n * _logdet(g.fit(full, y)[0])
+            ll_res += -0.5 * g.n * _logdet(g.fit(g.lags(keep_cols), y)[0])
+        stat = (ll_full - ll_res) / g.n
+        dof = family.order * len(pairs)
+        return _chi_square_result(stat, dof, g.n, alpha)
 
     if isinstance(family, GlmSpikingFamily):
         values = _discrete_values(panel)
@@ -883,6 +1007,13 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
 # causality graphs
 # ---------------------------------------------------------------------------
 
+def _edge_json(res: TestResult) -> dict:
+    """Graph JSON of one edge test: enough to recompute its decision."""
+    return {"stat": res.statistic, "p": res.p_value, "decision": res.decision,
+            "threshold": res.threshold, "dof": res.dof,
+            "calibration": res.calibration, "n_obs": res.n_obs}
+
+
 @dataclass(frozen=True)
 class CausalityGraph:
     """Mixed graph over the panel's nodes: directed edges from the
@@ -909,13 +1040,11 @@ class CausalityGraph:
         return {
             "nodes": list(self.nodes),
             "directed": [
-                {"from": a, "to": b, "stat": r.statistic, "p": r.p_value,
-                 "decision": r.decision}
+                {"from": a, "to": b, **_edge_json(r)}
                 for (a, b), r in sorted(self.directed.items())
             ],
             "undirected": [
-                {"pair": sorted(pair), "stat": r.statistic, "p": r.p_value,
-                 "decision": r.decision}
+                {"pair": sorted(pair), **_edge_json(r)}
                 for pair, r in sorted(self.undirected.items(), key=lambda kv: sorted(kv[0]))
             ],
             "errors": {" -> ".join(k) if isinstance(k, tuple) else " -- ".join(sorted(k)): v
@@ -955,7 +1084,11 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     as side information; each unordered pair for instantaneous coupling
     under ``mode``.  ``correction='bonferroni'`` divides the level by the
     total test count; per-edge RNG streams derive from ``seed`` so serial
-    and threaded runs are identical.
+    and threaded runs are identical.  The per-panel data (the VAR family's
+    lagged Gram matrix) is built once and shared by every edge, so an edge
+    equals the corresponding single ``llr_causality``/``llr_coupling``
+    call exactly.  Surrogate calibration raises ``CalibrationError`` before
+    any edge runs when ``surrogates`` is too few for the corrected level.
     """
     mode = mode if isinstance(mode, ConditioningMode) else ConditioningMode(str(mode))
     labels = panel.labels
@@ -965,6 +1098,10 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
         level = alpha
     else:
         raise ParamError(f"unknown correction {correction!r}")
+    _check_calibration(calibration)
+    if calibration == "surrogate":
+        _check_surrogates(surrogates, level)
+    data = _prepare(panel, family, "infer_graph")
 
     tasks = []
     for a in labels:
@@ -978,14 +1115,13 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
 
     def run(task, child_seed):
         kind, (a, b) = task
-        c = [x for x in labels if x not in (a, b)]
+        a_idx, b_idx = (panel.index_of(a),), (panel.index_of(b),)
+        c_idx = tuple(panel.index_of(x) for x in labels if x not in (a, b))
         if kind == "directed":
-            return llr_causality(panel, [a], [b], c, family=family, alpha=level,
-                                 calibration=calibration, surrogates=surrogates,
-                                 seed=child_seed)
-        return llr_coupling(panel, [a], [b], c, family=family, mode=mode,
-                            alpha=level, calibration=calibration,
-                            surrogates=surrogates, seed=child_seed)
+            return _causality_test(data, family, a_idx, b_idx, c_idx, level,
+                                   calibration, surrogates, child_seed)
+        return _coupling_test(data, family, a_idx, b_idx, c_idx, mode, level,
+                              calibration, surrogates, child_seed)
 
     outcomes = [None] * len(tasks)
     if threads > 1:

@@ -1,0 +1,119 @@
+"""Reference implementations the test layer's fast paths are checked against.
+
+These are the straightforward forms the package used before its VAR
+statistics moved to one lagged Gram matrix per panel and its block
+permutation to index arithmetic: every regression is a separate ``lstsq``
+fit on an explicitly stacked lagged design, and the permutation cuts the
+rotated index vector with ``np.array_split``.  They share nothing with the
+package's implementations.
+"""
+
+import numpy as np
+
+from dirinfo.errors import SingularDesign
+
+
+def block_permutation(T, block_len, rng):
+    """Circular block permutation of 0..T-1: rotate, cut into blocks,
+    shuffle the block order."""
+    offset = int(rng.integers(T))
+    idx = np.concatenate([np.arange(offset, T), np.arange(offset)])
+    n_blocks = max(1, T // block_len)
+    blocks = np.array_split(idx, n_blocks)
+    order = rng.permutation(len(blocks))
+    return np.concatenate([blocks[i] for i in order])
+
+
+def _centred(values):
+    x = values.astype(float)
+    return x - x.mean(axis=0)
+
+
+def _lagged_design(x, k, cols):
+    """Regressor block [x(t-1) .. x(t-k)] restricted to ``cols``."""
+    T = x.shape[0]
+    parts = [x[k - j:T - j][:, cols] for j in range(1, k + 1)]
+    return np.concatenate(parts, axis=1) if parts else np.empty((T - k, 0))
+
+
+def _residual_cov(y, design):
+    n = y.shape[0]
+    if design.shape[1] == 0:
+        resid = y
+    else:
+        if design.shape[0] <= design.shape[1]:
+            raise SingularDesign("not enough rows for the regression")
+        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < design.shape[1]:
+            raise SingularDesign("rank-deficient regressor matrix")
+        resid = y - design @ beta
+    cov = resid.T @ resid / n
+    return cov, resid
+
+
+def _logdet(cov):
+    sign, val = np.linalg.slogdet(np.atleast_2d(cov))
+    if sign <= 0:
+        raise SingularDesign("singular residual covariance")
+    return val
+
+
+def var_causality_stat(values, a_idx, b_idx, c_idx, k):
+    """Gaussian LLR of the nested VAR fits, its dof, n_obs and the
+    sandwich eigenvalue weights of the tested coefficient block."""
+    x = _centred(values)
+    T = x.shape[0]
+    y = x[k:][:, list(b_idx)]
+    full_cols = sorted(a_idx + b_idx + c_idx)
+    res_cols = sorted(b_idx + c_idx)
+    design_full = _lagged_design(x, k, full_cols)
+    cov_full, resid_full = _residual_cov(y, design_full)
+    cov_res, _ = _residual_cov(y, _lagged_design(x, k, res_cols))
+    stat = 0.5 * (_logdet(cov_res) - _logdet(cov_full))
+    dof = k * len(a_idx) * len(b_idx)
+
+    tested = [j for j, col in enumerate(full_cols * k) if col in a_idx]
+    kept = [j for j in range(design_full.shape[1]) if j not in tested]
+    xs = design_full[:, tested]
+    if kept:
+        xr = design_full[:, kept]
+        xs = xs - xr @ np.linalg.lstsq(xr, xs, rcond=None)[0]
+    gram = xs.T @ xs
+    weights = []
+    for i in range(y.shape[1]):
+        u2 = resid_full[:, i] ** 2
+        meat = xs.T @ (xs * u2[:, None])
+        lam = np.linalg.eigvals(np.linalg.solve(gram, meat)) / cov_full[i, i]
+        weights.extend(np.clip(lam.real, 1e-12, None))
+    return stat, dof, T - k, weights
+
+
+def var_coupling_stat(values, a_idx, b_idx, c_idx, k, contemporaneous):
+    x = _centred(values)
+    T = x.shape[0]
+    cols = sorted(a_idx + b_idx + c_idx)
+    design = _lagged_design(x, k, cols)
+    if contemporaneous and c_idx:
+        design = np.concatenate([design, x[k:][:, sorted(c_idx)]], axis=1)
+    y = x[k:][:, list(a_idx + b_idx)]
+    cov, _ = _residual_cov(y, design)
+    na = len(a_idx)
+    stat = 0.5 * (_logdet(cov[:na, :na]) + _logdet(cov[na:, na:]) - _logdet(cov))
+    return stat, na * len(b_idx), T - k
+
+
+def var_generalized_llr_stat(values, k, masked_by_target):
+    """Per-sample generalized LLR of the VAR with the links
+    ``{target: [sources]}`` (column indices) pinned to zero."""
+    x = _centred(values)
+    n_obs = x.shape[0] - k
+    all_cols = list(range(x.shape[1]))
+    ll_full = ll_res = 0.0
+    for target, masked in sorted(masked_by_target.items()):
+        y = x[k:][:, [target]]
+        keep_cols = [c for c in all_cols if c not in masked]
+        cov_f, _ = _residual_cov(y, _lagged_design(x, k, all_cols))
+        cov_r, _ = _residual_cov(y, _lagged_design(x, k, keep_cols))
+        ll_full += -0.5 * n_obs * _logdet(cov_f)
+        ll_res += -0.5 * n_obs * _logdet(cov_r)
+    return (ll_full - ll_res) / n_obs

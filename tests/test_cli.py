@@ -1,10 +1,13 @@
 import json
+import math
+import re
 
 import pytest
 
 from dirinfo.cli import main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
+from dirinfo.inference import bonferroni_count
 from dirinfo.simulate import chain_markov_model, random_var_model
 
 
@@ -69,6 +72,53 @@ def test_check_flags_tampered_results(tmp_path):
     doc["residuals"]["id3"] = 0.5
     (tmp_path / "dec.json").write_text(json.dumps(doc))
     assert run("check", tmp_path / "dec.json") == 1
+
+
+def test_graph_json_decisions_are_checked(tmp_path):
+    run("simulate", "chain", "--T", 3000, "--seed", 4, "--out", tmp_path / "c")
+    assert run("graph", "--input", tmp_path / "c.csv", "--family", "var",
+               "--out", tmp_path / "g") == 0
+    doc = json.loads((tmp_path / "g.json").read_text())
+    for entry in doc["directed"] + doc["undirected"]:
+        assert entry["calibration"] == "chi_square"
+        assert entry["dof"] == 1 and entry["n_obs"] == 2999
+        assert (entry["decision"] == "reject_H0") == (entry["stat"] > entry["threshold"])
+    assert run("check", tmp_path / "g.json") == 0
+    entry = doc["directed"][0]
+    entry["decision"] = "keep_H0" if entry["decision"] == "reject_H0" else "reject_H0"
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "g.json") == 1
+
+
+def test_graph_surrogate_too_few_for_corrected_level_exits_1(tmp_path, capsys):
+    run("simulate", "chain", "--T", 500, "--seed", 5, "--out", tmp_path / "c")
+    code = run("graph", "--input", tmp_path / "c.csv", "--family", "discrete",
+               "--bins", 4, "--calibration", "surrogate", "--seed", 5,
+               "--out", tmp_path / "g")
+    assert code == 1
+    assert not (tmp_path / "g.json").exists()
+    err = capsys.readouterr().err
+    found = re.search(r"CalibrationError: .* needs at least (\d+) surrogates, got 200", err)
+    assert found, err
+    need, level = int(found.group(1)), 0.05 / bonferroni_count(3)
+    assert math.ceil((1 - level) * (need + 1)) <= need
+    assert math.ceil((1 - level) * need) > need - 1
+
+
+@pytest.mark.parametrize("field, value", [("geweke", 0.5), ("te_ab", 7.0)])
+def test_check_flags_tampered_gaussian_decomposition(tmp_path, field, value):
+    save_var(random_var_model(3, nodes=2, order=1, noise_corr=0.3),
+             tmp_path / "var.json")
+    run("decompose", "--model", tmp_path / "var.json", "--A", "x0", "--B", "x1",
+        "--out", tmp_path / "gw")
+    assert run("check", tmp_path / "gw.json") == 0
+    doc = json.loads((tmp_path / "gw.json").read_text())
+    if field == "geweke":
+        doc["residuals"]["geweke"] = value
+    else:
+        doc[field] = value
+    (tmp_path / "gw.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "gw.json") == 1
 
 
 def test_decompose_var_model_emits_geweke_bundle(tmp_path):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from dirinfo import inference
 from dirinfo.core import TimeSeriesPanel, symbolize
-from dirinfo.errors import CalibrationError, ParamError, PartitionError
+from dirinfo.errors import CalibrationError, ParamError, PartitionError, SingularDesign
 from dirinfo.inference import (
     DiscreteMarkovFamily,
     GlmSpikingFamily,
@@ -18,13 +20,15 @@ from dirinfo.inference import (
     llr_coupling,
     stein_exponent_check,
 )
-from dirinfo.measures import rate
+from dirinfo.measures import ConditioningMode, rate
 from dirinfo.simulate import (
     chain_markov_model,
     copy_channel,
     delay_channel,
     gen_chain_example,
     gen_glm_spiking,
+    gen_var,
+    random_var_model,
 )
 from dirinfo.discrete import sample_panel, with_stationary_initial
 
@@ -135,6 +139,100 @@ def test_surrogate_detects_strong_coupling():
     assert res.p_value == pytest.approx(1 / 101)
 
 
+def test_surrogate_level_needs_enough_replicas():
+    # ceil(0.999 * 201) = 201 > 200: no finite (1 - alpha) quantile exists
+    with pytest.raises(CalibrationError, match="at least 999 surrogates, got 200"):
+        llr_causality(iid_panel(500, 2), ["x0"], ["x1"], family=DiscreteMarkovFamily(),
+                      alpha=0.001, calibration="surrogate", surrogates=200, seed=0)
+
+
+def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
+    def edge(*args, **kwargs):
+        raise AssertionError("an edge ran")
+
+    monkeypatch.setattr(inference, "_causality_test", edge)
+    monkeypatch.setattr(inference, "_coupling_test", edge)
+    panel, _ = gen_chain_example(500, seed=3)
+    with pytest.raises(CalibrationError, match="got 200"):
+        infer_graph(panel, VarFamily(), calibration="surrogate", surrogates=200, seed=1)
+
+
+@pytest.mark.parametrize("block_len", [5, 10])
+@pytest.mark.parametrize("T", [7, 4000, 4001, 10007])
+def test_block_permutation_matches_array_split_reference(T, block_len):
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = inference._block_permutation(T, block_len, rng)
+        want = reference.block_permutation(T, block_len, ref_rng)
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
+
+# ---------------------------------------------------------------------------
+# the lagged-Gram VAR engine against per-test lstsq fits
+# ---------------------------------------------------------------------------
+
+def _var_panel(seed, nodes, order, T):
+    model = random_var_model(seed, nodes=nodes, order=order, noise_corr=0.3)
+    return gen_var(model, T, seed)[0]
+
+
+def _close(got, want, rel=1e-9):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("nodes, order, T, seed", [
+    (2, 1, 500, 0), (3, 2, 1000, 1), (4, 2, 800, 2), (5, 1, 2000, 3),
+    (8, 1, 1500, 4), (8, 2, 4000, 5),
+])
+def test_gram_engine_matches_lstsq_reference(nodes, order, T, seed):
+    panel = _var_panel(seed, nodes, order, T)
+    family = VarFamily(order=order)
+    labels = panel.labels
+    a, b, rest = [labels[0]], [labels[1]], list(labels[2:])
+    idx = {lab: i for i, lab in enumerate(labels)}
+    a_idx, b_idx = (idx[a[0]],), (idx[b[0]],)
+    for c in ([], rest):
+        c_idx = tuple(idx[x] for x in c)
+        stat, dof, n_obs, weights = reference.var_causality_stat(
+            panel.values, a_idx, b_idx, c_idx, order)
+        want = inference._chi_square_result(stat, dof, n_obs, 0.05, weights=weights)
+        got = llr_causality(panel, a, b, c, family=family)
+        assert (got.dof, got.n_obs) == (dof, n_obs)
+        for field in ("statistic", "threshold", "p_value"):
+            _close(getattr(got, field), getattr(want, field))
+        for mode in ConditioningMode:
+            stat, dof, _ = reference.var_coupling_stat(
+                panel.values, a_idx, b_idx, c_idx, order,
+                mode is ConditioningMode.CONTEMPORANEOUS)
+            got = llr_coupling(panel, a, b, c, family=family, mode=mode)
+            assert got.dof == dof
+            _close(got.statistic, stat)
+    masked = {idx[b[0]]: [idx[a[0]]], idx[a[0]]: [idx[x] for x in [b[0]] + rest[:1]]}
+    restriction = [(labels[t], labels[s]) for t, sources in masked.items() for s in sources]
+    _close(generalized_llr(panel, family, restriction).statistic,
+           reference.var_generalized_llr_stat(panel.values, order, masked))
+
+
+def test_duplicated_column_is_singular_design():
+    x = np.random.default_rng(21).standard_normal((1000, 2))
+    panel = TimeSeriesPanel(values=np.column_stack([x, x[:, 0]]), labels=("a", "b", "c"))
+    with pytest.raises(SingularDesign):
+        llr_causality(panel, ["a"], ["b"], ["c"], family=VarFamily())
+    with pytest.raises(SingularDesign):
+        llr_coupling(panel, ["a"], ["b"], ["c"], family=VarFamily())
+
+
+def test_highly_correlated_pair_is_not_singular():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((1000, 2))
+    twin = 0.999 * x[:, 0] + math.sqrt(1 - 0.999**2) * rng.standard_normal(1000)
+    values = np.column_stack([x, twin])
+    panel = TimeSeriesPanel(values=values, labels=("a", "b", "c"))
+    got = llr_causality(panel, ["a"], ["b"], ["c"], family=VarFamily())
+    _close(got.statistic, reference.var_causality_stat(values, (0,), (1,), (2,), 1)[0])
+
+
 # ---------------------------------------------------------------------------
 # generalized LLR
 # ---------------------------------------------------------------------------
@@ -233,25 +331,26 @@ def test_bonferroni_count():
     assert bonferroni_count(4) == 24
 
 
-def test_graph_bivariate_reduces_to_direct_tests():
+@pytest.mark.parametrize("family", [DiscreteMarkovFamily(), VarFamily()],
+                         ids=["discrete", "var"])
+def test_graph_bivariate_reduces_to_direct_tests(family):
     panel = sample_panel(delay_channel(0.2), 5000, seed=12)
-    graph = infer_graph(panel, DiscreteMarkovFamily(), alpha=0.05, correction="none")
-    direct = llr_causality(panel, ["x"], ["y"], [], family=DiscreteMarkovFamily(),
-                           alpha=0.05)
+    graph = infer_graph(panel, family, alpha=0.05, correction="none")
+    direct = llr_causality(panel, ["x"], ["y"], [], family=family, alpha=0.05)
     assert graph.directed[("x", "y")] == direct
-    coupling = llr_coupling(panel, ["x"], ["y"], [], family=DiscreteMarkovFamily(),
-                            alpha=0.05)
+    coupling = llr_coupling(panel, ["x"], ["y"], [], family=family, alpha=0.05)
     assert graph.undirected[frozenset(("x", "y"))] == coupling
 
 
 def test_graph_deterministic():
     panel, _ = gen_chain_example(3000, seed=13)
     sym = symbolize(panel, bins=4, scheme="equal_frequency")
-    one = infer_graph(sym, DiscreteMarkovFamily(), calibration="surrogate",
-                      surrogates=30, seed=77)
-    two = infer_graph(sym, DiscreteMarkovFamily(), calibration="surrogate",
-                      surrogates=30, seed=77)
-    assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(two.to_json(), sort_keys=True)
+    kwargs = dict(calibration="surrogate", correction="none", surrogates=30, seed=77)
+    one = infer_graph(sym, DiscreteMarkovFamily(), **kwargs)
+    two = infer_graph(sym, DiscreteMarkovFamily(), **kwargs)
+    doc = one.to_json()
+    assert all(math.isfinite(e["threshold"]) for e in doc["directed"] + doc["undirected"])
+    assert json.dumps(doc, sort_keys=True) == json.dumps(two.to_json(), sort_keys=True)
 
 
 def test_graph_threads_match_serial():
