@@ -16,11 +16,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import load_panel, make_partition, symbolize, write_panel
+from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, symbolize, write_panel
 from .discrete import enumerate_joint, fit_plugin, model_to_json
 from .errors import DirinfoError
 from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_to_json
-from .inference import family_from_spec, infer_graph, llr_causality, llr_coupling
+from .inference import (
+    bonferroni_count,
+    chi_square_threshold,
+    family_from_spec,
+    infer_graph,
+    llr_causality,
+    llr_coupling,
+)
 from .measures import EXACT_RESIDUAL_TOL, ConditioningMode, decompose
 from .simulate import gen_chain_example, gen_glm_spiking, gen_nonlinear_example, gen_var
 
@@ -296,6 +303,45 @@ def _geweke_problems(doc) -> list[str]:
     return problems
 
 
+def _config_level(doc):
+    """The per-test level a graph's config implies, or None without one."""
+    config = doc.get("config", {})
+    if "alpha" not in config:
+        return None
+    if config.get("correction") == "bonferroni":
+        return config["alpha"] / bonferroni_count(len(doc["nodes"]))
+    return config["alpha"]
+
+
+def _decision_problems(entry, level) -> list[str]:
+    """A test's decision must follow from its statistic and threshold; a
+    chi-square threshold is recomputed from the level (the config's, when
+    known), the Satterthwaite scale and dof, and ``n_obs``."""
+    stat = entry.get("stat", entry.get("statistic"))
+    threshold = entry.get("threshold")
+    if stat is None or threshold is None:
+        return []
+    problems = []
+    if level is not None and entry.get("level") != level:
+        problems.append(f"level {entry.get('level')!r} differs from {level!r} "
+                        f"set by the config")
+    if entry.get("calibration") == "chi_square":
+        try:
+            recomputed = chi_square_threshold(entry["level"] if level is None else level,
+                                              entry["chi2_scale"], entry["chi2_df"],
+                                              entry["n_obs"])
+        except (KeyError, TypeError):
+            return problems + ["chi-square entry lacks level, chi2_scale, chi2_df or n_obs"]
+        if not math.isclose(threshold, recomputed, rel_tol=1e-12):
+            problems.append(f"threshold {threshold!r} differs from the recomputed {recomputed!r}")
+        threshold = recomputed
+    expected = "reject_H0" if stat > threshold else "keep_H0"
+    if entry["decision"] != expected:
+        problems.append(f"decision {entry['decision']} inconsistent with "
+                        f"statistic {stat} vs threshold {threshold}")
+    return problems
+
+
 def _cmd_check(args) -> int:
     with open(args.result) as fh:
         doc = json.load(fh)
@@ -313,16 +359,10 @@ def _cmd_check(args) -> int:
         entries.append(doc)
     for key in ("directed", "undirected"):
         entries.extend(doc.get(key, []))
+    level = _config_level(doc)
     for entry in entries:
-        if "decision" not in entry:
-            continue
-        stat = entry.get("stat", entry.get("statistic"))
-        threshold = entry.get("threshold")
-        if threshold is not None and stat is not None:
-            expected = "reject_H0" if stat > threshold else "keep_H0"
-            if entry["decision"] != expected:
-                problems.append(f"decision {entry['decision']} inconsistent with "
-                                f"statistic {stat} vs threshold {threshold}")
+        if "decision" in entry:
+            problems.extend(_decision_problems(entry, level))
     if problems:
         for p in problems:
             print(f"check failed: {p}", file=sys.stderr)
@@ -396,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="horizon for discrete models")
     p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
                    default="strict_past")
-    p.add_argument("--budget", type=int, help="enumeration state budget override")
+    p.add_argument("--budget", type=int,
+                   help="largest array (entries) an exact marginal may allocate "
+                        f"(default {DEFAULT_STATE_BUDGET})")
     _add_common_io(p)
     p.set_defaults(func=_cmd_decompose)
 

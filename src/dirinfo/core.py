@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BudgetError,
     DegenerateColumn,
     InvalidModel,
     ParamError,
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 PMF_ATOL = 1e-12
+# default cap on the entries of any array an exact marginal allocates
+DEFAULT_STATE_BUDGET = 2**22
 
 # a "cell" is one scalar observation slot: (node index, 1-based time)
 Cell = tuple[int, int]
@@ -318,44 +321,87 @@ def _xlogx_sum(p: np.ndarray) -> float:
     return float(np.sum(nz.astype(np.longdouble) * np.log(nz.astype(np.longdouble))))
 
 
-@dataclass(frozen=True)
-class SequenceDistribution:
-    """Exact joint pmf of ``x_V^n`` over a finite alphabet.
+def _law(array, shape, what) -> np.ndarray:
+    """Validated read-only copy of a pmf of the given shape."""
+    law = np.asarray(array, dtype=float)
+    if law.shape != shape:
+        raise InvalidModel(f"{what} shape {law.shape} != expected {shape}")
+    if law.size and law.min() < -PMF_ATOL:
+        raise InvalidModel(f"{what} has negative entries")
+    law = law.copy()
+    law.setflags(write=False)
+    return law
 
-    The table has one axis per cell (node, time), ordered time-major:
-    axis ``(t-1) * |V| + a`` carries node ``a`` at time ``t``.
+
+class SequenceDistribution:
+    """Exact joint law of ``x_V^n`` over a finite alphabet, held as a chain
+    of window width ``w``: the law ``initial`` of the first ``w`` samples
+    and a ``kernel`` giving the next sample from the last ``w``.
+
+    Arrays have one axis per cell (node, time), ordered time-major: the
+    initial law's axis ``(t-1) * |V| + a`` carries node ``a`` at time ``t``,
+    and the kernel's last ``|V|`` axes carry the predicted sample.  A table
+    given as ``pmf`` is the chain with ``w = n`` and no kernel steps.
+
+    Marginals are contracted from the chain one time step at a time, so the
+    dense ``M**n`` table is never needed; :attr:`pmf` builds it on demand.
+    ``budget`` caps the entries of the largest array a contraction or
+    :attr:`pmf` allocates, and is checked before anything is allocated.
     """
 
-    alphabet_sizes: tuple[int, ...]
-    horizon: int
-    pmf: np.ndarray
-    _entropy_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        sizes = tuple(int(m) for m in self.alphabet_sizes)
+    def __init__(self, alphabet_sizes, horizon, pmf=None, *, initial=None, kernel=None,
+                 budget: int = DEFAULT_STATE_BUDGET):
+        sizes = tuple(int(m) for m in alphabet_sizes)
         if any(m < 1 for m in sizes):
             raise InvalidModel("alphabet sizes must be positive")
-        n = int(self.horizon)
+        n = int(horizon)
         if n < 1:
             raise InvalidModel("horizon must be >= 1")
-        expected = sizes * n
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.shape != expected:
-            raise InvalidModel(f"pmf shape {pmf.shape} != expected {expected}")
-        if pmf.min() < -PMF_ATOL:
-            raise InvalidModel("pmf has negative entries")
-        total = float(np.sum(pmf.astype(np.longdouble)))
+        if (pmf is None) == (initial is None):
+            raise InvalidModel("give either a pmf table or an initial law")
+        d = len(sizes)
+        if pmf is not None:
+            initial, width, what = pmf, n, "pmf"
+        else:
+            width, what = np.ndim(initial) // max(d, 1), "initial law"
+            if not 1 <= width <= n:
+                raise InvalidModel(f"initial law spans {width} samples, horizon is {n}")
+        initial = _law(initial, sizes * width, what)
+        total = float(np.sum(initial.astype(np.longdouble)))
         if abs(total - 1.0) > PMF_ATOL:
-            raise InvalidModel(f"pmf sums to {total!r}, not 1")
-        pmf = pmf.copy()
-        pmf.setflags(write=False)
-        object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(self, "horizon", n)
+            raise InvalidModel(f"{what} sums to {total!r}, not 1")
+        if (kernel is None) != (width == n):
+            raise InvalidModel("a kernel is needed exactly when the initial law "
+                               "is shorter than the horizon")
+        if kernel is not None:
+            kernel = _law(kernel, sizes * (width + 1), "kernel")
+            rows = kernel.reshape(-1, int(np.prod(sizes))).sum(axis=1)
+            if np.max(np.abs(rows - 1.0)) > PMF_ATOL:
+                raise InvalidModel("kernel rows must each sum to 1")
+        self.alphabet_sizes = sizes
+        self.horizon = n
+        self.budget = int(budget)
+        self._width = width
+        self._initial = initial
+        self._kernel = kernel
+        self._pmf = initial if width == n else None
+        self._prefix = None
+        self._entropy_cache = {}
 
     @property
     def n_nodes(self) -> int:
         return len(self.alphabet_sizes)
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """The dense ``M**n`` table, built (and charged to the budget) on
+        first use."""
+        if self._pmf is None:
+            table = self._marginal({(a, t) for a in range(self.n_nodes)
+                                    for t in range(1, self.horizon + 1)})
+            table.setflags(write=False)
+            self._pmf = table
+        return self._pmf
 
     def axis_of(self, node: int, time: int) -> int:
         """Array axis holding node ``node`` at 1-based time ``time``."""
@@ -367,21 +413,107 @@ class SequenceDistribution:
 
     def cell_marginal(self, cells) -> np.ndarray:
         """Exact marginal over an arbitrary cell set, axes sorted time-major."""
-        cells = sorted(set(cells), key=lambda c: (c[1], c[0]))
-        keep = [self.axis_of(node, t) for node, t in cells]
-        drop = tuple(ax for ax in range(self.pmf.ndim) if ax not in set(keep))
-        return np.sum(self.pmf, axis=drop) if drop else self.pmf
+        cells = set(cells)
+        for node, t in cells:
+            self.axis_of(node, t)
+        return self._marginal(cells)
 
     def entropy_of_cells(self, cells) -> float:
-        """Shannon entropy (nats) of the cells' joint marginal, cached."""
+        """Shannon entropy (nats) of the cells' joint marginal, cached.
+
+        A set holding every node at times ``1..s`` (``s >= w``) is split as
+        ``H(x^s) + H(rest | window_s)``: the first term by the chain rule,
+        the second from the window law at ``s`` contracted over the later
+        cells, so the past of V is never laid out as an array.
+        """
         key = frozenset(cells)
         if not key:
             return 0.0
         cached = self._entropy_cache.get(key)
         if cached is None:
-            cached = -_xlogx_sum(self.cell_marginal(key))
+            for node, t in key:
+                self.axis_of(node, t)
+            cached = self._entropy(key)
             self._entropy_cache[key] = cached
         return cached
+
+    # -- contraction ---------------------------------------------------------
+
+    def _entropy(self, cells) -> float:
+        d, w = self.n_nodes, self._width
+        last = max(t for _, t in cells)
+        s = 0
+        while s < last and all((a, s + 1) in cells for a in range(d)):
+            s += 1
+        if s < w:
+            return -_xlogx_sum(self._marginal(cells))
+        laws, h_prefix, h_window = self._chain_prefix()
+        rest = {c for c in cells if c[1] > s}
+        if not rest:
+            return h_prefix[s]
+        window = {(a, t) for a in range(d) for t in range(s - w + 1, s + 1)}
+        joint = self._forward(window | rest, s, laws[s])
+        return h_prefix[s] - h_window[s] - _xlogx_sum(joint)
+
+    def _chain_prefix(self):
+        """Window laws ``pi_t`` (over times t-w+1..t), ``H(x^t)`` and
+        ``H(pi_t)`` for t = w..n, computed once."""
+        if self._prefix is None:
+            w, n = self._width, self.horizon
+            shape = self._initial.shape
+            pi = self._initial.ravel()
+            h = -_xlogx_sum(pi)
+            laws, h_prefix, h_window = {w: self._initial}, {w: h}, {w: h}
+            if self._kernel is not None:
+                M = int(np.prod(self.alphabet_sizes))
+                rows = self._kernel.reshape(pi.size, M)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    row_h = -np.sum(np.where(rows > 0.0, rows * np.log(rows), 0.0), axis=1)
+                for t in range(w + 1, n + 1):
+                    h += float(pi @ row_h)
+                    pi = (pi[:, None] * rows).reshape(M, pi.size // M, M).sum(axis=0).ravel()
+                    laws[t] = pi.reshape(shape)
+                    h_prefix[t] = h
+                    h_window[t] = -_xlogx_sum(pi)
+            self._prefix = laws, h_prefix, h_window
+        return self._prefix
+
+    def _marginal(self, cells) -> np.ndarray:
+        if max((t for _, t in cells), default=0) <= self._width:
+            keep = {self.axis_of(a, t) for a, t in cells}
+            drop = tuple(ax for ax in range(self._initial.ndim) if ax not in keep)
+            return np.sum(self._initial, axis=drop) if drop else self._initial
+        return self._forward(cells, self._width, self._initial)
+
+    def _forward(self, cells, t0, phi) -> np.ndarray:
+        """Joint marginal of ``cells`` (all at times after ``t0 - w``),
+        starting from the joint law ``phi`` of every cell of times
+        ``t0-w+1..t0`` and applying one kernel step per later time.
+
+        Each step keeps the selected cells as axes, carries the unselected
+        cells of the current window and sums out the ones that leave it.
+        The steps are planned and charged to the budget first.
+        """
+        d, w = self.n_nodes, self._width
+        last = max(t for _, t in cells)
+        axes = [(a, t) for t in range(t0 - w + 1, t0 + 1) for a in range(d)]
+        plan = []
+        for t in range(t0 + 1, last + 1):
+            new = [(a, t) for a in range(d)]
+            kept = [c for c in axes + new if c in cells or (t < last and c[1] > t - w)]
+            plan.append((axes, new, kept))
+            axes = kept
+        required = max(math.prod(self.alphabet_sizes[a] for a, _ in kept)
+                       for _, _, kept in plan)
+        if required > self.budget:
+            raise BudgetError(required, self.budget)
+        for axes, new, kept in plan:
+            window = [c for c in axes if c[1] >= new[0][1] - w] + new
+            label = {c: i for i, c in enumerate(axes + new)}
+            phi = np.einsum(phi, [label[c] for c in axes],
+                            self._kernel, [label[c] for c in window],
+                            [label[c] for c in kept])
+        return phi
 
 
 def cells_of(nodes, times) -> frozenset[Cell]:

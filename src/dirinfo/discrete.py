@@ -20,16 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SequenceDistribution, TimeSeriesPanel
+from .core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel
 from .errors import (
-    BudgetError,
     FitError,
     InsufficientData,
     InvalidModel,
     SelectionError,
 )
 
-DEFAULT_STATE_BUDGET = 2**22
 KERNEL_ATOL = 1e-12
 
 
@@ -106,30 +104,22 @@ class DiscreteMarkovModel:
 
 def enumerate_joint(model: DiscreteMarkovModel, n: int,
                     budget: int = DEFAULT_STATE_BUDGET) -> SequenceDistribution:
-    """Exact joint pmf of all length-``n`` trajectories.
+    """Exact joint law of all length-``n`` trajectories.
 
-    Chains the initial window law with the kernel; the resulting table has
-    ``M**n`` entries and is rejected up front if that exceeds ``budget``.
+    The law is kept as the model's initial window law and kernel; nothing
+    of size ``M**n`` is built here.  ``budget`` caps the largest array that
+    a marginal of the law (or its dense ``pmf`` table) allocates, see
+    :class:`~dirinfo.core.SequenceDistribution`.
     """
     if n < 1:
         raise SelectionError("horizon must be >= 1")
-    M = model.joint_alphabet
-    required = M**n
-    if required > budget:
-        raise BudgetError(required, budget)
-    k = model.order
-    if n <= k:
-        table = model.initial.reshape((M,) * k)
-        if n < k:
-            table = table.sum(axis=tuple(range(n, k)))
-    else:
-        table = model.initial.reshape((M,) * k)
-        kernel_nd = model.kernel.reshape((M,) * (k + 1))
-        for t in range(k + 1, n + 1):
-            lead = t - 1 - k
-            table = table[..., None] * kernel_nd.reshape((1,) * lead + (M,) * (k + 1))
-    pmf = table.reshape(model.alphabet_sizes * n)
-    return SequenceDistribution(alphabet_sizes=model.alphabet_sizes, horizon=n, pmf=pmf)
+    sizes, k, d = model.alphabet_sizes, model.order, model.n_nodes
+    initial = model.initial.reshape(sizes * k)
+    if n < k:
+        initial = initial.sum(axis=tuple(range(n * d, k * d)))
+    kernel = model.kernel.reshape(sizes * (k + 1)) if n > k else None
+    return SequenceDistribution(alphabet_sizes=sizes, horizon=n, initial=initial,
+                                kernel=kernel, budget=budget)
 
 
 def marginal(dist: SequenceDistribution, nodes, times) -> SequenceDistribution:

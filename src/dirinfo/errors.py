@@ -26,13 +26,16 @@ class SelectionError(DirinfoError):
 
 
 class BudgetError(DirinfoError):
-    """Exact enumeration would exceed the configured state budget."""
+    """An exact marginal would allocate an array larger than the state
+    budget.  ``required`` is the entries of the largest array of the
+    contraction, or ``M**n`` for the dense table; nothing was allocated."""
 
     def __init__(self, required, budget):
         self.required = int(required)
         self.budget = int(budget)
         super().__init__(
-            f"enumeration needs {self.required} table entries, budget is {self.budget}"
+            f"exact marginal needs an array of {self.required} entries, "
+            f"state budget is {self.budget}"
         )
 
 
@@ -66,6 +69,11 @@ class CalibrationError(DirinfoError):
 
 class DivergenceInfinite(RuntimeWarning):
     """A Kullback divergence is infinite because of a support mismatch."""
+
+
+class RateNotConverged(RuntimeWarning):
+    """A rate's convergence gap (last increment against the Cesaro mean)
+    exceeds its tolerance at the horizon used."""
 
 
 class UnstableFitWarning(RuntimeWarning):

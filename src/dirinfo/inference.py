@@ -14,11 +14,12 @@ source process.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .core import TimeSeriesPanel
 from .discrete import DiscreteMarkovModel
@@ -29,6 +30,7 @@ from .errors import (
     InvalidModel,
     ParamError,
     PartitionError,
+    RateNotConverged,
     SingularDesign,
 )
 from .measures import ConditioningMode, rate as measure_rate
@@ -92,7 +94,10 @@ class TestResult:
     """Outcome of one likelihood-ratio test.
 
     ``statistic`` is the per-sample LLR; the decision is reject iff it
-    exceeds ``threshold``.  ``dof`` is set under chi-square calibration.
+    exceeds ``threshold``.  ``level`` is the (corrected) test level.  Under
+    chi-square calibration ``dof`` is the nominal degrees of freedom and
+    the threshold is ``chi2_scale * chi2.isf(level, chi2_df) / (2 * n_obs)``
+    (the Satterthwaite scale and dof; 1 and ``dof`` for the Wilks law).
     """
 
     statistic: float
@@ -102,6 +107,9 @@ class TestResult:
     calibration: str
     dof: int | None
     n_obs: int
+    level: float
+    chi2_scale: float | None = None
+    chi2_df: float | None = None
 
     __test__ = False  # not a pytest class despite the name
 
@@ -114,14 +122,19 @@ class TestResult:
             "calibration": self.calibration,
             "dof": self.dof,
             "n_obs": self.n_obs,
+            "level": self.level,
+            "chi2_scale": self.chi2_scale,
+            "chi2_df": self.chi2_df,
         }
 
 
-def _decide(statistic, threshold, p_value, calibration, dof, n_obs) -> TestResult:
+def _decide(statistic, threshold, p_value, calibration, dof, n_obs, level,
+            chi2_scale=None, chi2_df=None) -> TestResult:
     decision = "reject_H0" if statistic > threshold else "keep_H0"
     return TestResult(statistic=float(statistic), threshold=float(threshold),
                       decision=decision, p_value=p_value, calibration=calibration,
-                      dof=dof, n_obs=int(n_obs))
+                      dof=dof, n_obs=int(n_obs), level=float(level),
+                      chi2_scale=chi2_scale, chi2_df=chi2_df)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +459,17 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
         f = float(lam.sum() ** 2 / (lam @ lam))
     else:
         c, f = 1.0, dof
-    threshold = c * stats.chi2.isf(alpha, f) / scale
+    threshold = chi_square_threshold(alpha, c, f, n_obs)
     p_value = float(stats.chi2.sf(scale * stat / c, f))
-    return _decide(stat, threshold, p_value, "chi_square", dof, n_obs)
+    return _decide(stat, threshold, p_value, "chi_square", dof, n_obs, alpha,
+                   chi2_scale=float(c), chi2_df=float(f))
+
+
+def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
+    """Per-sample LLR threshold of a (scaled) chi-square calibration.
+    ``chdtri`` is what ``stats.chi2.isf`` evaluates, without its per-call
+    argument handling."""
+    return chi2_scale * special.chdtri(chi2_df, level) / (2.0 * n_obs)
 
 
 def _block_permutation(T, block_len, rng):
@@ -507,7 +528,7 @@ def _surrogate_result(stat_of, data, a_idx, block_len, n_surrogates, alpha,
     rank = _quantile_rank(alpha, n_surrogates)
     threshold = float(np.sort(surr_stats)[rank - 1])
     p_value = float((1 + np.sum(surr_stats >= stat)) / (n_surrogates + 1))
-    return _decide(stat, threshold, p_value, "surrogate", None, n_obs)
+    return _decide(stat, threshold, p_value, "surrogate", None, n_obs, alpha)
 
 
 def _check_calibration(calibration):
@@ -717,13 +738,16 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
 
 @dataclass(frozen=True)
 class SteinReport:
-    """Empirical false-alarm exponents against the model's DI rate."""
+    """Empirical false-alarm exponents against the model's DI rate, with
+    that rate's convergence diagnostic (:class:`~dirinfo.measures.RateEstimate`)."""
 
     di_rate: float
     points: tuple  # (T, p_fa, exponent, censored, threshold) per grid entry
     slope: float
     trials: int
     miss_level: float
+    rate_gap: float
+    rate_converged: bool
 
     def to_json(self) -> dict:
         return {
@@ -735,6 +759,8 @@ class SteinReport:
             "slope": self.slope,
             "trials": self.trials,
             "miss_level": self.miss_level,
+            "rate_gap": self.rate_gap,
+            "rate_converged": self.rate_converged,
         }
 
 
@@ -976,6 +1002,10 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     a_idx = tuple(int(a) for a in a_nodes)
     b_idx = tuple(int(b) for b in b_nodes)
     stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)
+    if not stationary_rate.converged:
+        warnings.warn(f"DI rate at horizon {rate_horizon} did not converge: last increment "
+                      f"and Cesaro mean differ by {stationary_rate.gap:.3g}",
+                      RateNotConverged, stacklevel=2)
     flt = _BivariateFilter(model, a_idx, b_idx)
     rng = np.random.default_rng(seed)
     points = []
@@ -1000,7 +1030,8 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     else:
         slope = math.nan
     return SteinReport(di_rate=stationary_rate.value, points=tuple(points),
-                       slope=slope, trials=trials, miss_level=miss_level)
+                       slope=slope, trials=trials, miss_level=miss_level,
+                       rate_gap=stationary_rate.gap, rate_converged=stationary_rate.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1042,8 @@ def _edge_json(res: TestResult) -> dict:
     """Graph JSON of one edge test: enough to recompute its decision."""
     return {"stat": res.statistic, "p": res.p_value, "decision": res.decision,
             "threshold": res.threshold, "dof": res.dof,
-            "calibration": res.calibration, "n_obs": res.n_obs}
+            "calibration": res.calibration, "n_obs": res.n_obs, "level": res.level,
+            "chi2_scale": res.chi2_scale, "chi2_df": res.chi2_df}
 
 
 @dataclass(frozen=True)

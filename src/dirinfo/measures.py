@@ -11,9 +11,10 @@ where ``x_C^*`` is the side information up to time ``i`` (contemporaneous
 mode) or ``i-1`` (strict-past mode).  Delayed conditioning lists are empty
 at ``i = 1`` and simply drop out of the conditioning (wild-card rule).
 
-All conditional mutual informations reduce to entropy combinations over
-marginals of a single enumerated table, cached per distribution by cell-set
-signature.
+Each measure is defined once, as its time-``i`` term (:func:`_terms`);
+sums, rates and the decomposition add those terms up.  Every conditional
+mutual information reduces to entropies of marginals of one exact
+distribution, cached per distribution by cell-set signature.
 """
 
 from __future__ import annotations
@@ -89,6 +90,49 @@ def _cmi(dist, xs, ys, zs) -> float:
     return h(xs | zs) + h(ys | zs) - h(xs | ys | zs) - h(zs)
 
 
+def _terms(measure, a, b, c, mode, i):
+    """The time-``i`` term of ``measure`` as ``(xs, ys, zs)`` triples whose
+    conditional mutual informations I(xs; ys | zs) add up to the term.
+
+    ``di``   I(x_A^i ; x_B(i) | x_B^{i-1}, x_C^*)
+    ``te``   I(x_A^{i-1} ; x_B(i) | x_B^{i-1}, x_C^*)
+    ``iie``  I(x_A(i) ; x_B(i) | x_A^{i-1}, x_B^{i-1}, x_C^*)
+    ``mi``   I(x_A(i) ; x_B^i | x_A^{i-1}, x_C^{i-1})
+             + I(x_A^{i-1} ; x_B(i) | x_B^{i-1}, x_C^{i-1})
+
+    The ``mi`` term always conditions on the strict past of C; by the chain
+    rule it equals the causally conditioned mutual information term of
+    :func:`causal_mutual_information`.
+    """
+    past_a, past_b = _past(a, i), _past(b, i)
+    now_a, now_b = _now(a, i), _now(b, i)
+    if measure == "mi":
+        past_c = _past(c, i)
+        return ((now_a, now_b | past_b, past_a | past_c),
+                (past_a, now_b, past_b | past_c))
+    side = _side(c, i, mode)
+    if measure == "di":
+        return ((past_a | now_a, now_b, past_b | side),)
+    if measure == "te":
+        return ((past_a, now_b, past_b | side),)
+    if measure == "iie":
+        return ((now_a, now_b, past_a | past_b | side),)
+    raise ParamError(f"unknown measure {measure!r}")
+
+
+def _steps(dist, measure, a, b, c, mode, n) -> list[float]:
+    """Per-step terms of ``measure`` at times 1..n."""
+    return [sum(_cmi(dist, *triple) for triple in _terms(measure, a, b, c, mode, i))
+            for i in range(1, n + 1)]
+
+
+def _summed(dist, measure, a, b, c, mode, n) -> MeasureValue:
+    mode = _as_mode(mode)
+    n = _check_groups(dist, n, a, b, c)
+    return MeasureValue(value=sum(_steps(dist, measure, a, b, c, mode, n)),
+                        horizon=n, kind=measure)
+
+
 # ---------------------------------------------------------------------------
 # elementary measures
 # ---------------------------------------------------------------------------
@@ -118,82 +162,45 @@ def directed_information(dist, a_nodes, b_nodes, n=None, c_nodes=(),
     With empty side information this is the Massey directed information
     written through its chain rule.
     """
-    mode = _as_mode(mode)
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
-    value = sum(
-        _cmi(dist, _upto(a_nodes, i), _now(b_nodes, i),
-             _past(b_nodes, i) | _side(c_nodes, i, mode))
-        for i in range(1, n + 1)
-    )
-    return MeasureValue(value=value, horizon=n, kind="di")
+    return _summed(dist, "di", a_nodes, b_nodes, c_nodes, mode, n)
 
 
 def delayed_directed_information(dist, a_nodes, b_nodes, n=None, c_nodes=(),
                                  mode=DEFAULT_MODE) -> MeasureValue:
     """Transfer-entropy part I(x_A^{n-1} -> x_B^n || x_C^*): the source
     enters through its strict past only."""
-    mode = _as_mode(mode)
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
-    value = sum(
-        _cmi(dist, _past(a_nodes, i), _now(b_nodes, i),
-             _past(b_nodes, i) | _side(c_nodes, i, mode))
-        for i in range(1, n + 1)
-    )
-    return MeasureValue(value=value, horizon=n, kind="te")
+    return _summed(dist, "te", a_nodes, b_nodes, c_nodes, mode, n)
 
 
 def instantaneous_exchange(dist, a_nodes, b_nodes, n=None, c_nodes=(),
                            mode=DEFAULT_MODE) -> MeasureValue:
     """Instantaneous information exchange I(x_A^n <-> x_B^n || x_C^*),
     symmetric in A and B."""
-    mode = _as_mode(mode)
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
-    value = sum(
-        _cmi(dist, _now(a_nodes, i), _now(b_nodes, i),
-             _past(a_nodes, i) | _past(b_nodes, i) | _side(c_nodes, i, mode))
-        for i in range(1, n + 1)
-    )
-    return MeasureValue(value=value, horizon=n, kind="iie")
+    return _summed(dist, "iie", a_nodes, b_nodes, c_nodes, mode, n)
 
 
 def delta_instantaneous(dist, a_nodes, b_nodes, c_nodes, n=None) -> MeasureValue:
-    """Coupling correction dI(C <-> B): intrinsic exchange (conditioned on
-    A's strict past) minus extrinsic exchange.  May be negative."""
+    """Coupling correction dI(C <-> B): the exchange of C and B given A's
+    strict past (intrinsic) minus their exchange without it (extrinsic).
+    May be negative."""
     if not c_nodes:
         raise PartitionError("delta term needs nonempty side information C")
     n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
-    intrinsic = sum(
-        _cmi(dist, _now(c_nodes, i), _now(b_nodes, i),
-             _past(c_nodes, i) | _past(b_nodes, i) | _past(a_nodes, i))
-        for i in range(1, n + 1)
-    )
-    extrinsic = sum(
-        _cmi(dist, _now(c_nodes, i), _now(b_nodes, i),
-             _past(c_nodes, i) | _past(b_nodes, i))
-        for i in range(1, n + 1)
-    )
+    strict = ConditioningMode.STRICT_PAST
+    intrinsic = sum(_steps(dist, "iie", c_nodes, b_nodes, a_nodes, strict, n))
+    extrinsic = sum(_steps(dist, "iie", c_nodes, b_nodes, (), strict, n))
     return MeasureValue(value=intrinsic - extrinsic, horizon=n, kind="iie")
 
 
 def causal_mutual_information(dist, a_nodes, b_nodes, n=None, c_nodes=()) -> MeasureValue:
     """Causally conditioned mutual information I(x_A^n ; x_B^n || x_C^{n-1}).
 
-    Computed as the entropy combination
-    ``H(x_A^n || x_C^{n-1}) + H(x_B^n || x_C^{n-1}) - H(x_A^n, x_B^n || x_C^{n-1})``,
+    Its time-``i`` term is ``H(x_A(i) | x_A^{i-1}, x_C^{i-1})
+    + H(x_B(i) | x_B^{i-1}, x_C^{i-1}) - H(x_A(i), x_B(i) | x_A^{i-1}, x_B^{i-1}, x_C^{i-1})``,
     the form under which the strict-past decomposition closes exactly.
     Reduces to the plain mutual information when C is empty.
     """
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
-    h = dist.entropy_of_cells
-    total = 0.0
-    for i in range(1, n + 1):
-        za = _past(a_nodes, i) | _past(c_nodes, i)
-        zb = _past(b_nodes, i) | _past(c_nodes, i)
-        zj = _past(a_nodes, i) | _past(b_nodes, i) | _past(c_nodes, i)
-        total += (h(_now(a_nodes, i) | za) - h(za)
-                  + h(_now(b_nodes, i) | zb) - h(zb)
-                  - h(_now(a_nodes, i) | _now(b_nodes, i) | zj) + h(zj))
-    return MeasureValue(value=total, horizon=n, kind="mi")
+    return _summed(dist, "mi", a_nodes, b_nodes, c_nodes, ConditioningMode.STRICT_PAST, n)
 
 
 def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
@@ -373,47 +380,35 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
     mode = _as_mode(mode)
     a, b, c = tuple(partition.a), tuple(partition.b), tuple(partition.c)
     n = _check_groups(dist, n, a, b, c)
+    strict = ConditioningMode.STRICT_PAST
+    contemp = ConditioningMode.CONTEMPORANEOUS
 
-    di_ab = directed_information(dist, a, b, n, c, mode).value
-    di_ba = directed_information(dist, b, a, n, c, mode).value
-    te_ab = delayed_directed_information(dist, a, b, n, c, mode).value
-    te_ba = delayed_directed_information(dist, b, a, n, c, mode).value
-    iie = instantaneous_exchange(dist, a, b, n, c, mode).value
-    if c:
-        mi = causal_mutual_information(dist, a, b, n, c).value
-        delta_cb = delta_instantaneous(dist, a, b, c, n).value
-    else:
-        mi = mutual_information(dist, a, b, n).value
-        delta_cb = 0.0
+    def total(measure, x, y, side=(), how=strict):
+        return sum(_steps(dist, measure, x, y, side, how, n))
 
     # bivariate identities on the (A, B) marginal
     biv_mi = mutual_information(dist, a, b, n).value
-    biv_di_ab = directed_information(dist, a, b, n).value
-    biv_di_ba = directed_information(dist, b, a, n).value
-    biv_te_ab = delayed_directed_information(dist, a, b, n).value
-    biv_te_ba = delayed_directed_information(dist, b, a, n).value
-    biv_iie = instantaneous_exchange(dist, a, b, n).value
+    biv_di_ab, biv_di_ba = total("di", a, b), total("di", b, a)
+    biv_te_ab, biv_te_ba = total("te", a, b), total("te", b, a)
+    biv_iie = total("iie", a, b)
 
-    contemp = ConditioningMode.CONTEMPORANEOUS
-    strict = ConditioningMode.STRICT_PAST
-    di_c = directed_information(dist, a, b, n, c, contemp).value
-    te_c_past = delayed_directed_information(dist, a, b, n, c, strict).value
-    te_c_past_ba = delayed_directed_information(dist, b, a, n, c, strict).value
-    iie_c = instantaneous_exchange(dist, a, b, n, c, contemp).value
-    iie_c_past = instantaneous_exchange(dist, a, b, n, c, strict).value
-    causal_mi = causal_mutual_information(dist, a, b, n, c).value
-    delta = delta_instantaneous(dist, a, b, c, n).value if c else 0.0
+    te_c_past = total("te", a, b, c)
+    causal_mi = total("mi", a, b, c)
+    delta = total("iie", c, b, a) - total("iie", c, b) if c else 0.0
 
     residuals = {
         "id1": biv_di_ab + biv_te_ba - biv_mi,
         "id2": biv_di_ab + biv_di_ba - biv_mi - biv_iie,
         "id3": biv_di_ab - biv_te_ab - biv_iie,
         "id4": biv_te_ab + biv_te_ba + biv_iie - biv_mi,
-        "id5": di_c - te_c_past - iie_c - delta,
-        "id6": te_c_past + te_c_past_ba + iie_c_past - causal_mi,
+        "id5": (total("di", a, b, c, contemp) - te_c_past
+                - total("iie", a, b, c, contemp) - delta),
+        "id6": te_c_past + total("te", b, a, c) + total("iie", a, b, c) - causal_mi,
     }
-    return InfoDecomposition(di_ab=di_ab, di_ba=di_ba, te_ab=te_ab, te_ba=te_ba,
-                             iie=iie, mi=mi, delta_cb=delta_cb,
+    return InfoDecomposition(di_ab=total("di", a, b, c, mode), di_ba=total("di", b, a, c, mode),
+                             te_ab=total("te", a, b, c, mode), te_ba=total("te", b, a, c, mode),
+                             iie=total("iie", a, b, c, mode),
+                             mi=causal_mi if c else biv_mi, delta_cb=delta,
                              residuals=residuals, horizon=n, mode=mode)
 
 
@@ -460,26 +455,7 @@ def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
     kwargs = {} if budget is None else {"budget": budget}
     dist = enumerate_joint(stationary, n_max, **kwargs)
     n = _check_groups(dist, n_max, a_nodes, b_nodes, c_nodes)
-
-    def increment(i):
-        if measure == "di":
-            return _cmi(dist, _upto(a_nodes, i), _now(b_nodes, i),
-                        _past(b_nodes, i) | _side(c_nodes, i, mode))
-        if measure == "te":
-            return _cmi(dist, _past(a_nodes, i), _now(b_nodes, i),
-                        _past(b_nodes, i) | _side(c_nodes, i, mode))
-        if measure == "iie":
-            return _cmi(dist, _now(a_nodes, i), _now(b_nodes, i),
-                        _past(a_nodes, i) | _past(b_nodes, i) | _side(c_nodes, i, mode))
-        h = dist.entropy_of_cells
-        za = _past(a_nodes, i) | _past(c_nodes, i)
-        zb = _past(b_nodes, i) | _past(c_nodes, i)
-        zj = _past(a_nodes, i) | _past(b_nodes, i) | _past(c_nodes, i)
-        return (h(_now(a_nodes, i) | za) - h(za)
-                + h(_now(b_nodes, i) | zb) - h(zb)
-                - h(_now(a_nodes, i) | _now(b_nodes, i) | zj) + h(zj))
-
-    increments = [increment(i) for i in range(1, n + 1)]
+    increments = _steps(dist, measure, a_nodes, b_nodes, c_nodes, mode, n)
     last = increments[-1]
     cesaro = sum(increments) / n
     gap = abs(last - cesaro)

@@ -1,10 +1,12 @@
-"""Reference implementations the test layer's fast paths are checked against.
+"""Reference implementations the package's fast paths are checked against.
 
 These are the straightforward forms the package used before its VAR
-statistics moved to one lagged Gram matrix per panel and its block
-permutation to index arithmetic: every regression is a separate ``lstsq``
-fit on an explicitly stacked lagged design, and the permutation cuts the
-rotated index vector with ``np.array_split``.  They share nothing with the
+statistics moved to one lagged Gram matrix per panel, its block
+permutation to index arithmetic and its exact laws to chain contractions:
+every regression is a separate ``lstsq`` fit on an explicitly stacked
+lagged design, the permutation cuts the rotated index vector with
+``np.array_split``, and the joint law of a Markov model is the dense
+product of its initial law and kernels.  They share nothing with the
 package's implementations.
 """
 
@@ -22,6 +24,20 @@ def block_permutation(T, block_len, rng):
     blocks = np.array_split(idx, n_blocks)
     order = rng.permutation(len(blocks))
     return np.concatenate([blocks[i] for i in order])
+
+
+def chained_table(model, n):
+    """Dense ``M**n`` joint table of a Markov model: the initial window law
+    times one kernel factor per later sample, one axis per cell."""
+    M, k = model.joint_alphabet, model.order
+    table = model.initial.reshape((M,) * k)
+    if n < k:
+        table = table.sum(axis=tuple(range(n, k)))
+    kernel_nd = model.kernel.reshape((M,) * (k + 1))
+    for t in range(k + 1, n + 1):
+        lead = t - 1 - k
+        table = table[..., None] * kernel_nd.reshape((1,) * lead + (M,) * (k + 1))
+    return table.reshape(model.alphabet_sizes * n)
 
 
 def _centred(values):

@@ -8,7 +8,8 @@ from dirinfo.cli import main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
 from dirinfo.inference import bonferroni_count
-from dirinfo.simulate import chain_markov_model, random_var_model
+from dirinfo.core import DEFAULT_STATE_BUDGET
+from dirinfo.simulate import chain_markov_model, random_markov_model, random_var_model
 
 
 def run(*argv):
@@ -64,6 +65,27 @@ def test_decompose_discrete_model(tmp_path):
     assert run("check", tmp_path / "dec.json") == 0
 
 
+def test_decompose_horizon_past_dense_table_at_default_budget(tmp_path):
+    assert 8**10 > DEFAULT_STATE_BUDGET
+    save_model(random_markov_model(1, nodes=3), tmp_path / "model.json")
+    assert run("decompose", "--model", tmp_path / "model.json", "--A", "x0",
+               "--B", "x1", "--n", 10, "--out", tmp_path / "dec") == 0
+    doc = json.loads((tmp_path / "dec.json").read_text())
+    assert doc["horizon"] == 10
+    assert run("check", tmp_path / "dec.json") == 0
+
+
+def test_decompose_budget_too_small_exits_1(tmp_path, capsys):
+    save_model(random_markov_model(1, nodes=3), tmp_path / "model.json")
+    code = run("decompose", "--model", tmp_path / "model.json", "--A", "x0",
+               "--B", "x1", "--n", 5, "--budget", 1023, "--out", tmp_path / "dec")
+    assert code == 1
+    assert not (tmp_path / "dec.json").exists()
+    # the largest array is the joint law of x0 and x1 over five samples
+    assert "BudgetError: exact marginal needs an array of 1024 entries, " \
+           "state budget is 1023" in capsys.readouterr().err
+
+
 def test_check_flags_tampered_results(tmp_path):
     save_model(chain_markov_model(0.1), tmp_path / "model.json")
     run("decompose", "--model", tmp_path / "model.json", "--A", "x", "--B", "y",
@@ -86,6 +108,31 @@ def test_graph_json_decisions_are_checked(tmp_path):
     assert run("check", tmp_path / "g.json") == 0
     entry = doc["directed"][0]
     entry["decision"] = "keep_H0" if entry["decision"] == "reject_H0" else "reject_H0"
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "g.json") == 1
+
+
+def test_graph_decision_flipped_with_its_threshold_is_caught(tmp_path, capsys):
+    run("simulate", "chain", "--T", 2000, "--seed", 4, "--out", tmp_path / "c")
+    assert run("graph", "--input", tmp_path / "c.csv", "--family", "var",
+               "--out", tmp_path / "g") == 0
+    doc = json.loads((tmp_path / "g.json").read_text())
+    (entry,) = [e for e in doc["directed"] if (e["from"], e["to"]) == ("x", "y")]
+    assert entry["decision"] == "reject_H0"
+    assert entry["level"] == 0.05 / bonferroni_count(3)
+    entry["decision"] = "keep_H0"
+    entry["threshold"] = 2 * entry["stat"]
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "g.json") == 1
+    err = capsys.readouterr().err
+    assert "differs from the recomputed" in err and "inconsistent" in err
+
+
+def test_check_recomputes_level_from_config(tmp_path):
+    run("simulate", "chain", "--T", 2000, "--seed", 4, "--out", tmp_path / "c")
+    run("graph", "--input", tmp_path / "c.csv", "--family", "var", "--out", tmp_path / "g")
+    doc = json.loads((tmp_path / "g.json").read_text())
+    doc["config"]["correction"] = "none"
     (tmp_path / "g.json").write_text(json.dumps(doc))
     assert run("check", tmp_path / "g.json") == 1
 

@@ -168,6 +168,22 @@ def test_sequence_distribution_validation():
         SequenceDistribution(alphabet_sizes=(2,), horizon=1, pmf=good)
 
 
+def test_chain_distribution_validation():
+    initial = np.full(2, 0.5)
+    kernel = np.full((2, 2), 0.5)
+    SequenceDistribution((2,), 3, initial=initial, kernel=kernel)
+    with pytest.raises(InvalidModel):  # no kernel to reach the horizon
+        SequenceDistribution((2,), 3, initial=initial)
+    with pytest.raises(InvalidModel):  # kernel with nothing left to predict
+        SequenceDistribution((2,), 1, initial=initial, kernel=kernel)
+    with pytest.raises(InvalidModel):  # initial law longer than the horizon
+        SequenceDistribution((2,), 1, initial=np.full((2, 2), 0.25))
+    with pytest.raises(InvalidModel):  # kernel rows must be distributions
+        SequenceDistribution((2,), 3, initial=initial, kernel=np.full((2, 2), 0.6))
+    with pytest.raises(InvalidModel):  # a table or a chain, not both
+        SequenceDistribution((2,), 1, pmf=initial, initial=initial)
+
+
 def test_measure_value_units():
     mv = MeasureValue(value=math.log(2.0), horizon=1, kind="entropy")
     assert mv.in_bits() == pytest.approx(1.0)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import oracle
+import reference
 from conftest import oracle_law
-from dirinfo.core import TimeSeriesPanel
+from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, cells_of
 from dirinfo.discrete import (
     DiscreteMarkovModel,
     enumerate_joint,
@@ -73,9 +74,10 @@ def test_enumerate_reproduces_initial(order):
 
 
 def test_budget_error_reports_requirement():
-    model = iid_uniform(nodes=2)
+    # the chain itself is small; the dense table is charged when built
+    dist = enumerate_joint(iid_uniform(nodes=2), 12, budget=2**20)
     with pytest.raises(BudgetError) as err:
-        enumerate_joint(model, 12, budget=2**20)
+        dist.pmf
     assert err.value.required == 4**12
     assert err.value.budget == 2**20
 
@@ -87,6 +89,120 @@ def test_enumerate_matches_oracle_order2():
     for traj, p in law.items():
         idx = tuple(s for step in traj for s in step)
         assert dist.pmf[idx] == pytest.approx(p, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# chain contraction
+# ---------------------------------------------------------------------------
+
+def mixed_alphabet_model(seed, order=1):
+    rng = np.random.default_rng(seed)
+    M = 6
+    return DiscreteMarkovModel(alphabet_sizes=(2, 3), order=order,
+                               kernel=rng.dirichlet(np.ones(M), size=M**order),
+                               initial=rng.dirichlet(np.ones(M**order)))
+
+
+CHAIN_CASES = {
+    "order2": (random_markov_model(9, nodes=2, order=2), 5),
+    "mixed_alphabet": (mixed_alphabet_model(1), 4),
+    "mixed_alphabet_order2": (mixed_alphabet_model(2, order=2), 4),
+    "three_nodes": (random_markov_model(4, nodes=3), 4),
+}
+
+
+def contraction_cell_sets(d, n, seed=0):
+    """Cell sets of past/now form and of every other shape the contraction
+    must handle: random subsets, time gaps, sets ending before the horizon,
+    Schreiber windows and a full past followed by a gap."""
+    every = [(a, t) for t in range(1, n + 1) for a in range(d)]
+    rng = np.random.default_rng(seed)
+    sets = [frozenset(c for c in every if rng.random() < 0.4) for _ in range(12)]
+    sets += [cells_of(range(d), range(1, i)) | cells_of([0], [i]) for i in range(1, n + 1)]
+    sets += [cells_of(range(d), range(1, n + 1)),
+             frozenset({(0, 1), (d - 1, n)}),
+             cells_of([0], [1, 3]) | cells_of([1], [2]),
+             cells_of(range(d), [1, 2]) | cells_of([1], [n])]
+    sets += [cells_of([0], range(n - l, n)) | cells_of([1], range(n - k, n + 1))
+             for k, l in ((1, 1), (2, 1), (1, 3))]
+    return [cells for cells in sets if cells]
+
+
+def dense_oracle_marginal(law, cells, sizes):
+    ordered = sorted(cells, key=lambda c: (c[1], c[0]))
+    table = np.zeros(tuple(sizes[a] for a, _ in ordered))
+    for key, p in oracle.marg(law, cells).items():
+        table[key] = p
+    return table
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_contracted_marginals_match_oracle(case):
+    model, n = CHAIN_CASES[case]
+    law = oracle_law(model, n)
+    chain = enumerate_joint(model, n)
+    table = SequenceDistribution(model.alphabet_sizes, n, pmf=reference.chained_table(model, n))
+    for cells in contraction_cell_sets(model.n_nodes, n):
+        want = dense_oracle_marginal(law, cells, model.alphabet_sizes)
+        assert np.max(np.abs(chain.cell_marginal(cells) - want)) < 1e-12
+        h = oracle.H(law, cells)
+        assert abs(chain.entropy_of_cells(cells) - h) < 1e-12
+        assert abs(table.entropy_of_cells(cells) - h) < 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_schreiber_windows_match_oracle(case):
+    from dirinfo.measures import schreiber_transfer_entropy
+
+    model, n = CHAIN_CASES[case]
+    law = oracle_law(model, n)
+    dist = enumerate_joint(model, n)
+    for k, l in ((1, 1), (2, 1), (1, 2), (n - 1, n - 1)):
+        for m in range(max(k, l) + 1, n + 1):
+            want = oracle.cmi(law, oracle.cells((0,), range(m - l, m)), oracle.cells((1,), [m]),
+                              oracle.cells((1,), range(m - k, m)))
+            got = schreiber_transfer_entropy(dist, (0,), (1,), k=k, l=l, n=m).value
+            assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_pmf_equals_chained_product(order, n):
+    for model in (random_markov_model(3, nodes=3, order=order),
+                  mixed_alphabet_model(5, order=order)):
+        assert np.array_equal(enumerate_joint(model, n).pmf, reference.chained_table(model, n))
+
+
+def test_budget_charges_largest_intermediate():
+    # node 0 over six samples, node 1 carried through the window: the last
+    # two steps each allocate 2**6 entries
+    model = random_markov_model(7, nodes=2)
+    cells = cells_of([0], range(1, 7))
+    dist = enumerate_joint(model, 6, budget=2**6 - 1)
+    with pytest.raises(BudgetError) as err:
+        dist.entropy_of_cells(cells)
+    assert (err.value.required, err.value.budget) == (2**6, 2**6 - 1)
+    assert "64 entries" in str(err.value)
+    # the whole past of V is split off by the chain rule and never laid out
+    full = cells_of([0, 1], range(1, 6)) | cells_of([0], [6])
+    assert dist.entropy_of_cells(full) == pytest.approx(
+        enumerate_joint(model, 6).entropy_of_cells(full), abs=1e-12)
+    assert enumerate_joint(model, 6, budget=2**6).entropy_of_cells(cells) == pytest.approx(
+        oracle.H(oracle_law(model, 6), cells), abs=1e-12)
+
+
+def test_horizon_past_dense_budget():
+    # a stationary order-1 chain has H(x^n) = H(x_1) + (n - 1) H(x_2 | x_1)
+    model = with_stationary_initial(random_markov_model(2, nodes=3))
+    assert 8**10 > DEFAULT_STATE_BUDGET
+    dist = enumerate_joint(model, 10)
+    short = enumerate_joint(model, 2)
+    h1, h2 = (short.entropy_of_cells(cells_of(range(3), range(1, t + 1))) for t in (1, 2))
+    h10 = dist.entropy_of_cells(cells_of(range(3), range(1, 11)))
+    assert abs(h10 - (h1 + 9 * (h2 - h1))) < 1e-10
+    with pytest.raises(BudgetError) as err:
+        dist.pmf
+    assert err.value.required == 8**10
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import pytest
 import reference
 from dirinfo import inference
 from dirinfo.core import TimeSeriesPanel, symbolize
-from dirinfo.errors import CalibrationError, ParamError, PartitionError, SingularDesign
+from dirinfo.errors import (
+    CalibrationError,
+    ParamError,
+    PartitionError,
+    RateNotConverged,
+    SingularDesign,
+)
 from dirinfo.inference import (
     DiscreteMarkovFamily,
     GlmSpikingFamily,
@@ -313,6 +320,27 @@ def test_stein_exponent_monotone_in_coupling():
         assert not censored
         exps.append(exponent)
     assert exps[0] < exps[1] < exps[2]
+
+
+def test_stein_reports_rate_convergence():
+    with pytest.warns(RateNotConverged, match="horizon 3"):
+        rep = stein_exponent_check(delay_channel(0.2), (0,), (1,), T_grid=(20,),
+                                   trials=1000, seed=3, rate_horizon=3)
+    want = rate("di", delay_channel(0.2), (0,), (1,), n_max=3)
+    assert not rep.rate_converged and rep.rate_gap == want.gap > 1e-6
+    doc = rep.to_json()
+    assert (doc["rate_gap"], doc["rate_converged"]) == (rep.rate_gap, False)
+    # i.i.d. nodes: every increment is zero, so the rate has converged
+    kernel = np.full((4, 4), 0.25)
+    from dirinfo.discrete import DiscreteMarkovModel
+
+    model = DiscreteMarkovModel(alphabet_sizes=(2, 2), order=1, kernel=kernel,
+                                initial=kernel[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RateNotConverged)
+        rep = stein_exponent_check(model, (0,), (1,), T_grid=(20,), trials=1000,
+                                   seed=3, rate_horizon=3)
+    assert rep.rate_converged and rep.rate_gap < 1e-12
 
 
 def test_stein_rejects_degenerate_models():

@@ -427,6 +427,22 @@ def test_rate_copy_channel():
     assert rate("iie", model, (0,), (1,), n_max=5).value == pytest.approx(LN2)
 
 
+@pytest.mark.parametrize("measure, summed", [
+    ("di", directed_information), ("te", delayed_directed_information),
+    ("iie", instantaneous_exchange), ("mi", causal_mutual_information)])
+def test_rate_reads_the_measures_own_terms(measure, summed):
+    from dirinfo.discrete import with_stationary_initial
+
+    model = random_markov_model(17, nodes=3)
+    est = rate(measure, model, (0,), (1,), (2,), n_max=5)
+    dist = enumerate_joint(with_stationary_initial(model), 5)
+    kwargs = {} if measure == "mi" else {"mode": STRICT}
+    total = summed(dist, (0,), (1,), 5, (2,), **kwargs).value
+    assert est.cesaro * 5 == pytest.approx(total, abs=1e-12)
+    shorter = summed(dist, (0,), (1,), 4, (2,), **kwargs).value
+    assert est.value == pytest.approx(total - shorter, abs=1e-12)
+
+
 def test_rate_rejects_unknown_measure():
     with pytest.raises(ParamError):
         rate("entropy", delay_channel(), (0,), (1,), n_max=4)
