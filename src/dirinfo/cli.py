@@ -287,19 +287,32 @@ def _cmd_graph(args) -> int:
 # check and replay
 # ---------------------------------------------------------------------------
 
+def _decomposition_problems(doc) -> list[str]:
+    """Either convention's decomposition splits each DI into its TE and
+    IIE terms (the chain rule holds to rounding in both), and every
+    reported measure but ``delta_cb`` is nonnegative."""
+    problems = []
+    te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
+    for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
+                                  ("di_ba", doc["di_ba"], te_ba + iie)):
+        if abs(recorded - value) > EXACT_RESIDUAL_TOL:
+            problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
+    for name in ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi"):
+        if doc[name] < -EXACT_RESIDUAL_TOL:
+            problems.append(f"{name} = {doc[name]!r} is negative")
+    return problems
+
+
 def _geweke_problems(doc) -> list[str]:
     """A Gaussian decomposition holds its Geweke residual to
-    ``GEWEKE_RESIDUAL_TOL`` and its sums to the terms it was built from."""
+    ``GEWEKE_RESIDUAL_TOL``, and that residual to the terms it was built from."""
     problems = []
     residual = doc["residuals"]["geweke"]
     if abs(residual) > GEWEKE_RESIDUAL_TOL:
         problems.append(f"residual geweke = {residual:.3e} exceeds {GEWEKE_RESIDUAL_TOL}")
-    te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
-    for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
-                                  ("di_ba", doc["di_ba"], te_ba + iie),
-                                  ("residual geweke", residual, te_ab + te_ba + iie - doc["mi"])):
-        if abs(recorded - value) > EXACT_RESIDUAL_TOL:
-            problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
+    value = doc["te_ab"] + doc["te_ba"] + doc["iie"] - doc["mi"]
+    if abs(residual - value) > EXACT_RESIDUAL_TOL:
+        problems.append(f"residual geweke = {residual!r} differs from its terms' sum {value!r}")
     return problems
 
 
@@ -347,13 +360,17 @@ def _cmd_check(args) -> int:
         doc = json.load(fh)
     problems = []
     if "residuals" in doc:
-        if doc.get("exact"):
-            for name, value in doc["residuals"].items():
-                if abs(value) > EXACT_RESIDUAL_TOL:
-                    problems.append(f"residual {name} = {value:.3e} exceeds "
-                                    f"{EXACT_RESIDUAL_TOL}")
-        elif doc.get("convention") == "geweke-log-variance-ratio":
-            problems.extend(_geweke_problems(doc))
+        try:
+            if doc.get("exact"):
+                for name, value in doc["residuals"].items():
+                    if abs(value) > EXACT_RESIDUAL_TOL:
+                        problems.append(f"residual {name} = {value:.3e} exceeds "
+                                        f"{EXACT_RESIDUAL_TOL}")
+            elif doc.get("convention") == "geweke-log-variance-ratio":
+                problems.extend(_geweke_problems(doc))
+            problems.extend(_decomposition_problems(doc))
+        except (KeyError, TypeError) as exc:
+            problems.append(f"decomposition has a missing or non-numeric field ({exc!r})")
     entries = []
     if "decision" in doc:
         entries.append(doc)

@@ -177,9 +177,7 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     M = int(np.prod(sizes))
     codes = np.ravel_multi_index(tuple(values[:, a] for a in range(panel.n_nodes)), sizes)
 
-    windows = np.zeros(T - k, dtype=np.int64)
-    for j in range(k):
-        windows = windows * M + codes[j:T - k + j]
+    windows = window_codes(codes[:-1], k, M)
     nxt = codes[k:]
     counts = np.bincount(windows * M + nxt, minlength=M ** (k + 1)).reshape(M**k, M)
     counts = counts.astype(float)
@@ -190,11 +188,8 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
         unseen = row_tot[:, 0] == 0
         kernel = np.where(unseen[:, None], 1.0 / M,
                           counts / np.where(row_tot == 0, 1.0, row_tot))
-    initial_code = 0
-    for j in range(k):
-        initial_code = initial_code * M + codes[j]
     initial = np.zeros(M**k)
-    initial[initial_code] = 1.0
+    initial[windows[0]] = 1.0
     return DiscreteMarkovModel(alphabet_sizes=sizes, order=k, kernel=kernel,
                                initial=initial, labels=panel.labels)
 
@@ -239,33 +234,54 @@ def sample_panel(model: DiscreteMarkovModel, T: int, seed, labels=None) -> TimeS
 def sample_panels(model: DiscreteMarkovModel, T: int, count: int, seed,
                   labels=None) -> list[TimeSeriesPanel]:
     """Draw ``count`` independent trajectories from one seed, vectorized."""
-    rng = np.random.default_rng(seed)
-    M = model.joint_alphabet
-    k = model.order
-    if T < k:
-        raise InsufficientData(f"T={T} shorter than the model order {k}")
-    codes = np.empty((count, T), dtype=np.int64)
-    init_cdf = np.cumsum(model.initial)
-    start = np.searchsorted(init_cdf, rng.random(count), side="right")
-    start = np.minimum(start, M**k - 1)
-    for j in range(k - 1, -1, -1):
-        codes[:, j] = start % M
-        start //= M
-    kern_cdf = np.cumsum(model.kernel, axis=1)
-    window = np.zeros(count, dtype=np.int64)
-    for j in range(k):
-        window = window * M + codes[:, j]
-    shift = M ** (k - 1)
-    for t in range(k, T):
-        u = rng.random(count)
-        nxt = (kern_cdf[window] < u[:, None]).sum(axis=1)
-        np.minimum(nxt, M - 1, out=nxt)
-        codes[:, t] = nxt
-        window = (window % shift) * M + nxt
+    codes = sample_codes(model, T, count, np.random.default_rng(seed))
     if labels is None:
         labels = model.labels or tuple(f"x{a}" for a in range(model.n_nodes))
     return [TimeSeriesPanel(values=model.decode_states(codes[i]), labels=labels)
             for i in range(count)]
+
+
+def sample_codes(model: DiscreteMarkovModel, T: int, count: int, rng) -> np.ndarray:
+    """``count`` independent length-``T`` trajectories as joint symbols,
+    shape ``(count, T)``: the first window from the initial law, then one
+    kernel draw per step."""
+    M, k = model.joint_alphabet, model.order
+    if T < k:
+        raise InsufficientData(f"T={T} shorter than the model order {k}")
+    codes = np.empty((count, T), dtype=np.int64)
+    codes[:, :k] = draw_window(model.initial, M, k, count, rng)
+    kern_cdf = np.cumsum(model.kernel, axis=1)
+    window = window_codes(codes[:, :k], k, M)[:, 0]
+    shift = M ** (k - 1)
+    for t in range(k, T):
+        codes[:, t] = draw_symbols(kern_cdf[window], rng)
+        window = (window % shift) * M + codes[:, t]
+    return codes
+
+
+def draw_symbols(cdf: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF draw per row of ``cdf`` (rows, symbols); rounding
+    in the cumulative sum cannot push a draw past the last symbol."""
+    u = rng.random(cdf.shape[0])
+    return np.minimum((cdf < u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def draw_window(law: np.ndarray, base: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` draws from ``law`` over the ``base**k`` codes of k-symbol
+    windows, decoded into symbols oldest first: shape ``(count, k)``."""
+    code = np.searchsorted(np.cumsum(law), rng.random(count), side="right")
+    code = np.minimum(code, base**k - 1)
+    return np.stack(np.unravel_index(code, (base,) * k), axis=-1)
+
+
+def window_codes(codes: np.ndarray, k: int, base: int) -> np.ndarray:
+    """Code of every window of ``k`` consecutive symbols along the last
+    axis, oldest most significant: ``(..., T)`` to ``(..., T - k + 1)``."""
+    T = codes.shape[-1]
+    out = np.zeros(codes.shape[:-1] + (T - k + 1,), dtype=np.int64)
+    for j in range(k):
+        out = out * base + codes[..., j:T - k + 1 + j]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,13 @@ import numpy as np
 from scipy import special, stats
 
 from .core import TimeSeriesPanel
-from .discrete import DiscreteMarkovModel
+from .discrete import (
+    DiscreteMarkovModel,
+    draw_symbols,
+    draw_window,
+    sample_codes,
+    window_codes,
+)
 from .errors import (
     CalibrationError,
     DirinfoError,
@@ -169,15 +175,6 @@ def _encode(values, idx, sizes):
     return codes.astype(np.int64), size
 
 
-def _window(codes, k, M):
-    """Sliding window code of the k past symbols for targets at t = k..T-1."""
-    T = codes.shape[0]
-    out = np.zeros(T - k, dtype=np.int64)
-    for j in range(k):
-        out = out * M + codes[j:T - k + j]
-    return out
-
-
 def _cond_loglik(ctx, tgt, n_tgt, alpha):
     """Plug-in conditional log likelihood sum over the observed sample."""
     uniq, inv = np.unique(ctx, return_inverse=True)
@@ -230,11 +227,11 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
     tgt_codes, m_tgt = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
     tgt = tgt_codes[k:]
     n_obs = T - k
-    ll_res = _cond_loglik(_window(res_codes, k, m_res), tgt, m_tgt, alpha)
+    ll_res = _cond_loglik(window_codes(res_codes[:-1], k, m_res), tgt, m_tgt, alpha)
 
     def stat_of(sym):
         full_codes, m_full = _encode(sym.values, full_idx, full_sizes)
-        ll_full = _cond_loglik(_window(full_codes, k, m_full), tgt, m_tgt, alpha)
+        ll_full = _cond_loglik(window_codes(full_codes[:-1], k, m_full), tgt, m_tgt, alpha)
         return (ll_full - ll_res) / n_obs
 
     m_a = int(np.prod([sizes[a] for a in a_idx]))
@@ -264,7 +261,7 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
 
     def stat_of(sym):
         past_codes, _ = _encode(sym.values, past_idx, past_sizes)
-        ctx = _window(past_codes, k, m_past)
+        ctx = window_codes(past_codes[:-1], k, m_past)
         if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
             ctx = ctx * m_c + c_codes[k:]
         a_codes, m_a = _encode(sym.values, a_idx, a_sizes)
@@ -785,202 +782,114 @@ class _BivariateFilter:
             tuple(states[:, a] for a in a_idx), tuple(sizes[a] for a in a_idx))
         self.b_of = np.ravel_multi_index(
             tuple(states[:, b] for b in b_idx), tuple(sizes[b] for b in b_idx))
+        # joint symbol with a given a-part and b-part
+        self.merge = np.full((self.m_a, self.m_b), -1, dtype=np.int64)
+        self.merge[self.a_of, self.b_of] = np.arange(M)
         self.k, self.M = k, M
         W = M**k
         self.W = W
         # per-observed-b transition of the window chain
-        shift = M ** (k - 1)
-        tails = (np.arange(W) % shift) * M
+        self.shift = M ** (k - 1)
+        tails = (np.arange(W) % self.shift) * M
         self.trans_b = np.zeros((self.m_b, W, W))
         for s in range(M):
             self.trans_b[self.b_of[s], np.arange(W), tails + s] += self.model.kernel[:, s]
+        # p(b' = beta | window), one vector per beta
+        self.b_pred = [self.trans_b[beta].sum(axis=1) for beta in range(self.m_b)]
         # p(a' = alpha | window)
         self.a_pred = np.zeros((W, self.m_a))
         for s in range(M):
             self.a_pred[:, self.a_of[s]] += self.model.kernel[:, s]
-        # window decompositions of the initial law
+        # the initial law: per window its b-part at each position, the law
+        # of the b-prefix, and prefix[t] = p(history, symbol t) over the
+        # first t+1 symbols with the history as a window code
         self.init = model.initial
-        windows = np.array(np.unravel_index(np.arange(W), (M,) * k)).T  # (W, k)
-        self.window_syms = windows
-        self.b_prefix_of_window = np.zeros(W, dtype=np.int64)
-        for j in range(k):
-            self.b_prefix_of_window = (self.b_prefix_of_window * self.m_b
-                                       + self.b_of[windows[:, j]])
+        self.b_in_window = self.b_of[np.stack(np.unravel_index(np.arange(W), (M,) * k), axis=-1)]
+        self.b_prefix_law = np.zeros(self.m_b**k)
+        np.add.at(self.b_prefix_law, window_codes(self.b_in_window, k, self.m_b)[:, 0], self.init)
+        init_nd = self.init.reshape((M,) * k)
+        self.prefix = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M)
+                       for t in range(k)]
 
-    def window_of(self, codes):
-        """Window code at the end of the first k joint symbols (trials, k)."""
-        w = np.zeros(codes.shape[0], dtype=np.int64)
-        for j in range(self.k):
-            w = w * self.M + codes[:, j]
-        return w
+    def advance(self, window, s):
+        """Window code after appending joint symbols ``s``; from 0 this
+        also builds the code of the first t symbols for t < k."""
+        return (window % self.shift) * self.M + s
+
+    def observe(self, belief, b_t, t):
+        """Condition the window belief on B's symbols at time ``t`` (a mask
+        inside the initial window, a ``trans_b`` step after it); returns
+        the new belief and the predictive mass of ``b_t``."""
+        if t < self.k:
+            nxt = np.where(self.b_in_window[:, t][None, :] == b_t[:, None], belief, 0.0)
+        else:
+            nxt = np.empty_like(belief)
+            for beta in range(self.m_b):
+                hit = b_t == beta
+                if np.any(hit):
+                    nxt[hit] = belief[hit] @ self.trans_b[beta]
+        mass = nxt.sum(axis=1)
+        return nxt / mass[:, None], mass
 
 
 def _stein_llr(flt: _BivariateFilter, codes: np.ndarray) -> np.ndarray:
-    """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial."""
-    model, k, M = flt.model, flt.k, flt.M
+    """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial.
+
+    Within the initial window the causal factor is the prefix-conditional
+    of the initial law, afterwards a kernel row sum; the B-marginal comes
+    from the forward filter."""
     n_trials, T = codes.shape
-    # joint log-likelihood
-    w0 = flt.window_of(codes[:, :k])
-    ll_joint = np.log(flt.init[w0])
-    window = w0.copy()
-    shift = M ** (k - 1)
-    for t in range(k, T):
-        s = codes[:, t]
-        ll_joint += np.log(model.kernel[window, s])
-        window = (window % shift) * M + s
-
-    # causal factor p(a^T || b^{T-1}): within the initial window it is the
-    # prefix-conditional of the initial law, afterwards a kernel row sum
+    ll_joint = np.zeros(n_trials)
     ll_a = np.zeros(n_trials)
-    init_nd = flt.init.reshape((M,) * k)
-    for t in range(k):
-        # numerator marginal over (a_1..a_t, b_1..b_{t-1}), denominator one a less
-        ll_a += _initial_prefix_term(flt, init_nd, codes, t)
-    window = w0.copy()
-    for t in range(k, T):
-        a_t = flt.a_of[codes[:, t]]
-        ll_a += np.log(flt.a_pred[window, a_t])
-        window = (window % shift) * M + codes[:, t]
-
-    # B-marginal via the forward filter
     ll_b = np.zeros(n_trials)
     belief = np.broadcast_to(flt.init, (n_trials, flt.W)).copy()
-    # absorb the b-parts of the initial window one symbol at a time
-    for t in range(k):
-        b_t = flt.b_of[codes[:, t]]
-        match = flt.b_of[flt.window_syms[:, t]][None, :] == b_t[:, None]
-        nxt = np.where(match, belief, 0.0)
-        mass = nxt.sum(axis=1)
+    window = np.zeros(n_trials, dtype=np.int64)
+    for t in range(T):
+        s = codes[:, t]
+        if t < flt.k:
+            rows = flt.prefix[t][window]
+            same_a = flt.a_of[None, :] == flt.a_of[s][:, None]
+            ll_a += np.log((rows * same_a).sum(axis=1)) - np.log(rows.sum(axis=1))
+        else:
+            ll_joint += np.log(flt.model.kernel[window, s])
+            ll_a += np.log(flt.a_pred[window, flt.a_of[s]])
+        belief, mass = flt.observe(belief, flt.b_of[s], t)
         ll_b += np.log(mass)
-        belief = nxt / mass[:, None]
-    for t in range(k, T):
-        b_t = flt.b_of[codes[:, t]]
-        nxt = np.empty_like(belief)
-        for beta in range(flt.m_b):
-            hit = b_t == beta
-            if np.any(hit):
-                nxt[hit] = belief[hit] @ flt.trans_b[beta]
-        mass = nxt.sum(axis=1)
-        ll_b += np.log(mass)
-        belief = nxt / mass[:, None]
-
+        window = flt.advance(window, s)
+        if t == flt.k - 1:  # the initial law of the first k symbols
+            ll_joint = np.log(flt.init[window])
     return ll_joint - ll_a - ll_b
 
 
-def _initial_prefix_term(flt, init_nd, codes, t):
-    """log p(a-part of symbol t | full joint symbols 0..t-1), i.e. the
-    causal factor at 1-based time t+1, within the initial window."""
-    k, M = flt.k, flt.M
-    num_axes = tuple(range(t + 1, k))
-    prefix = init_nd.sum(axis=num_axes) if num_axes else init_nd
-    obs = codes[:, :t + 1]
-    a_obs = flt.a_of[obs[:, t]]
-    flat = prefix.reshape(-1, M)  # (M^t histories, symbol t)
-    hist = np.zeros(codes.shape[0], dtype=np.int64)
-    for j in range(t):
-        hist = hist * M + obs[:, j]
-    rows = flat[hist]  # joint p(history, symbol t) per trial
-    same_a = flt.a_of[None, :] == a_obs[:, None]
-    num = (rows * same_a).sum(axis=1)
-    den = rows.sum(axis=1)
-    return np.log(num) - np.log(den)
-
-
 def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> np.ndarray:
-    """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized."""
-    model, k, M = flt.model, flt.k, flt.M
-    codes = np.empty((n_trials, T), dtype=np.int64)
+    """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized.
 
-    # b-path first: initial b-prefix from its exact marginal
-    b_prefix_law = np.zeros(flt.m_b**k)
-    np.add.at(b_prefix_law, flt.b_prefix_of_window, flt.init)
-    cdf = np.cumsum(b_prefix_law)
-    draw = np.searchsorted(cdf, rng.random(n_trials), side="right")
-    draw = np.minimum(draw, flt.m_b**k - 1)
+    The whole b-path is drawn before the a-path: q's a-factor conditions
+    on the joint past, not on b's present."""
+    k = flt.k
     b_path = np.empty((n_trials, T), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        b_path[:, j] = draw % flt.m_b
-        draw //= flt.m_b
+    b_path[:, :k] = draw_window(flt.b_prefix_law, flt.m_b, k, n_trials, rng)
     belief = np.broadcast_to(flt.init, (n_trials, flt.W)).copy()
-    for t in range(k):
-        match = flt.b_of[flt.window_syms[:, t]][None, :] == b_path[:, t][:, None]
-        belief = np.where(match, belief, 0.0)
-        belief /= belief.sum(axis=1, keepdims=True)
-    for t in range(k, T):
-        pred = np.stack([belief @ flt.trans_b[beta].sum(axis=1)
-                         for beta in range(flt.m_b)], axis=1)
-        pred /= pred.sum(axis=1, keepdims=True)
-        u = rng.random(n_trials)
-        b_t = (np.cumsum(pred, axis=1) < u[:, None]).sum(axis=1)
-        np.minimum(b_t, flt.m_b - 1, out=b_t)
-        b_path[:, t] = b_t
-        nxt = np.empty_like(belief)
-        for beta in range(flt.m_b):
-            hit = b_t == beta
-            if np.any(hit):
-                nxt[hit] = belief[hit] @ flt.trans_b[beta]
-        belief = nxt / nxt.sum(axis=1, keepdims=True)
+    for t in range(T):
+        if t >= k:
+            pred = np.stack([belief @ col for col in flt.b_pred], axis=1)
+            pred /= pred.sum(axis=1, keepdims=True)
+            b_path[:, t] = draw_symbols(np.cumsum(pred, axis=1), rng)
+        belief, _ = flt.observe(belief, b_path[:, t], t)
 
-    # a-path given b: within the initial window from prefix conditionals
-    # (q's a-factor conditions on the joint past, not on b's present),
-    # afterwards from the kernel's a-predictive at the realized window
-    init_nd = flt.init.reshape((M,) * k)
-    for t in range(k):
-        num_axes = tuple(range(t + 1, k))
-        prefix = init_nd.sum(axis=num_axes) if num_axes else init_nd
-        flat = prefix.reshape(-1, M)
-        hist = np.zeros(n_trials, dtype=np.int64)
-        for j in range(t):
-            hist = hist * M + codes[:, j]
-        rows = flat[hist]
-        probs = np.zeros((n_trials, flt.m_a))
-        for alpha in range(flt.m_a):
-            probs[:, alpha] = (rows * (flt.a_of[None, :] == alpha)).sum(axis=1)
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(n_trials)
-        a_t = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        np.minimum(a_t, flt.m_a - 1, out=a_t)
-        codes[:, t] = _merge_symbol(flt, a_t, b_path[:, t])
-    window = flt.window_of(codes[:, :k])
-    shift = M ** (k - 1)
-    for t in range(k, T):
-        probs = flt.a_pred[window]
-        u = rng.random(n_trials)
-        a_t = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        np.minimum(a_t, flt.m_a - 1, out=a_t)
-        codes[:, t] = _merge_symbol(flt, a_t, b_path[:, t])
-        window = (window % shift) * M + codes[:, t]
-    return codes
-
-
-def _merge_symbol(flt, a_codes, b_codes):
-    """Joint symbol with the given a-part and b-part."""
-    lut = np.full((flt.m_a, flt.m_b), -1, dtype=np.int64)
-    lut[flt.a_of, flt.b_of] = np.arange(flt.M)
-    return lut[a_codes, b_codes]
-
-
-def _sample_h1(model: DiscreteMarkovModel, T, n_trials, rng) -> np.ndarray:
-    M = model.joint_alphabet
-    k = model.order
     codes = np.empty((n_trials, T), dtype=np.int64)
-    cdf = np.cumsum(model.initial)
-    start = np.searchsorted(cdf, rng.random(n_trials), side="right")
-    start = np.minimum(start, M**k - 1)
-    for j in range(k - 1, -1, -1):
-        codes[:, j] = start % M
-        start //= M
-    kern_cdf = np.cumsum(model.kernel, axis=1)
     window = np.zeros(n_trials, dtype=np.int64)
-    for j in range(k):
-        window = window * M + codes[:, j]
-    shift = M ** (k - 1)
-    for t in range(k, T):
-        u = rng.random(n_trials)
-        nxt = (kern_cdf[window] < u[:, None]).sum(axis=1)
-        np.minimum(nxt, M - 1, out=nxt)
-        codes[:, t] = nxt
-        window = (window % shift) * M + nxt
+    for t in range(T):
+        if t < k:
+            rows = flt.prefix[t][window]
+            probs = np.stack([(rows * (flt.a_of[None, :] == alpha)).sum(axis=1)
+                              for alpha in range(flt.m_a)], axis=1)
+            probs /= probs.sum(axis=1, keepdims=True)
+        else:
+            probs = flt.a_pred[window]
+        a_t = draw_symbols(np.cumsum(probs, axis=1), rng)
+        codes[:, t] = flt.merge[a_t, b_path[:, t]]
+        window = flt.advance(window, codes[:, t])
     return codes
 
 
@@ -1003,15 +912,15 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     b_idx = tuple(int(b) for b in b_nodes)
     stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)
     if not stationary_rate.converged:
-        warnings.warn(f"DI rate at horizon {rate_horizon} did not converge: last increment "
-                      f"and Cesaro mean differ by {stationary_rate.gap:.3g}",
+        warnings.warn(f"DI rate at horizon {rate_horizon} did not converge: its last two "
+                      f"increments differ by {stationary_rate.gap:.3g}",
                       RateNotConverged, stacklevel=2)
     flt = _BivariateFilter(model, a_idx, b_idx)
     rng = np.random.default_rng(seed)
     points = []
     exps, Ts = [], []
     for T in sorted(int(t) for t in T_grid):
-        h1 = _sample_h1(model, T, trials, rng)
+        h1 = sample_codes(model, T, trials, rng)
         llr_h1 = _stein_llr(flt, h1)
         tau = float(np.quantile(llr_h1, miss_level))
         h0 = _sample_h0(flt, T, trials, rng)

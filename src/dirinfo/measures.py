@@ -422,7 +422,8 @@ class RateEstimate:
 
     ``value`` is the last conditional increment at ``n_max`` (the limit
     form of the rate for stationary processes); ``cesaro`` is the averaged
-    sum; their gap is the reported convergence diagnostic.
+    sum.  ``gap`` is the change of the increment from ``n_max - 1`` to
+    ``n_max``, the convergence diagnostic.
     """
 
     value: float
@@ -445,19 +446,20 @@ def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
 
     The model is restarted from its stationary window law, enumerated up to
     ``n_max``, and the rate is read off as the last conditional increment;
-    the Cesaro average over the horizon is reported alongside.  A gap above
-    ``tol`` flags non-convergence without failing.
+    the Cesaro average over the horizon is reported alongside.  A change of
+    the increment from ``n_max - 1`` above ``tol`` flags non-convergence
+    without failing.
     """
     if measure not in _RATE_MEASURES:
         raise ParamError(f"measure must be one of {_RATE_MEASURES}, got {measure!r}")
+    if n_max < 2:
+        raise ParamError(f"a rate needs n_max >= 2 to compare two increments, got {n_max}")
     mode = _as_mode(mode)
     stationary = with_stationary_initial(model)
     kwargs = {} if budget is None else {"budget": budget}
     dist = enumerate_joint(stationary, n_max, **kwargs)
     n = _check_groups(dist, n_max, a_nodes, b_nodes, c_nodes)
     increments = _steps(dist, measure, a_nodes, b_nodes, c_nodes, mode, n)
-    last = increments[-1]
-    cesaro = sum(increments) / n
-    gap = abs(last - cesaro)
-    return RateEstimate(value=last, horizon=n, kind="rate",
-                        cesaro=cesaro, gap=gap, converged=gap <= tol)
+    gap = abs(increments[-1] - increments[-2])
+    return RateEstimate(value=increments[-1], horizon=n, kind="rate",
+                        cesaro=sum(increments) / n, gap=gap, converged=gap <= tol)

@@ -29,6 +29,12 @@ def oracle_law(model: DiscreteMarkovModel, n: int):
     return oracle.enumerate_law(sizes, model.order, kernel_fn, initial_fn, n)
 
 
+def pytest_configure(config):
+    # a rate that should have converged but warns is a failure; tests that
+    # expect the warning catch it with pytest.warns
+    config.addinivalue_line("filterwarnings", "error::dirinfo.errors.RateNotConverged")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -90,10 +90,13 @@ def test_check_flags_tampered_results(tmp_path):
     save_model(chain_markov_model(0.1), tmp_path / "model.json")
     run("decompose", "--model", tmp_path / "model.json", "--A", "x", "--B", "y",
         "--n", 3, "--out", tmp_path / "dec")
-    doc = json.loads((tmp_path / "dec.json").read_text())
-    doc["residuals"]["id3"] = 0.5
-    (tmp_path / "dec.json").write_text(json.dumps(doc))
-    assert run("check", tmp_path / "dec.json") == 1
+    assert run("check", tmp_path / "dec.json") == 0
+    clean = json.loads((tmp_path / "dec.json").read_text())
+    # a residual, two values whose sums no residual records, a value erased
+    for tamper in ({"residuals": {**clean["residuals"], "id3": 0.5}},
+                   {"di_ab": 7.0, "te_ab": -3.0}, {"te_ab": None}):
+        (tmp_path / "dec.json").write_text(json.dumps({**clean, **tamper}))
+        assert run("check", tmp_path / "dec.json") == 1
 
 
 def test_graph_json_decisions_are_checked(tmp_path):

@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import oracle
 import reference
+from conftest import oracle_law
 from dirinfo import inference
 from dirinfo.core import TimeSeriesPanel, symbolize
 from dirinfo.errors import (
@@ -35,9 +38,11 @@ from dirinfo.simulate import (
     gen_chain_example,
     gen_glm_spiking,
     gen_var,
+    lag2_channel,
+    random_markov_model,
     random_var_model,
 )
-from dirinfo.discrete import sample_panel, with_stationary_initial
+from dirinfo.discrete import sample_codes, sample_panel, with_stationary_initial
 
 
 def iid_panel(T, seed, nodes=2):
@@ -323,10 +328,11 @@ def test_stein_exponent_monotone_in_coupling():
 
 
 def test_stein_reports_rate_convergence():
-    with pytest.warns(RateNotConverged, match="horizon 3"):
+    # the DI increments at n = 1, 2 are 0 and 0.193; from n = 2 on they are constant
+    with pytest.warns(RateNotConverged, match="horizon 2"):
         rep = stein_exponent_check(delay_channel(0.2), (0,), (1,), T_grid=(20,),
-                                   trials=1000, seed=3, rate_horizon=3)
-    want = rate("di", delay_channel(0.2), (0,), (1,), n_max=3)
+                                   trials=1000, seed=3, rate_horizon=2)
+    want = rate("di", delay_channel(0.2), (0,), (1,), n_max=2)
     assert not rep.rate_converged and rep.rate_gap == want.gap > 1e-6
     doc = rep.to_json()
     assert (doc["rate_gap"], doc["rate_converged"]) == (rep.rate_gap, False)
@@ -348,6 +354,63 @@ def test_stein_rejects_degenerate_models():
         stein_exponent_check(delay_channel(0.0), (0,), (1,), (100,), trials=1000)
     with pytest.raises(ParamError):
         stein_exponent_check(delay_channel(0.2), (0,), (1,), (100,), trials=10)
+
+
+STEIN_ORACLE_MODELS = {
+    "delay": (delay_channel(0.2), (0,), (1,)),
+    "lag2": (lag2_channel(0.2), (0,), (1,)),
+    "alphabet3_order2": (random_markov_model(7, nodes=2, alphabet=3, order=2), (0,), (1,)),
+    "three_nodes": (random_markov_model(8, nodes=3), (0, 2), (1,)),
+}
+
+
+def _stein_oracle(model, a_nodes, b_nodes):
+    """Every trajectory of length k + 2 as joint codes, with its log law
+    under p and under the influence-free q = p(a^T || b^{T-1}) p(b^T),
+    from the dict oracle."""
+    T = model.order + 2
+    law = oracle_law(model, T)
+    marginals = {}
+
+    def log_prob(traj, a_last, b_last):
+        """log p of the trajectory's a-cells at 1..a_last and b-cells at 1..b_last."""
+        cells = oracle.upto(a_nodes, a_last) | oracle.upto(b_nodes, b_last)
+        if (a_last, b_last) not in marginals:
+            marginals[a_last, b_last] = oracle.marg(law, cells)
+        ordered = sorted(cells, key=lambda c: (c[1], c[0]))
+        return math.log(marginals[a_last, b_last][tuple(traj[t - 1][a] for a, t in ordered)])
+
+    trajs = sorted(law)
+    log_p = np.array([math.log(law[x]) for x in trajs])
+    log_q = np.array([log_prob(x, 0, T) + sum(log_prob(x, t, t - 1) - log_prob(x, t - 1, t - 1)
+                                              for t in range(1, T + 1))
+                      for x in trajs])
+    codes = np.stack([model.encode_states(np.array(x)) for x in trajs])
+    return codes, log_p, log_q
+
+
+@pytest.mark.parametrize("name", sorted(STEIN_ORACLE_MODELS))
+def test_stein_llr_and_samplers_match_oracle(name):
+    model, a_nodes, b_nodes = STEIN_ORACLE_MODELS[name]
+    codes, log_p, log_q = _stein_oracle(model, a_nodes, b_nodes)
+    flt = inference._BivariateFilter(model, a_nodes, b_nodes)
+    assert np.max(np.abs(inference._stein_llr(flt, codes) - (log_p - log_q))) < 1e-12
+    # sampled trajectory frequencies against p and q: chi-square goodness
+    # of fit, pooling the cells expected fewer than 5 times
+    T = codes.shape[1]
+    index = {tuple(c): i for i, c in enumerate(codes.tolist())}
+    n = 30_000
+    rng = np.random.default_rng(2024)
+    for draws, log_law in ((sample_codes(model, T, n, rng), log_p),
+                           (inference._sample_h0(flt, T, n, rng), log_q)):
+        observed = np.bincount([index[tuple(c)] for c in draws.tolist()],
+                               minlength=len(codes))
+        expected = n * np.exp(log_law)
+        small = expected < 5
+        if small.any():
+            observed = np.append(observed[~small], observed[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------

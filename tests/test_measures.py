@@ -416,8 +416,9 @@ def test_rate_delay_channel():
     di = rate("di", model, (0,), (1,), n_max=5)
     assert di.value == pytest.approx(LN2)
     assert di.cesaro == pytest.approx(4 * LN2 / 5)
-    assert di.gap == pytest.approx(LN2 / 5)
-    assert not di.converged
+    # the increments are ln 2 from n = 2 on
+    assert di.gap == pytest.approx(0.0, abs=1e-12)
+    assert di.converged
     assert abs(rate("iie", model, (0,), (1,), n_max=5).value) < 1e-12
 
 
@@ -446,3 +447,5 @@ def test_rate_reads_the_measures_own_terms(measure, summed):
 def test_rate_rejects_unknown_measure():
     with pytest.raises(ParamError):
         rate("entropy", delay_channel(), (0,), (1,), n_max=4)
+    with pytest.raises(ParamError):
+        rate("di", delay_channel(), (0,), (1,), n_max=1)
