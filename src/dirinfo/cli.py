@@ -9,8 +9,10 @@ bits`` only changes the printed table.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,14 +52,30 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+# the options that name a file a command reads
+INPUT_OPTIONS = ("input", "model", "params")
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(prefix, command, args, outputs) -> None:
+    """Record the resolved configuration and the sha256 of every input and
+    output file, which ``replay`` verifies."""
     resolved = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    inputs = [getattr(args, name, None) for name in INPUT_OPTIONS]
     _write_json(f"{prefix}.manifest.json", {
         "tool": {"name": "dirinfo", "version": __version__},
         "command": command,
         "config": resolved,
         "argv": args._argv,
-        "outputs": sorted(outputs),
+        "inputs": {path: _sha256(path) for path in inputs if path},
+        "outputs": {path: _sha256(path) for path in outputs},
     })
 
 
@@ -388,10 +406,30 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _changed(recorded) -> list[str]:
+    """The files whose sha256 is not the one ``recorded`` for them."""
+    return [path for path, digest in sorted(recorded.items())
+            if not os.path.isfile(path) or _sha256(path) != digest]
+
+
 def _cmd_replay(args) -> int:
+    """Re-run a manifest's command after checking that its inputs are the
+    ones recorded, then check that it re-wrote every output bit for bit."""
     with open(args.manifest) as fh:
         doc = json.load(fh)
-    return main(doc["argv"])
+    if not isinstance(doc.get("inputs"), dict) or not isinstance(doc.get("outputs"), dict):
+        return _die(f"{args.manifest}: no recorded input and output hashes to verify", 1)
+    changed = _changed(doc["inputs"])
+    if changed:
+        return _die(f"replay: input changed since the manifest was written: "
+                    f"{', '.join(changed)}", 1)
+    code = main(doc["argv"])
+    if code != 0:
+        return code
+    changed = _changed(doc["outputs"])
+    if changed:
+        return _die(f"replay: output differs from the recorded one: {', '.join(changed)}", 1)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correction", choices=("bonferroni", "none"), default="bonferroni")
     p.add_argument("--calibration", choices=("chi_square", "surrogate"),
                    default="chi_square")
-    p.add_argument("--surrogates", type=int, default=200)
+    p.add_argument("--surrogates", type=int,
+                   help="surrogates per test (default: 200, or the fewest that "
+                        "calibrate the corrected level when that is more)")
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
                    default="contemporaneous")

@@ -130,21 +130,41 @@ def _parse_cell(text, row, col):
 
 def _load_csv(path) -> TimeSeriesPanel:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    labels = [cell.strip() for cell in rows[0]]
+    labels = [cell.strip() for cell in header]
     if len(set(labels)) != len(labels):
         raise SchemaError(f"{path}: duplicate labels in header")
     width = len(labels)
-    data = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
-    if not data:
-        raise ParseError(f"{path}: no data rows")
+    data = _fast_rows(lines[reader.line_num:], width)
+    if data is None:
+        data = []
+        for r, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
+        if not data:
+            raise ParseError(f"{path}: no data rows")
     return TimeSeriesPanel(values=_coerce_integral(data), labels=tuple(labels))
+
+
+def _fast_rows(lines, width):
+    """The data lines parsed by numpy's C reader, or None unless that gives
+    exactly one finite row of ``width`` values per line.  On None the
+    per-cell parser runs and raises its own errors: ``loadtxt`` skips blank
+    lines and rejects quoted cells."""
+    if not lines or not lines[0].strip():
+        return None  # loadtxt warns, rather than raises, when it finds no data
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width) or not np.isfinite(values).all():
+        return None
+    return values
 
 
 def _coerce_integral(data) -> np.ndarray:

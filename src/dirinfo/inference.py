@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special, stats
 
-from .core import TimeSeriesPanel
+from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
 from .discrete import (
     DiscreteMarkovModel,
     draw_symbols,
@@ -43,6 +43,9 @@ from .measures import ConditioningMode, rate as measure_rate
 
 DEFAULT_SURROGATES = 200
 MIN_SURROGATES = 20
+# bound on the (surrogates x T) row orders one chunk of surrogate statistics
+# evaluates: about 52 surrogates at T = 5,000
+_CHUNK_ENTRIES = 2**18
 # relative pivot floor of the regressor Cholesky factor (see _cholesky)
 _PIVOT_RTOL = 1e-10
 
@@ -175,6 +178,17 @@ def _encode(values, idx, sizes):
     return codes.astype(np.int64), size
 
 
+def _encode_split(values, idx, sizes, a_idx):
+    """``_encode`` of ``idx`` as the part of the columns outside A and the
+    part of those in A.  The code is linear in the symbols, so the parts
+    sum to the joint code, and reordering A's rows reorders only the
+    second part."""
+    outside = values.copy()
+    outside[:, list(a_idx)] = 0
+    fixed, size = _encode(outside, idx, sizes)
+    return fixed, _encode(values - outside, idx, sizes)[0], size
+
+
 def _cond_loglik(ctx, tgt, n_tgt, alpha):
     """Plug-in conditional log likelihood sum over the observed sample."""
     uniq, inv = np.unique(ctx, return_inverse=True)
@@ -187,6 +201,35 @@ def _cond_loglik(ctx, tgt, n_tgt, alpha):
         probs = counts / row
     mask = counts > 0
     return float(np.sum(counts[mask] * np.log(probs[mask])))
+
+
+def _cond_logliks(ctx, tgt, n_ctx, n_tgt, alpha):
+    """``_cond_loglik`` of every row of ``ctx`` (S, n), contexts below
+    ``n_ctx``, against ``tgt`` of shape (n,) or (S, n).
+
+    When S x n_ctx x n_tgt fits the state budget, one ``bincount`` over
+    (row, context, target) counts every row at once.  The observed cells
+    come out in the order ``_cond_loglik`` sums them, and each row's sum is
+    taken over its own cells, so every value equals ``_cond_loglik``'s bit
+    for bit.  A larger table falls back to ``_cond_loglik`` row by row.
+    """
+    n_rows = ctx.shape[0]
+    tgt = np.broadcast_to(tgt, ctx.shape)
+    if n_rows * n_ctx * n_tgt > DEFAULT_STATE_BUDGET:
+        return np.array([_cond_loglik(c, t, n_tgt, alpha) for c, t in zip(ctx, tgt)])
+    cells = (np.arange(n_rows)[:, None] * n_ctx + ctx) * n_tgt + tgt
+    counts = np.bincount(cells.ravel(), minlength=n_rows * n_ctx * n_tgt)
+    counts = counts.reshape(n_rows, n_ctx, n_tgt).astype(float)
+    mask = counts > 0
+    observed = counts[mask]
+    row = np.broadcast_to(counts.sum(axis=2, keepdims=True), counts.shape)[mask]
+    if alpha > 0:
+        probs = (observed + alpha) / (row + alpha * n_tgt)
+    else:
+        probs = observed / row
+    terms = observed * np.log(probs)
+    ends = np.cumsum(mask.reshape(n_rows, -1).sum(axis=1)).tolist()
+    return np.array([terms[start:end].sum() for start, end in zip([0] + ends, ends)])
 
 
 def _discrete_values(panel):
@@ -205,16 +248,20 @@ class _Symbols:
     values: np.ndarray
     sizes: tuple
 
-    def with_values(self, values):
-        return _Symbols(values, self.sizes)
+
+def _rows_of(perms, T):
+    """Row order of each panel a statistic function evaluates: the observed
+    panel alone when ``perms`` is None."""
+    return np.arange(T)[None] if perms is None else perms
 
 
 def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
     """Statistic function, dof and n_obs of the discrete causality test.
 
     The restricted fit (B on the past of B and C) does not involve A, so
-    it is computed once here; the returned function evaluates only the
-    full fit on a panel whose A columns may have been permuted.
+    it is computed once here.  The returned function takes a stack of row
+    orders of A's columns (None: the observed panel) and fits only the full
+    model of each.
     """
     values, sizes = data.values, data.sizes
     T = values.shape[0]
@@ -222,17 +269,18 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
         raise SingularDesign(f"T={T} too short for order {k}")
     full_idx = tuple(sorted(a_idx + b_idx + c_idx))
     res_idx = tuple(sorted(b_idx + c_idx))
-    full_sizes = tuple(sizes[a] for a in full_idx)
+    full_fixed, full_moving, m_full = _encode_split(
+        values, full_idx, tuple(sizes[a] for a in full_idx), a_idx)
     res_codes, m_res = _encode(values, res_idx, tuple(sizes[a] for a in res_idx))
     tgt_codes, m_tgt = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
     tgt = tgt_codes[k:]
     n_obs = T - k
     ll_res = _cond_loglik(window_codes(res_codes[:-1], k, m_res), tgt, m_tgt, alpha)
 
-    def stat_of(sym):
-        full_codes, m_full = _encode(sym.values, full_idx, full_sizes)
-        ll_full = _cond_loglik(window_codes(full_codes[:-1], k, m_full), tgt, m_tgt, alpha)
-        return (ll_full - ll_res) / n_obs
+    def stat_of(perms):
+        full_codes = full_fixed + full_moving[_rows_of(perms, T)]
+        ctx = window_codes(full_codes[:, :-1], k, m_full)
+        return (_cond_logliks(ctx, tgt, m_full**k, m_tgt, alpha) - ll_res) / n_obs
 
     m_a = int(np.prod([sizes[a] for a in a_idx]))
     dof = (m_a**k - 1) * (m_res**k) * (m_tgt - 1)
@@ -241,44 +289,45 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
 
 def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
     """Statistic function, dof and n_obs of the discrete coupling test.
-    A's past enters every term's context, so nothing is held fixed."""
+    A's past and present enter every term, so each row order refits all
+    three."""
     values, sizes = data.values, data.sizes
     T = values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
     past_idx = tuple(sorted(a_idx + b_idx + c_idx))
-    past_sizes = tuple(sizes[a] for a in past_idx)
-    m_past = int(np.prod(past_sizes))
-    n_ctx_struct = m_past**k
-    if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
+    past_fixed, past_moving, m_past = _encode_split(
+        values, past_idx, tuple(sizes[a] for a in past_idx), a_idx)
+    n_ctx = m_past**k
+    side_present = mode is ConditioningMode.CONTEMPORANEOUS and bool(c_idx)
+    if side_present:
         c_codes, m_c = _encode(values, tuple(sorted(c_idx)),
                                tuple(sizes[a] for a in sorted(c_idx)))
-        n_ctx_struct *= m_c
-    a_sizes = tuple(sizes[a] for a in a_idx)
+        n_ctx *= m_c
+    a_codes, m_a = _encode(values, a_idx, tuple(sizes[a] for a in a_idx))
     b_codes, m_b = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
     b_t = b_codes[k:]
     n_obs = T - k
 
-    def stat_of(sym):
-        past_codes, _ = _encode(sym.values, past_idx, past_sizes)
-        ctx = window_codes(past_codes[:-1], k, m_past)
-        if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
+    def stat_of(perms):
+        rows = _rows_of(perms, T)
+        ctx = window_codes((past_fixed + past_moving[rows])[:, :-1], k, m_past)
+        if side_present:
             ctx = ctx * m_c + c_codes[k:]
-        a_codes, m_a = _encode(sym.values, a_idx, a_sizes)
-        a_t = a_codes[k:]
-        ll_joint = _cond_loglik(ctx, a_t * m_b + b_t, m_a * m_b, alpha)
-        ll_a = _cond_loglik(ctx, a_t, m_a, alpha)
-        ll_b = _cond_loglik(ctx, b_t, m_b, alpha)
+        a_t = a_codes[rows][:, k:]
+        ll_joint = _cond_logliks(ctx, a_t * m_b + b_t, n_ctx, m_a * m_b, alpha)
+        ll_a = _cond_logliks(ctx, a_t, n_ctx, m_a, alpha)
+        ll_b = _cond_logliks(ctx, b_t, n_ctx, m_b, alpha)
         return (ll_joint - ll_a - ll_b) / n_obs
 
-    dof = n_ctx_struct * (int(np.prod(a_sizes)) - 1) * (m_b - 1)
+    dof = n_ctx * (m_a - 1) * (m_b - 1)
     return stat_of, dof, n_obs
 
 
 def _cholesky(gram):
-    """Lower Cholesky factor of a regressor Gram block.
+    """Lower Cholesky factors of a stack of regressor Gram blocks.
 
-    Raises ``SingularDesign`` when the factorization fails or when a pivot
+    Raises ``SingularDesign`` when a factorization fails or when a pivot
     ``L_ii**2`` falls to ``1e-10 * G_ii`` or below.  That pivot is the
     residual sum of squares of regressor i on the regressors before it, so
     the test reads 1 - R_i**2 <= 1e-10: the design is rank deficient to
@@ -288,9 +337,24 @@ def _cholesky(gram):
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise SingularDesign("rank-deficient regressor matrix") from None
-    if np.any(np.diag(chol) ** 2 <= _PIVOT_RTOL * np.diag(gram)):
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    if np.any(pivots <= _PIVOT_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
         raise SingularDesign("rank-deficient regressor matrix")
     return chol
+
+
+def _residual_covs(grams, p, n):
+    """Per-row residual covariances of the least-squares regressions of the
+    last rows of each Gram in the stack (S, p + q, p + q) on its first
+    ``p`` rows, with the Cholesky factors and the solved cross blocks."""
+    g_yy = grams[:, p:, p:]
+    if p == 0:
+        return g_yy / n, None, None
+    chol = _cholesky(grams[:, :p, :p])
+    # np.linalg.solve on the factor: scipy's triangular solver left
+    # about 0.7 MB more resident memory in a process running these fits
+    w = np.linalg.solve(chol, grams[:, :p, p:])
+    return (g_yy - np.swapaxes(w, 1, 2) @ w) / n, chol, w
 
 
 class _LaggedGram:
@@ -309,18 +373,26 @@ class _LaggedGram:
         if T <= k:
             raise SingularDesign(f"T={T} too short for order {k}")
         self.values, self.k, self.d, self.n = x, k, d, T - k
-        self.blocks = [x[k - j:T - j] for j in range(1, k + 1)] + [x[k:]]
-        m = len(self.blocks)
-        self.gram = np.empty((m * d, m * d))
+        # first panel row of the slice behind each d x d block
+        self.starts = [k - j for j in range(1, k + 1)] + [k]
+        self.blocks = [x[s:s + self.n] for s in self.starts]
+        self.gram = self._gram_of(x)
+        self._fits = {}
+
+    def _gram_of(self, x):
+        """The Gram of a panel (T, d), or of each panel in a stack (S, T, d).
+        A stack's blocks are the same matrix products, one per panel, so
+        each of its Grams equals that panel's own Gram bit for bit."""
+        d = self.d
+        blocks = [x[..., s:s + self.n, :] for s in self.starts]
+        m = len(blocks)
+        gram = np.empty(x.shape[:-2] + (m * d, m * d))
         for i in range(m):
             for j in range(i, m):
-                block = self.blocks[i].T @ self.blocks[j]
-                self.gram[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-                self.gram[j * d:(j + 1) * d, i * d:(i + 1) * d] = block.T
-
-    def with_values(self, x):
-        """The Gram of an already centred panel of the same shape."""
-        return _LaggedGram(x, self.k)
+                block = np.swapaxes(blocks[i], -1, -2) @ blocks[j]
+                gram[..., i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+                gram[..., j * d:(j + 1) * d, i * d:(i + 1) * d] = np.swapaxes(block, -1, -2)
+        return gram
 
     def lags(self, cols):
         """Indices of lags 1..k of ``cols``, lag-major."""
@@ -331,18 +403,37 @@ class _LaggedGram:
 
     def fit(self, design, target):
         """Per-row residual covariance of the least-squares regression of
-        ``target`` on ``design`` (index lists), and its coefficients."""
-        g_yy = self.gram[np.ix_(target, target)]
-        if not design:
-            return g_yy / self.n, np.empty((0, len(target)))
-        if self.n <= len(design):
-            raise SingularDesign("not enough rows for the regression")
-        chol = _cholesky(self.gram[np.ix_(design, design)])
-        # np.linalg.solve on the factor: scipy's triangular solver left
-        # about 0.7 MB more resident memory in a process running these fits
-        w = np.linalg.solve(chol, self.gram[np.ix_(design, target)])
-        coef = np.linalg.solve(chol.T, w)
-        return (g_yy - w.T @ w) / self.n, coef
+        ``target`` on ``design`` (index lists), and its coefficients.  Each
+        regression is solved once per Gram; the arrays returned are shared
+        and read-only."""
+        key = (tuple(design), tuple(target))
+        fitted = self._fits.get(key)
+        if fitted is None:
+            if design and self.n <= len(design):
+                raise SingularDesign("not enough rows for the regression")
+            idx = list(design) + list(target)
+            covs, chol, w = _residual_covs(self.gram[np.ix_(idx, idx)][None],
+                                           len(design), self.n)
+            coef = (np.empty((0, len(target))) if chol is None
+                    else np.linalg.solve(chol[0].T, w[0]))
+            fitted = covs[0], coef
+            for array in fitted:
+                array.setflags(write=False)
+            self._fits[key] = fitted
+        return fitted
+
+    def covs(self, design, target, a_idx, perms):
+        """Residual covariances of ``target`` on ``design`` as a stack: of
+        the panel alone when ``perms`` is None (``fit``), else of each panel
+        whose A columns are reordered by a row of ``perms`` (S, T)."""
+        if perms is None:
+            return self.fit(design, target)[0][None]
+        a_cols = list(a_idx)
+        x = np.repeat(self.values[None], perms.shape[0], axis=0)
+        x[:, :, a_cols] = self.values[:, a_cols][perms]
+        idx = np.array(list(design) + list(target))
+        grams = self._gram_of(x)[:, idx[:, None], idx[None, :]]
+        return _residual_covs(grams, len(design), self.n)[0]
 
     def rows(self, coef):
         """Rows of the panel's lags and present times ``coef`` (indexed like
@@ -352,8 +443,9 @@ class _LaggedGram:
 
 
 def _logdet(cov):
+    """log det of a covariance matrix, or of each in a stack."""
     sign, val = np.linalg.slogdet(np.atleast_2d(cov))
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise SingularDesign("singular residual covariance")
     return val
 
@@ -362,14 +454,15 @@ def _var_causality(g, a_idx, b_idx, c_idx):
     """Statistic function, dof and n_obs of the VAR causality test: the
     Gaussian LLR of B on the past of (A, B, C) against B on the past of
     (B, C).  The restricted log-det does not involve A and is computed once
-    on ``g``; the returned function fits only the full model on the Gram of
-    a panel whose A columns may have been permuted."""
+    on ``g``; the returned function takes a stack of row orders of A's
+    columns (None: the observed panel) and fits only the full model of
+    each."""
     y = g.present(b_idx)
     full = g.lags(sorted(a_idx + b_idx + c_idx))
     logdet_res = _logdet(g.fit(g.lags(sorted(b_idx + c_idx)), y)[0])
 
-    def stat_of(gram):
-        return 0.5 * (logdet_res - _logdet(gram.fit(full, y)[0]))
+    def stat_of(perms):
+        return 0.5 * (logdet_res - _logdet(g.covs(full, y, a_idx, perms)))
 
     return stat_of, g.k * len(a_idx) * len(b_idx), g.n
 
@@ -419,9 +512,9 @@ def _var_coupling(g, a_idx, b_idx, c_idx, mode):
     y = g.present(a_idx + b_idx)
     na = len(a_idx)
 
-    def stat_of(gram):
-        cov = gram.fit(design, y)[0]
-        return 0.5 * (_logdet(cov[:na, :na]) + _logdet(cov[na:, na:]) - _logdet(cov))
+    def stat_of(perms):
+        cov = g.covs(design, y, a_idx, perms)
+        return 0.5 * (_logdet(cov[:, :na, :na]) + _logdet(cov[:, na:, na:]) - _logdet(cov))
 
     return stat_of, na * len(b_idx), g.n
 
@@ -469,23 +562,44 @@ def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
     return chi2_scale * special.chdtri(chi2_df, level) / (2.0 * n_obs)
 
 
-def _block_permutation(T, block_len, rng):
-    """Circular block permutation of 0..T-1: rotate by a random offset, cut
-    into ``max(1, T // block_len)`` blocks whose first ``T % n_blocks`` are
-    one longer, and concatenate the blocks in a random order."""
-    offset = int(rng.integers(T))
+def _block_permutations(T, block_len, rng, count):
+    """``count`` circular block permutations of 0..T-1, one per row.  Each
+    rotates by a random offset, cuts into ``max(1, T // block_len)`` blocks
+    whose first ``T % n_blocks`` are one longer, and concatenates the blocks
+    in a random order; its draws are the offset, then the block order."""
     n_blocks = max(1, T // block_len)
     size, extra = divmod(T, n_blocks)
-    order = rng.permutation(n_blocks)
-    lengths = size + (order < extra)
-    starts = order * size + np.minimum(order, extra)
-    within = np.arange(T) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return (np.repeat(starts, lengths) + within + offset) % T
+    offsets = np.empty((count, 1), dtype=np.int64)
+    orders = np.empty((count, n_blocks), dtype=np.int64)
+    for s in range(count):
+        offsets[s] = rng.integers(T)
+        orders[s] = rng.permutation(n_blocks)
+    lengths = size + (orders < extra)
+    starts = orders * size + np.minimum(orders, extra)
+    # each block moves from its start in the rotated index to its place
+    # in the output
+    shifts = starts - (np.cumsum(lengths, axis=1) - lengths) + offsets
+    rotated = np.repeat(shifts.ravel(), lengths.ravel()).reshape(count, T)
+    rotated += np.arange(T)
+    # every entry lies in [0, 2T): wrapping by lookup is cheaper than % T
+    return np.tile(np.arange(T), 2)[rotated]
 
 
 def _quantile_rank(alpha, n_surrogates):
     """1-based rank of the surrogate (1 - alpha) quantile among n + 1 values."""
     return math.ceil((1.0 - alpha) * (n_surrogates + 1))
+
+
+def min_surrogates(level: float) -> int:
+    """Fewest surrogates that calibrate a test at ``level``: at least
+    ``MIN_SURROGATES``, and enough that the (1 - level) quantile of the
+    surrogates plus the observed value has a rank at most their count."""
+    if not 0.0 < level < 1.0:
+        raise ParamError(f"alpha must lie in (0, 1), got {level}")
+    need = max(MIN_SURROGATES, math.ceil(1.0 / level) - 2)
+    while _quantile_rank(level, need) > need:
+        need += 1
+    return need
 
 
 def _check_surrogates(n_surrogates, alpha):
@@ -495,33 +609,25 @@ def _check_surrogates(n_surrogates, alpha):
     if n_surrogates < MIN_SURROGATES:
         raise CalibrationError(
             f"need at least {MIN_SURROGATES} surrogates, got {n_surrogates}")
-    if not 0.0 < alpha < 1.0:
-        raise ParamError(f"alpha must lie in (0, 1), got {alpha}")
+    need = min_surrogates(alpha)
     if _quantile_rank(alpha, n_surrogates) > n_surrogates:
-        need = max(MIN_SURROGATES, math.ceil(1.0 / alpha) - 2)
-        while _quantile_rank(alpha, need) > need:
-            need += 1
         raise CalibrationError(
             f"surrogate calibration at level {alpha:.6g} needs at least {need} "
             f"surrogates, got {n_surrogates}")
 
 
-def _surrogate_result(stat_of, data, a_idx, block_len, n_surrogates, alpha,
-                      seed, n_obs, stat) -> TestResult:
-    """Calibrate ``stat`` against ``stat_of`` evaluated on ``data`` with A's
-    columns circularly block-permuted; ``stat_of`` refits only what A
-    enters."""
+def _surrogate_result(stat_of, T, block_len, n_surrogates, alpha, seed, n_obs,
+                      stat) -> TestResult:
+    """Calibrate ``stat`` against ``stat_of`` evaluated with A's rows
+    circularly block-permuted.  The permutations are drawn and evaluated in
+    chunks of at most ``_CHUNK_ENTRIES`` indices; ``stat_of`` refits only
+    what A enters."""
     _check_surrogates(n_surrogates, alpha)
     rng = np.random.default_rng(seed)
-    values = data.values
-    T = values.shape[0]
-    a_cols = list(a_idx)
-    surr_stats = np.empty(n_surrogates)
-    work = values.copy()
-    for s in range(n_surrogates):
-        perm = _block_permutation(T, block_len, rng)
-        work[:, a_cols] = values[np.ix_(perm, a_cols)]
-        surr_stats[s] = stat_of(data.with_values(work))
+    chunk = max(1, _CHUNK_ENTRIES // T)
+    surr_stats = np.concatenate([
+        stat_of(_block_permutations(T, block_len, rng, min(chunk, n_surrogates - start)))
+        for start in range(0, n_surrogates, chunk)])
     rank = _quantile_rank(alpha, n_surrogates)
     threshold = float(np.sort(surr_stats)[rank - 1])
     p_value = float((1 + np.sum(surr_stats >= stat)) / (n_surrogates + 1))
@@ -541,10 +647,10 @@ def _causality_test(data, family, a_idx, b_idx, c_idx, alpha, calibration,
     else:
         stat_of, dof, n_obs = _discrete_causality(data, a_idx, b_idx, c_idx,
                                                   family.order, family.smoothing)
-    stat = stat_of(data)
+    stat = stat_of(None)[0]
     if calibration == "surrogate":
-        return _surrogate_result(stat_of, data, a_idx, 5 * family.order, surrogates,
-                                 alpha, seed, n_obs, stat)
+        return _surrogate_result(stat_of, data.values.shape[0], 5 * family.order,
+                                 surrogates, alpha, seed, n_obs, stat)
     weights = (_sandwich_weights(data, a_idx, b_idx, c_idx)
                if isinstance(family, VarFamily) else None)
     return _chi_square_result(stat, dof, n_obs, alpha, weights=weights)
@@ -558,10 +664,10 @@ def _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
     else:
         stat_of, dof, n_obs = _discrete_coupling(data, a_idx, b_idx, c_idx,
                                                  family.order, family.smoothing, mode)
-    stat = stat_of(data)
+    stat = stat_of(None)[0]
     if calibration == "surrogate":
-        return _surrogate_result(stat_of, data, a_idx, 5 * family.order, surrogates,
-                                 alpha, seed, n_obs, stat)
+        return _surrogate_result(stat_of, data.values.shape[0], 5 * family.order,
+                                 surrogates, alpha, seed, n_obs, stat)
     return _chi_square_result(stat, dof, n_obs, alpha)
 
 
@@ -1016,9 +1122,8 @@ def bonferroni_count(n_nodes: int) -> int:
 
 def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
                 mode=ConditioningMode.CONTEMPORANEOUS, correction: str = "bonferroni",
-                calibration: str = "chi_square",
-                surrogates: int = DEFAULT_SURROGATES, seed=None,
-                threads: int = 1) -> CausalityGraph:
+                calibration: str = "chi_square", surrogates: int | None = None,
+                seed=None, threads: int = 1) -> CausalityGraph:
     """Pairwise causality-graph inference relative to the full node set.
 
     Each ordered pair (a, b) is tested for a -> b with all remaining nodes
@@ -1028,8 +1133,10 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     and threaded runs are identical.  The per-panel data (the VAR family's
     lagged Gram matrix) is built once and shared by every edge, so an edge
     equals the corresponding single ``llr_causality``/``llr_coupling``
-    call exactly.  Surrogate calibration raises ``CalibrationError`` before
-    any edge runs when ``surrogates`` is too few for the corrected level.
+    call exactly.  Surrogate calibration draws ``surrogates`` resamplings
+    per test, by default ``max(DEFAULT_SURROGATES, min_surrogates(level))``
+    at the corrected level; a count too few for that level raises
+    ``CalibrationError`` before any edge runs.
     """
     mode = mode if isinstance(mode, ConditioningMode) else ConditioningMode(str(mode))
     labels = panel.labels
@@ -1041,6 +1148,8 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
         raise ParamError(f"unknown correction {correction!r}")
     _check_calibration(calibration)
     if calibration == "surrogate":
+        if surrogates is None:
+            surrogates = max(DEFAULT_SURROGATES, min_surrogates(level))
         _check_surrogates(surrogates, level)
     data = _prepare(panel, family, "infer_graph")
 

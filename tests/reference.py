@@ -2,12 +2,14 @@
 
 These are the straightforward forms the package used before its VAR
 statistics moved to one lagged Gram matrix per panel, its block
-permutation to index arithmetic and its exact laws to chain contractions:
-every regression is a separate ``lstsq`` fit on an explicitly stacked
-lagged design, the permutation cuts the rotated index vector with
-``np.array_split``, and the joint law of a Markov model is the dense
-product of its initial law and kernels.  They share nothing with the
-package's implementations.
+permutation to index arithmetic, its surrogates to chunks and its exact
+laws to chain contractions: every regression is a separate ``lstsq`` fit on
+an explicitly stacked lagged design, the permutation cuts the rotated index
+vector with ``np.array_split``, surrogate statistics are computed one
+permuted panel at a time, discrete likelihoods count the contexts found by
+``np.unique``, and the joint law of a Markov model is the dense product of
+its initial law and kernels.  They share nothing with the package's
+implementations.
 """
 
 import numpy as np
@@ -24,6 +26,84 @@ def block_permutation(T, block_len, rng):
     blocks = np.array_split(idx, n_blocks)
     order = rng.permutation(len(blocks))
     return np.concatenate([blocks[i] for i in order])
+
+
+def surrogate_stats(stat_of_values, values, a_idx, block_len, n_surrogates, seed):
+    """Statistic of each of ``n_surrogates`` panels whose A columns are
+    circularly block-permuted, one panel at a time, and the generator
+    after its draws.  ``stat_of_values`` maps a panel's values to its
+    statistic."""
+    rng = np.random.default_rng(seed)
+    a_cols = list(a_idx)
+    work = values.copy()
+    stats = np.empty(n_surrogates)
+    for s in range(n_surrogates):
+        perm = block_permutation(values.shape[0], block_len, rng)
+        work[:, a_cols] = values[np.ix_(perm, a_cols)]
+        stats[s] = stat_of_values(work)
+    return stats, rng
+
+
+def _joint_codes(values, cols, sizes):
+    code = np.zeros(values.shape[0], dtype=np.int64)
+    for c in cols:
+        code = code * sizes[c] + values[:, c]
+    return code
+
+
+def _contexts(values, cols, sizes, k):
+    """Joint code of the k samples before each time k..T-1 of ``cols``."""
+    code = _joint_codes(values, cols, sizes)
+    base = int(np.prod([sizes[c] for c in cols]))
+    T = values.shape[0]
+    ctx = np.zeros(T - k, dtype=np.int64)
+    for j in range(k):
+        ctx = ctx * base + code[j:T - k + j]
+    return ctx
+
+
+def _cond_loglik(ctx, tgt, n_tgt, alpha):
+    uniq, inv = np.unique(ctx, return_inverse=True)
+    counts = np.bincount(inv * n_tgt + tgt, minlength=uniq.size * n_tgt)
+    counts = counts.reshape(uniq.size, n_tgt).astype(float)
+    row = counts.sum(axis=1, keepdims=True)
+    if alpha > 0:
+        probs = (counts + alpha) / (row + alpha * n_tgt)
+    else:
+        probs = counts / row
+    mask = counts > 0
+    return float(np.sum(counts[mask] * np.log(probs[mask])))
+
+
+def discrete_causality_stat(values, sizes, a_idx, b_idx, c_idx, k, alpha):
+    """Per-sample plug-in LLR of B's present on the past of (A, B, C)
+    against the past of (B, C); ``sizes`` are the panel's alphabet sizes."""
+    n_obs = values.shape[0] - k
+    tgt = _joint_codes(values, b_idx, sizes)[k:]
+    m_tgt = int(np.prod([sizes[c] for c in b_idx]))
+    full = _contexts(values, sorted(a_idx + b_idx + c_idx), sizes, k)
+    res = _contexts(values, sorted(b_idx + c_idx), sizes, k)
+    return (_cond_loglik(full, tgt, m_tgt, alpha)
+            - _cond_loglik(res, tgt, m_tgt, alpha)) / n_obs
+
+
+def discrete_coupling_stat(values, sizes, a_idx, b_idx, c_idx, k, alpha, contemporaneous):
+    """Per-sample plug-in LLR of the joint present of A and B against the
+    product of their marginals, given the past (and C's present when
+    ``contemporaneous``)."""
+    n_obs = values.shape[0] - k
+    ctx = _contexts(values, sorted(a_idx + b_idx + c_idx), sizes, k)
+    if contemporaneous and c_idx:
+        cols = sorted(c_idx)
+        ctx = (ctx * int(np.prod([sizes[c] for c in cols]))
+               + _joint_codes(values, cols, sizes)[k:])
+    a_t = _joint_codes(values, a_idx, sizes)[k:]
+    b_t = _joint_codes(values, b_idx, sizes)[k:]
+    m_a = int(np.prod([sizes[c] for c in a_idx]))
+    m_b = int(np.prod([sizes[c] for c in b_idx]))
+    return (_cond_loglik(ctx, a_t * m_b + b_t, m_a * m_b, alpha)
+            - _cond_loglik(ctx, a_t, m_a, alpha)
+            - _cond_loglik(ctx, b_t, m_b, alpha)) / n_obs
 
 
 def chained_table(model, n):

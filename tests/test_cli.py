@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import pytest
 from dirinfo.cli import main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
-from dirinfo.inference import bonferroni_count
+from dirinfo.inference import bonferroni_count, min_surrogates
 from dirinfo.core import DEFAULT_STATE_BUDGET
 from dirinfo.simulate import chain_markov_model, random_markov_model, random_var_model
 
@@ -143,8 +144,8 @@ def test_check_recomputes_level_from_config(tmp_path):
 def test_graph_surrogate_too_few_for_corrected_level_exits_1(tmp_path, capsys):
     run("simulate", "chain", "--T", 500, "--seed", 5, "--out", tmp_path / "c")
     code = run("graph", "--input", tmp_path / "c.csv", "--family", "discrete",
-               "--bins", 4, "--calibration", "surrogate", "--seed", 5,
-               "--out", tmp_path / "g")
+               "--bins", 4, "--calibration", "surrogate", "--surrogates", 200,
+               "--seed", 5, "--out", tmp_path / "g")
     assert code == 1
     assert not (tmp_path / "g.json").exists()
     err = capsys.readouterr().err
@@ -153,6 +154,18 @@ def test_graph_surrogate_too_few_for_corrected_level_exits_1(tmp_path, capsys):
     need, level = int(found.group(1)), 0.05 / bonferroni_count(3)
     assert math.ceil((1 - level) * (need + 1)) <= need
     assert math.ceil((1 - level) * need) > need - 1
+
+
+def test_graph_surrogate_default_count_exits_0(tmp_path):
+    run("simulate", "chain", "--T", 2000, "--seed", 5, "--out", tmp_path / "c")
+    assert run("graph", "--input", tmp_path / "c.csv", "--family", "discrete",
+               "--bins", 4, "--calibration", "surrogate", "--seed", 5,
+               "--out", tmp_path / "g") == 0
+    doc = json.loads((tmp_path / "g.json").read_text())
+    level = 0.05 / bonferroni_count(3)
+    assert doc["config"]["surrogates"] == min_surrogates(level) > 200
+    assert all(e["level"] == level for e in doc["directed"] + doc["undirected"])
+    assert run("check", tmp_path / "g.json") == 0
 
 
 @pytest.mark.parametrize("field, value", [("geweke", 0.5), ("te_ab", 7.0)])
@@ -230,6 +243,41 @@ def test_replay_reproduces_artifacts(tmp_path):
     (tmp_path / "c.csv").unlink()
     assert run("replay", tmp_path / "c.manifest.json") == 0
     assert (tmp_path / "c.csv").read_bytes() == first
+
+
+def test_manifest_records_input_and_output_hashes(tmp_path):
+    run("simulate", "chain", "--T", 800, "--seed", 3, "--out", tmp_path / "c")
+    assert run("graph", "--input", tmp_path / "c.csv", "--family", "var",
+               "--out", tmp_path / "g") == 0
+    manifest = json.loads((tmp_path / "g.manifest.json").read_text())
+    digest = hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest()
+    assert manifest["inputs"] == {str(tmp_path / "c.csv"): digest}
+    assert set(manifest["outputs"]) == {str(tmp_path / "g.json"), str(tmp_path / "g.dot")}
+    assert run("replay", tmp_path / "g.manifest.json") == 0
+
+
+def test_replay_refuses_changed_input(tmp_path, capsys):
+    run("simulate", "chain", "--T", 800, "--seed", 3, "--out", tmp_path / "c")
+    run("graph", "--input", tmp_path / "c.csv", "--family", "var", "--out", tmp_path / "g")
+    first = (tmp_path / "g.json").read_bytes()
+    csv = (tmp_path / "c.csv").read_text().splitlines()
+    csv[1] = csv[2]
+    (tmp_path / "c.csv").write_text("\n".join(csv) + "\n")
+    capsys.readouterr()
+    assert run("replay", tmp_path / "g.manifest.json") == 1
+    assert str(tmp_path / "c.csv") in capsys.readouterr().err
+    assert (tmp_path / "g.json").read_bytes() == first  # nothing was re-run
+
+
+def test_replay_refuses_output_that_differs_from_record(tmp_path, capsys):
+    run("simulate", "chain", "--T", 800, "--seed", 3, "--out", tmp_path / "c")
+    manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+    manifest["outputs"][str(tmp_path / "c.csv")] = "0" * 64
+    (tmp_path / "c.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("replay", tmp_path / "c.manifest.json") == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "c.csv") in err and "truth" not in err
 
 
 def test_units_bits_only_affects_display(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirinfo import core
 from dirinfo.core import (
     MeasureValue,
     SequenceDistribution,
@@ -14,6 +15,7 @@ from dirinfo.core import (
 )
 from dirinfo.errors import (
     DegenerateColumn,
+    DirinfoError,
     InvalidModel,
     ParamError,
     ParseError,
@@ -45,6 +47,51 @@ def test_load_csv_ragged_row(tmp_path):
     path.write_text("x,y\n1,2\n3\n")
     with pytest.raises(ParseError, match="row 3"):
         load_panel(path)
+
+
+LOADER_CORPUS = {
+    "floats": "x,y\n0.5,-1.25\n1e-3,7.0\n",
+    "integers": "x,y\n1,0\n0,2\n",
+    "blank_line_in_middle": "x,y\n1,2\n\n3,4\n",
+    "trailing_blank_line": "x,y\n1,2\n3,4\n\n",
+    "whitespace_only_row": "x,y\n1,2\n   \n3,4\n",
+    "quoted_cell": 'x,y\n1,"2"\n3,4\n',
+    "hash_cell": "x,y\n1,#\n3,4\n",
+    "hash_after_value": "x,y\n1,2 # note\n3,4\n",
+    "underscore_digits": "x,y\n1_0,2\n3,4\n",
+    "nan_cell": "x,y\n1,nan\n3,4\n",
+    "inf_cell": "x,y\n1,2\n-inf,4\n",
+    "header_only": "x,y\n",
+    "single_column": "x\n1\n2\n",
+    "crlf": "x,y\r\n1.5,2\r\n3,4\r\n",
+    "ragged_short_row": "x,y\n1,2\n3\n",
+    "ragged_long_row": "x,y\n1,2,5\n3,4\n",
+    "empty_cell": "x,y\n1,\n3,4\n",
+}
+
+
+def _load_outcome(path):
+    try:
+        values = load_panel(path).values
+    except DirinfoError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return values.dtype, values.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+def test_load_csv_fast_path_matches_per_cell_parser(tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(LOADER_CORPUS[name].encode())
+    fast = _load_outcome(path)
+    monkeypatch.setattr(core, "_fast_rows", lambda lines, width: None)
+    assert fast == _load_outcome(path)
+
+
+def test_load_csv_takes_fast_path_on_plain_numbers(tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    path.write_bytes(LOADER_CORPUS["crlf"].encode())
+    monkeypatch.setattr(core, "_parse_cell", None)  # the per-cell parser must not run
+    assert load_panel(path).values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
 
 def test_load_json_duplicate_labels(tmp_path):

@@ -169,13 +169,107 @@ def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
         infer_graph(panel, VarFamily(), calibration="surrogate", surrogates=200, seed=1)
 
 
+def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
+    """Package statistic function, panel data and a per-panel reference
+    statistic for one test of x1 on the 3-node chain."""
+    b_idx = (1,)
+    panel, _ = gen_chain_example(3000, seed=31)
+    if family == "discrete":
+        fam = DiscreteMarkovFamily(order=order)
+        data = inference._prepare(symbolize(panel, 3, "equal_frequency"), fam, "test")
+        if kind == "causality":
+            stat_of = inference._discrete_causality(data, a_idx, b_idx, c_idx, order,
+                                                    fam.smoothing)[0]
+            ref = lambda v: reference.discrete_causality_stat(  # noqa: E731
+                v, data.sizes, a_idx, b_idx, c_idx, order, fam.smoothing)
+        else:
+            stat_of = inference._discrete_coupling(data, a_idx, b_idx, c_idx, order,
+                                                   fam.smoothing, mode)[0]
+            ref = lambda v: reference.discrete_coupling_stat(  # noqa: E731
+                v, data.sizes, a_idx, b_idx, c_idx, order, fam.smoothing,
+                mode is ConditioningMode.CONTEMPORANEOUS)
+        return stat_of, data, ref
+    data = inference._prepare(panel, VarFamily(order=order), "test")
+
+    def ref(values):
+        # the single-panel statistic on a Gram built from the permuted panel
+        g = inference._LaggedGram(values, order)
+        if kind == "causality":
+            return inference._var_causality(g, a_idx, b_idx, c_idx)[0](None)[0]
+        return inference._var_coupling(g, a_idx, b_idx, c_idx, mode)[0](None)[0]
+
+    if kind == "causality":
+        stat_of = inference._var_causality(data, a_idx, b_idx, c_idx)[0]
+    else:
+        stat_of = inference._var_coupling(data, a_idx, b_idx, c_idx, mode)[0]
+    return stat_of, data, ref
+
+
+@pytest.mark.parametrize("n_surrogates", [20, 201])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("kind, a_idx, c_idx, mode", [
+    ("causality", (0,), (2,), None),
+    ("causality", (0, 2), (), None),
+    ("coupling", (0,), (2,), ConditioningMode.CONTEMPORANEOUS),
+    ("coupling", (0,), (2,), ConditioningMode.STRICT_PAST),
+    ("coupling", (2, 0), (), ConditioningMode.CONTEMPORANEOUS),
+], ids=["causality", "causality_two_sources", "coupling_contemporaneous",
+        "coupling_strict_past", "coupling_two_sources"])
+@pytest.mark.parametrize("family", ["discrete", "var"])
+def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mode,
+                                                 order, n_surrogates):
+    """Chunked surrogate statistics against the loop that evaluates one
+    permuted panel at a time (T = 3000, so 201 surrogates span three
+    chunks): discrete statistics bit for bit, VAR to 1e-12 relative, and
+    the same threshold, p-value and generator state afterwards."""
+    stat_of, data, ref = _surrogate_case(family, kind, a_idx, c_idx, mode, order)
+    stat = stat_of(None)[0]
+    block_len, alpha, seed = 5 * order, 0.05, 1234
+    chunks = []
+
+    def recorded(perms):
+        chunks.append(stat_of(perms))
+        return chunks[-1]
+
+    rng = np.random.default_rng(seed)
+    res = inference._surrogate_result(recorded, data.values.shape[0], block_len,
+                                      n_surrogates, alpha, rng, 3000 - order, stat)
+    got = np.concatenate(chunks)
+    want, ref_rng = reference.surrogate_stats(ref, data.values, a_idx, block_len,
+                                              n_surrogates, seed)
+    assert len(chunks) == (3 if n_surrogates == 201 else 1)
+    assert rng.random() == ref_rng.random()
+    assert ref(data.values) == pytest.approx(stat, rel=1e-12, abs=0)
+    if family == "discrete":
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    rank = math.ceil((1 - alpha) * (n_surrogates + 1))
+    assert res.threshold == pytest.approx(np.sort(want)[rank - 1],
+                                          rel=0 if family == "discrete" else 1e-12)
+    assert res.p_value == (1 + np.sum(want >= stat)) / (n_surrogates + 1)
+
+
+@pytest.mark.parametrize("kind", ["causality", "coupling"])
+def test_surrogate_counts_over_state_budget_fall_back_bit_identically(kind, monkeypatch):
+    """Above the state budget each surrogate is counted on its own through
+    ``np.unique``; the statistics equal the one-bincount chunk's."""
+    mode = ConditioningMode.CONTEMPORANEOUS if kind == "coupling" else None
+    stat_of, data, _ = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)
+    perms = inference._block_permutations(data.values.shape[0], 10,
+                                          np.random.default_rng(3), 12)
+    chunked = stat_of(perms)
+    monkeypatch.setattr(inference, "DEFAULT_STATE_BUDGET", 0)
+    np.testing.assert_array_equal(stat_of(perms), chunked)
+
+
 @pytest.mark.parametrize("block_len", [5, 10])
 @pytest.mark.parametrize("T", [7, 4000, 4001, 10007])
 def test_block_permutation_matches_array_split_reference(T, block_len):
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = inference._block_permutation(T, block_len, rng)
-        want = reference.block_permutation(T, block_len, ref_rng)
+        got = inference._block_permutations(T, block_len, rng, 3)
+        want = [reference.block_permutation(T, block_len, ref_rng) for _ in range(3)]
         np.testing.assert_array_equal(got, want)
         assert rng.random() == ref_rng.random()  # same draws consumed
 
@@ -449,6 +543,39 @@ def test_graph_threads_match_serial():
     serial = infer_graph(panel, VarFamily(order=1), seed=5)
     threaded = infer_graph(panel, VarFamily(order=1), seed=5, threads=4)
     assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(threaded.to_json(), sort_keys=True)
+
+
+def test_graph_solves_each_regression_once(monkeypatch):
+    """On an 8-node VAR graph every edge a -> b shares b's full fit and
+    a's projection with the other edges: 8 full fits, 56 restricted fits,
+    8 projections and 28 coupling fits.  Two threads give the same graph."""
+    panel = _var_panel(6, nodes=8, order=2, T=3000)
+    factorizations = []
+    cholesky = inference._cholesky
+
+    def counted(gram):
+        factorizations.append(gram.shape)
+        return cholesky(gram)
+
+    monkeypatch.setattr(inference, "_cholesky", counted)
+    serial = infer_graph(panel, VarFamily(order=2), seed=5)
+    assert len(factorizations) <= 100
+    threaded = infer_graph(panel, VarFamily(order=2), seed=5, threads=2)
+    assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(threaded.to_json(),
+                                                                      sort_keys=True)
+
+
+def test_graph_surrogate_default_count_covers_corrected_level():
+    panel, _ = gen_chain_example(600, seed=3)
+    graph = infer_graph(panel, VarFamily(), calibration="surrogate", seed=1)
+    need = inference.min_surrogates(0.05 / bonferroni_count(3))
+    assert need > inference.DEFAULT_SURROGATES
+    assert graph.config["surrogates"] == need and not graph.errors
+    uncorrected = infer_graph(panel, VarFamily(), correction="none",
+                              calibration="surrogate", seed=1)
+    assert uncorrected.config["surrogates"] == inference.DEFAULT_SURROGATES
+    with pytest.raises(CalibrationError, match=f"at least {need} surrogates, got {need - 1}"):
+        infer_graph(panel, VarFamily(), calibration="surrogate", surrogates=need - 1, seed=1)
 
 
 def test_graph_records_per_edge_failures():
