@@ -9,6 +9,7 @@ bits`` only changes the printed table.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from .inference import (
     infer_graph,
     llr_causality,
     llr_coupling,
+    surrogate_count,
 )
 from .measures import EXACT_RESIDUAL_TOL, ConditioningMode, decompose
 from .simulate import gen_chain_example, gen_glm_spiking, gen_nonlinear_example, gen_var
@@ -247,6 +249,8 @@ def _cmd_test(args) -> int:
     panel = load_panel(args.input, format=args.format)
     panel = _maybe_symbolize(panel, args)
     family = family_from_spec(args.family, order=args.order, smoothing=args.smoothing)
+    if args.calibration == "surrogate":  # the manifest records the count drawn
+        args.surrogates = surrogate_count(args.surrogates, args.alpha)
     common = dict(family=family, alpha=args.alpha, calibration=args.calibration,
                   surrogates=args.surrogates, seed=args.seed)
     if args.kind == "causality":
@@ -453,7 +457,9 @@ def _add_family_options(p):
                    help="additive smoothing for discrete fits")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dirinfo",
         description="directed information measures and causality-graph inference")
@@ -508,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--calibration", choices=("chi_square", "surrogate"),
                    default="chi_square")
-    p.add_argument("--surrogates", type=int, default=200)
+    p.add_argument("--surrogates", type=int,
+                   help="default: 200, or the fewest that calibrate --alpha if more")
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
                    default="contemporaneous")

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
 from .discrete import (
@@ -375,23 +375,32 @@ class _LaggedGram:
         self.values, self.k, self.d, self.n = x, k, d, T - k
         # first panel row of the slice behind each d x d block
         self.starts = [k - j for j in range(1, k + 1)] + [k]
-        self.blocks = [x[s:s + self.n] for s in self.starts]
-        self.gram = self._gram_of(x)
+        self.gram = self._gram_of(x, np.arange((k + 1) * d), range(d))
         self._fits = {}
+        self._meats = {}
 
-    def _gram_of(self, x):
-        """The Gram of a panel (T, d), or of each panel in a stack (S, T, d).
-        A stack's blocks are the same matrix products, one per panel, so
-        each of its Grams equals that panel's own Gram bit for bit."""
-        d = self.d
+    def _gram_of(self, x, idx, moved):
+        """Rows and columns ``idx`` of the Gram of a panel (T, d), or of
+        each panel in a stack (S, T, d) that differs from this panel only in
+        the columns ``moved``.  A block pair is multiplied only when it
+        holds an entry of ``idx`` in a moved column; the other entries are
+        this panel's own.  A stack's blocks are the same matrix products,
+        one per panel, and no entry of a product depends on other columns,
+        so each of its Grams equals that panel's own Gram bit for bit."""
         blocks = [x[..., s:s + self.n, :] for s in self.starts]
-        m = len(blocks)
-        gram = np.empty(x.shape[:-2] + (m * d, m * d))
-        for i in range(m):
-            for j in range(i, m):
-                block = np.swapaxes(blocks[i], -1, -2) @ blocks[j]
-                gram[..., i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-                gram[..., j * d:(j + 1) * d, i * d:(i + 1) * d] = np.swapaxes(block, -1, -2)
+        block_of, col = np.divmod(idx, self.d)
+        hit = np.isin(col, list(moved))
+        gram = np.empty(x.shape[:-2] + (len(idx), len(idx)))
+        for i in range(len(blocks)):
+            for j in range(i, len(blocks)):
+                rows, cols = np.flatnonzero(block_of == i), np.flatnonzero(block_of == j)
+                if hit[rows].any() or hit[cols].any():
+                    block = np.swapaxes(blocks[i], -1, -2) @ blocks[j]
+                    part = block[..., col[rows][:, None], col[cols]]
+                else:
+                    part = self.gram[np.ix_(idx[rows], idx[cols])]
+                gram[..., rows[:, None], cols] = part
+                gram[..., cols[:, None], rows] = np.swapaxes(part, -1, -2)
         return gram
 
     def lags(self, cols):
@@ -431,15 +440,28 @@ class _LaggedGram:
         a_cols = list(a_idx)
         x = np.repeat(self.values[None], perms.shape[0], axis=0)
         x[:, :, a_cols] = self.values[:, a_cols][perms]
-        idx = np.array(list(design) + list(target))
-        grams = self._gram_of(x)[:, idx[:, None], idx[None, :]]
+        grams = self._gram_of(x, np.array(list(design) + list(target)), a_cols)
         return _residual_covs(grams, len(design), self.n)[0]
 
-    def rows(self, coef):
-        """Rows of the panel's lags and present times ``coef`` (indexed like
-        the Gram), summed over the lag-slice views."""
-        d = self.d
-        return sum(block @ coef[j * d:(j + 1) * d] for j, block in enumerate(self.blocks))
+    def rows(self, idx):
+        """Rows t = k..T-1 of the panel's lags and present at the Gram
+        indices ``idx``, gathered from windows of k + 1 panel rows."""
+        windows = np.lib.stride_tricks.sliding_window_view(self.values, self.k + 1, axis=0)
+        return windows[:, [i % self.d for i in idx], [self.starts[i // self.d] for i in idx]]
+
+    def meats(self, design, target):
+        """Sandwich meats of the full fit of ``target`` on ``design``: per
+        target column i, sum_t e_i(t)^2 z(t) z(t)' over the design rows z and
+        full-fit residuals e, from one pass over the panel.  Memoized like
+        ``fit``; the stack returned is shared and read-only."""
+        key = (tuple(design), tuple(target))
+        if key not in self._meats:
+            both = self.rows(list(design) + list(target))
+            z = both[:, :len(design)]
+            resid = both[:, len(design):] - z @ self.fit(design, target)[1]
+            self._meats[key] = np.stack([z.T @ (z * e[:, None] ** 2) for e in resid.T])
+            self._meats[key].setflags(write=False)
+        return self._meats[key]
 
 
 def _logdet(cov):
@@ -474,30 +496,24 @@ def _sandwich_weights(g, a_idx, b_idx, c_idx):
     the classical chi-square variate; under conditionally heteroskedastic
     innovations (e.g. a quadratic hidden coupling) the asymptotic law is
     the weighted chi-square sum instead.  The tested regressors are
-    projected off the kept ones (B's and C's lags); the bread is that
-    projection's Schur complement, the meat weights its rows by the squared
-    row residuals of the full fit.
+    projected off the kept ones (B's and C's lags), x = z P with P the
+    identity on the tested lags and -gamma on the kept ones; the bread is
+    that projection's Schur complement, the meat P' W_i P, where W_i is the
+    full design's Gram weighted by the full fit's squared row residuals
+    (``_LaggedGram.meats``, shared by every edge into B).
     """
     y = g.present(b_idx)
     tested, kept = g.lags(sorted(a_idx)), g.lags(sorted(b_idx + c_idx))
     full = g.lags(sorted(a_idx + b_idx + c_idx))
-    cov_full, beta = g.fit(full, y)
+    cov_full = g.fit(full, y)[0]
     proj_cov, gamma = g.fit(kept, tested)
-    # one pass over the panel gives the full fit's residuals and the
-    # tested regressors' residuals on the kept ones
-    ny = len(y)
-    coef = np.zeros((g.gram.shape[0], ny + len(tested)))
-    coef[y, :ny] = np.eye(ny)
-    coef[full, :ny] -= beta
-    coef[tested, ny:] = np.eye(len(tested))
-    coef[kept, ny:] -= gamma
-    both = g.rows(coef)
-    resid, xs = both[:, :ny], both[:, ny:]
+    proj = np.zeros((len(full), len(tested)))
+    proj[[full.index(col) for col in tested], range(len(tested))] = 1.0
+    proj[[full.index(col) for col in kept]] = -gamma
     bread = g.n * proj_cov
     weights = []
-    for i in range(len(y)):
-        meat = xs.T @ (xs * resid[:, i:i + 1] ** 2)
-        lam = np.linalg.eigvals(np.linalg.solve(bread, meat)) / cov_full[i, i]
+    for i, meat in enumerate(g.meats(full, y)):
+        lam = np.linalg.eigvals(np.linalg.solve(bread, proj.T @ meat @ proj)) / cov_full[i, i]
         weights.extend(np.clip(lam.real, 1e-12, None))
     return weights
 
@@ -550,7 +566,7 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
     else:
         c, f = 1.0, dof
     threshold = chi_square_threshold(alpha, c, f, n_obs)
-    p_value = float(stats.chi2.sf(scale * stat / c, f))
+    p_value = _chi_square_sf(scale * stat / c, f)
     return _decide(stat, threshold, p_value, "chi_square", dof, n_obs, alpha,
                    chi2_scale=float(c), chi2_df=float(f))
 
@@ -560,6 +576,13 @@ def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
     ``chdtri`` is what ``stats.chi2.isf`` evaluates, without its per-call
     argument handling."""
     return chi2_scale * special.chdtri(chi2_df, level) / (2.0 * n_obs)
+
+
+def _chi_square_sf(x, df) -> float:
+    """``stats.chi2.sf(x, df)`` bit for bit: ``chdtrc`` is what it
+    evaluates inside the support, and outside it gives 1 for x <= 0 and
+    NaN for df <= 0, without its per-call argument handling."""
+    return float(special.chdtrc(df, max(x, 0.0))) if df > 0 else math.nan
 
 
 def _block_permutations(T, block_len, rng, count):
@@ -602,6 +625,12 @@ def min_surrogates(level: float) -> int:
     return need
 
 
+def surrogate_count(surrogates, level) -> int:
+    """The surrogates a test at ``level`` draws: ``surrogates``, or by
+    default the larger of ``DEFAULT_SURROGATES`` and ``min_surrogates``."""
+    return max(DEFAULT_SURROGATES, min_surrogates(level)) if surrogates is None else surrogates
+
+
 def _check_surrogates(n_surrogates, alpha):
     """Refuse a surrogate count that cannot calibrate a test at level
     ``alpha``: the (1 - alpha) quantile of n surrogates plus the observed
@@ -619,9 +648,11 @@ def _check_surrogates(n_surrogates, alpha):
 def _surrogate_result(stat_of, T, block_len, n_surrogates, alpha, seed, n_obs,
                       stat) -> TestResult:
     """Calibrate ``stat`` against ``stat_of`` evaluated with A's rows
-    circularly block-permuted.  The permutations are drawn and evaluated in
+    circularly block-permuted, ``n_surrogates`` times (None: the default
+    count at ``alpha``).  The permutations are drawn and evaluated in
     chunks of at most ``_CHUNK_ENTRIES`` indices; ``stat_of`` refits only
     what A enters."""
+    n_surrogates = surrogate_count(n_surrogates, alpha)
     _check_surrogates(n_surrogates, alpha)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ENTRIES // T)
@@ -678,7 +709,7 @@ def _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
 def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
                   family=DiscreteMarkovFamily(), alpha: float = 0.05,
                   calibration: str = "chi_square",
-                  surrogates: int = DEFAULT_SURROGATES, seed=None) -> TestResult:
+                  surrogates: int | None = None, seed=None) -> TestResult:
     """Granger-causality test of A -> B given the side set C.
 
     Per-sample LLR between the conditional model of x_B(t) on the past of
@@ -691,6 +722,8 @@ def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     chi-square for the linear family, which stays level-correct when the
     innovations are conditionally heteroskedastic (a nonlinear coupling
     seen through linear glasses) and reduces to Wilks otherwise.
+    Surrogate calibration draws ``surrogates`` resamplings, by default
+    ``max(DEFAULT_SURROGATES, min_surrogates(alpha))``.
     """
     a_idx = _group_indices(panel, a_labels)
     b_idx = _group_indices(panel, b_labels)
@@ -706,7 +739,7 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
                  family=DiscreteMarkovFamily(),
                  mode=ConditioningMode.CONTEMPORANEOUS, alpha: float = 0.05,
                  calibration: str = "chi_square",
-                 surrogates: int = DEFAULT_SURROGATES, seed=None) -> TestResult:
+                 surrogates: int | None = None, seed=None) -> TestResult:
     """Instantaneous-coupling test between A and B given the side set C.
 
     Per-sample LLR between the joint contemporaneous conditional
@@ -714,6 +747,7 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     alternative it converges to the information exchange rate.  ``mode``
     decides whether C's present enters the conditioning (contemporaneous,
     the conditional-independence-graph convention) or only C's past.
+    Surrogates default as in ``llr_causality``.
     """
     mode = mode if isinstance(mode, ConditioningMode) else ConditioningMode(str(mode))
     a_idx = _group_indices(panel, a_labels)
@@ -1148,8 +1182,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
         raise ParamError(f"unknown correction {correction!r}")
     _check_calibration(calibration)
     if calibration == "surrogate":
-        if surrogates is None:
-            surrogates = max(DEFAULT_SURROGATES, min_surrogates(level))
+        surrogates = surrogate_count(surrogates, level)
         _check_surrogates(surrogates, level)
     data = _prepare(panel, family, "infer_graph")
 

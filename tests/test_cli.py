@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from dirinfo.cli import main
+from dirinfo.cli import build_parser, main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
 from dirinfo.inference import bonferroni_count, min_surrogates
@@ -221,6 +221,47 @@ def test_test_command_writes_result(tmp_path):
     doc = json.loads((tmp_path / "t.json").read_text())
     assert doc["decision"] == "reject_H0"
     assert run("check", tmp_path / "t.json") == 0
+
+
+def test_test_command_surrogate_default_count_covers_alpha(tmp_path, capsys):
+    run("simulate", "chain", "--T", 1000, "--seed", 2, "--out", tmp_path / "c")
+    argv = ("test", "--input", tmp_path / "c.csv", "--kind", "causality",
+            "--A", "x", "--B", "y", "--C", "z", "--family", "var", "--alpha", 0.001,
+            "--calibration", "surrogate", "--seed", 3, "--out", tmp_path / "t")
+    assert run(*argv) == 0
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert doc["p_value"] == 1 / (min_surrogates(0.001) + 1)
+    manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+    assert manifest["config"]["surrogates"] == min_surrogates(0.001)
+    assert run("check", tmp_path / "t.json") == 0
+    assert run(*argv, "--surrogates", 200) == 1
+    assert "CalibrationError: surrogate calibration at level 0.001 needs at least 999 " \
+           "surrogates, got 200" in capsys.readouterr().err
+
+
+def test_parser_reused_across_calls_leaks_no_state(tmp_path):
+    """``main`` builds its parser once per process: a command run after
+    another one writes the same result and configuration as on a fresh
+    parser."""
+    run("simulate", "chain", "--T", 1000, "--seed", 4, "--out", tmp_path / "c")
+    commands = {
+        "test": ("test", "--input", tmp_path / "c.csv", "--kind", "coupling",
+                 "--A", "x", "--B", "y", "--family", "var", "--out", tmp_path / "t"),
+        "graph": ("graph", "--input", tmp_path / "c.csv", "--family", "var",
+                  "--out", tmp_path / "g"),
+    }
+    written = {name: [] for name in commands}
+    for order in (("test", "graph"), ("graph", "test")):
+        build_parser.cache_clear()
+        for name in order:
+            assert run(*commands[name]) == 0
+            prefix = commands[name][-1]
+            manifest = json.loads(prefix.with_suffix(".manifest.json").read_text())
+            written[name].append((prefix.with_suffix(".json").read_text(),
+                                  manifest["config"]))
+    assert build_parser() is build_parser()
+    for name, (fresh, reused) in written.items():
+        assert fresh == reused, name
 
 
 def test_computation_error_exits_1(tmp_path):

@@ -37,6 +37,7 @@ from dirinfo.simulate import (
     delay_channel,
     gen_chain_example,
     gen_glm_spiking,
+    gen_nonlinear_example,
     gen_var,
     lag2_channel,
     random_markov_model,
@@ -54,6 +55,16 @@ def iid_panel(T, seed, nodes=2):
 # ---------------------------------------------------------------------------
 # result plumbing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("df", [0.0, 0.5, 1.0, 1.7, 2.0, 3.3, 7.0, 12.45, 40.0])
+def test_chi_square_sf_matches_scipy(df):
+    """The p-value shortcut equals ``stats.chi2.sf`` bit for bit, for the
+    integer Wilks and non-integer Satterthwaite dof, and outside the
+    support (x <= 0, NaN, df = 0)."""
+    xs = [-1e-17, -1.0, 0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 9.9, 31.4, 250.0, np.inf, np.nan]
+    got = [inference._chi_square_sf(x, df) for x in xs]
+    np.testing.assert_array_equal(got, stats.chi2.sf(xs, df))
+
 
 def test_decision_matches_threshold_rule():
     res = llr_causality(iid_panel(2000, 0), ["x0"], ["x1"],
@@ -151,6 +162,18 @@ def test_surrogate_detects_strong_coupling():
     assert res.p_value == pytest.approx(1 / 101)
 
 
+def test_surrogate_default_count_covers_level():
+    """Without a count, a surrogate test draws enough for its level; an
+    explicit count too small for it still raises."""
+    panel, _ = gen_chain_example(1000, seed=2)
+    kwargs = dict(family=VarFamily(), alpha=0.001, calibration="surrogate", seed=0)
+    res = llr_coupling(panel, ["x"], ["y"], ["z"], **kwargs)
+    assert res.p_value >= 1 / (inference.min_surrogates(0.001) + 1)
+    assert math.isfinite(res.threshold)
+    with pytest.raises(CalibrationError, match="at least 999 surrogates, got 998"):
+        llr_causality(panel, ["x"], ["y"], ["z"], surrogates=998, **kwargs)
+
+
 def test_surrogate_level_needs_enough_replicas():
     # ceil(0.999 * 201) = 201 > 200: no finite (1 - alpha) quantile exists
     with pytest.raises(CalibrationError, match="at least 999 surrogates, got 200"):
@@ -220,8 +243,9 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
                                                  order, n_surrogates):
     """Chunked surrogate statistics against the loop that evaluates one
     permuted panel at a time (T = 3000, so 201 surrogates span three
-    chunks): discrete statistics bit for bit, VAR to 1e-12 relative, and
-    the same threshold, p-value and generator state afterwards."""
+    chunks): discrete and VAR causality statistics bit for bit, VAR
+    coupling to 1e-12 relative, and the same threshold, p-value and
+    generator state afterwards."""
     stat_of, data, ref = _surrogate_case(family, kind, a_idx, c_idx, mode, order)
     stat = stat_of(None)[0]
     block_len, alpha, seed = 5 * order, 0.05, 1234
@@ -240,13 +264,13 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
     assert len(chunks) == (3 if n_surrogates == 201 else 1)
     assert rng.random() == ref_rng.random()
     assert ref(data.values) == pytest.approx(stat, rel=1e-12, abs=0)
-    if family == "discrete":
+    exact = family == "discrete" or kind == "causality"
+    if exact:
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     rank = math.ceil((1 - alpha) * (n_surrogates + 1))
-    assert res.threshold == pytest.approx(np.sort(want)[rank - 1],
-                                          rel=0 if family == "discrete" else 1e-12)
+    assert res.threshold == pytest.approx(np.sort(want)[rank - 1], rel=0 if exact else 1e-12)
     assert res.p_value == (1 + np.sum(want >= stat)) / (n_surrogates + 1)
 
 
@@ -318,6 +342,32 @@ def test_gram_engine_matches_lstsq_reference(nodes, order, T, seed):
     restriction = [(labels[t], labels[s]) for t, sources in masked.items() for s in sources]
     _close(generalized_llr(panel, family, restriction).statistic,
            reference.var_generalized_llr_stat(panel.values, order, masked))
+
+
+def _sandwich_cases():
+    panel = _var_panel(7, nodes=8, order=2, T=3000)
+    nodes = range(panel.n_nodes)
+    for a in nodes:
+        for b in nodes:
+            if a != b:
+                rest = tuple(c for c in nodes if c not in (a, b))
+                yield f"var8_{a}{b}", panel, (a,), (b,), rest, 2
+    yield "nonlinear", gen_nonlinear_example(0.5, 1.0, 5000, 3)[0], (1,), (0,), (), 1
+    panel = _var_panel(8, nodes=5, order=2, T=2000)
+    yield "two_node_b", panel, (0,), (3, 1), (2,), 2
+
+
+def test_sandwich_weights_match_lstsq_reference():
+    """Per-target meats against per-edge lstsq projections: every edge of
+    an 8-node order-2 graph, the nonlinear example and a two-node B."""
+    for name, panel, a_idx, b_idx, c_idx, order in _sandwich_cases():
+        g = inference._prepare(panel, VarFamily(order=order), "test")
+        got = inference._sandwich_weights(g, a_idx, b_idx, c_idx)
+        want = reference.var_causality_stat(panel.values, a_idx, b_idx, c_idx, order)[3]
+        per_target = (len(b_idx), -1)
+        np.testing.assert_allclose(np.sort(np.reshape(got, per_target)),
+                                   np.sort(np.reshape(want, per_target)),
+                                   rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_duplicated_column_is_singular_design():
@@ -563,6 +613,22 @@ def test_graph_solves_each_regression_once(monkeypatch):
     threaded = infer_graph(panel, VarFamily(order=2), seed=5, threads=2)
     assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(threaded.to_json(),
                                                                       sort_keys=True)
+
+
+def test_graph_builds_each_target_meat_once(monkeypatch):
+    """The 56 causality edges of an 8-node VAR graph share one weighted
+    Gram per target: 8 passes over the panel."""
+    passes = []
+    rows = inference._LaggedGram.rows
+
+    def counted(self, idx):
+        passes.append(len(idx))
+        return rows(self, idx)
+
+    monkeypatch.setattr(inference._LaggedGram, "rows", counted)
+    graph = infer_graph(_var_panel(6, nodes=8, order=2, T=3000), VarFamily(order=2))
+    assert len(graph.directed) == 56
+    assert passes == [2 * 8 + 1] * 8
 
 
 def test_graph_surrogate_default_count_covers_corrected_level():
