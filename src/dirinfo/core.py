@@ -512,7 +512,8 @@ class SequenceDistribution:
 
         Each step keeps the selected cells as axes, carries the unselected
         cells of the current window and sums out the ones that leave it.
-        The steps are planned and charged to the budget first.
+        The steps are planned and charged to the budget first; each then
+        runs as one batched matrix product (:meth:`_step`).
         """
         d, w = self.n_nodes, self._width
         last = max(t for _, t in cells)
@@ -528,12 +529,45 @@ class SequenceDistribution:
         if required > self.budget:
             raise BudgetError(required, self.budget)
         for axes, new, kept in plan:
-            window = [c for c in axes if c[1] >= new[0][1] - w] + new
-            label = {c: i for i, c in enumerate(axes + new)}
-            phi = np.einsum(phi, [label[c] for c in axes],
-                            self._kernel, [label[c] for c in window],
-                            [label[c] for c in kept])
+            phi = self._step(phi, axes, new, kept)
         return phi
+
+    def _step(self, phi, axes, new, kept) -> np.ndarray:
+        """One kernel step: the law ``phi`` over the cells ``axes`` to the
+        law over ``kept``, given the ``new`` sample's cells.
+
+        The cells of ``axes`` before the kernel's window (O) are there only
+        because they are selected, so they are kept.  The window splits into
+        kept cells Wk and summed cells Wd; the new cells that are not kept
+        are summed out of the kernel first, leaving Nk.  Then
+        ``out[Wk, O, Nk] = phi[Wk, O, Wd] @ kernel[Wk, Wd, Nk]``, batched
+        over Wk, and is returned with its axes in ``kept`` order.
+        """
+        keep = set(kept)
+        start = new[0][1] - self._width
+        window = [c for c in axes if c[1] >= start]
+        old = [c for c in axes if c[1] < start]
+        wk = [c for c in window if c in keep]
+        wd = [c for c in window if c not in keep]
+        nk = [c for c in new if c in keep]
+        kernel = self._kernel
+        dropped = tuple(len(window) + i for i, c in enumerate(new) if c not in keep)
+        if dropped:
+            kernel = kernel.sum(axis=dropped)
+
+        def shape(cells):
+            return [self.alphabet_sizes[a] for a, _ in cells]
+
+        def arranged(array, cells, groups):
+            pos = {c: i for i, c in enumerate(cells)}
+            order = [pos[c] for group in groups for c in group]
+            return array.transpose(order).reshape([math.prod(shape(g)) for g in groups])
+
+        out = np.matmul(arranged(phi, axes, (wk, old, wd)),
+                        arranged(kernel, window + nk, (wk, wd, nk)))
+        done = wk + old + nk
+        pos = {c: i for i, c in enumerate(done)}
+        return out.reshape(shape(done)).transpose([pos[c] for c in kept])
 
 
 def cells_of(nodes, times) -> frozenset[Cell]:

@@ -16,7 +16,7 @@ Serialized layout (also used by the JSON format):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class DiscreteMarkovModel:
     kernel: np.ndarray
     initial: np.ndarray
     labels: tuple[str, ...] | None = None
-    _cumulative: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(m) for m in self.alphabet_sizes)

@@ -7,7 +7,9 @@ classical convention (twice the corresponding Shannon rate in nats).  A
 subprocess of a VAR is a state-space model: its innovation covariance given
 its entire past solves one discrete algebraic Riccati equation (Barnett &
 Seth, Phys. Rev. E 91, 040101(R), 2015), so indices and rates are exact
-infinite-horizon values.  :func:`prediction_variance` projects on a finite
+infinite-horizon values.  One equation is solved per distinct past set and
+model, and none for the full node set, whose innovation covariance is the
+noise covariance.  :func:`prediction_variance` projects on a finite
 lag window instead and serves as an independent cross-check.
 """
 
@@ -37,7 +39,10 @@ class VarModel:
     coeffs: np.ndarray  # (p, d, d)
     noise_cov: np.ndarray  # (d, d)
     labels: tuple[str, ...]
-    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # memos of derived arrays; fresh per instance, so a model made by
+    # dataclasses.replace recomputes them
+    _gamma_cache: dict = field(init=False, repr=False, compare=False)
+    _innovations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = int(self.order)
@@ -68,6 +73,8 @@ class VarModel:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_cov", noise)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_gamma_cache", {})
+        object.__setattr__(self, "_innovations", {})
 
     @property
     def n_nodes(self) -> int:
@@ -205,15 +212,31 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
     The state z(t) = (x(t-1), ..., x(t-p)) moves by ``model.companion()``
     plus K w(t), K = [I 0 ... 0]', and x_S(t) = C z(t) + w_S(t) with C the
     rows S of the stacked coefficients.  The steady-state Kalman covariance
-    P solves one Riccati equation; the result is C P C' + Sigma_SS.
+    P solves one Riccati equation; the result is C P C' + Sigma_SS.  Given
+    the past of every node the error is w(t) itself, so the full node set
+    returns ``noise_cov`` without a solve.
+
+    Each node set is solved once per model: the result is kept on the model
+    under the sorted set, and a call in another node order permutes it.
     """
     nodes = [int(a) for a in nodes]
-    p, d = model.order, model.n_nodes
+    d = model.n_nodes
     if not nodes or len(set(nodes)) != len(nodes) or not all(0 <= a < d for a in nodes):
         raise ParamError(f"nodes must be distinct indices in 0..{d - 1}, got {nodes}")
-    if not model.is_stable:
-        raise UnstableModel(
-            f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
+    key = tuple(sorted(nodes))
+    cov = model._innovations.get(key)
+    if cov is None:
+        if not model.is_stable:
+            raise UnstableModel(
+                f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
+        cov = model.noise_cov if len(key) == d else _riccati_innovation_cov(model, list(key))
+        model._innovations[key] = cov
+    order = np.searchsorted(key, nodes)
+    return cov[np.ix_(order, order)]
+
+
+def _riccati_innovation_cov(model: VarModel, nodes) -> np.ndarray:
+    p, d = model.order, model.n_nodes
     F = model.companion()
     C = F[nodes]
     K = np.eye(p * d, d)
@@ -224,7 +247,9 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularDesign(f"Riccati equation for nodes {nodes} failed: {exc}") from None
     cov = C @ P @ C.T + R
-    return 0.5 * (cov + cov.T)
+    cov = 0.5 * (cov + cov.T)
+    cov.setflags(write=False)
+    return cov
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,10 @@ def test_enumerate_matches_oracle_order2():
 # chain contraction
 # ---------------------------------------------------------------------------
 
-def mixed_alphabet_model(seed, order=1):
+def mixed_alphabet_model(seed, order=1, sizes=(2, 3)):
     rng = np.random.default_rng(seed)
-    M = 6
-    return DiscreteMarkovModel(alphabet_sizes=(2, 3), order=order,
+    M = int(np.prod(sizes))
+    return DiscreteMarkovModel(alphabet_sizes=sizes, order=order,
                                kernel=rng.dirichlet(np.ones(M), size=M**order),
                                initial=rng.dirichlet(np.ones(M**order)))
 
@@ -108,6 +108,9 @@ CHAIN_CASES = {
     "mixed_alphabet": (mixed_alphabet_model(1), 4),
     "mixed_alphabet_order2": (mixed_alphabet_model(2, order=2), 4),
     "three_nodes": (random_markov_model(4, nodes=3), 4),
+    # steps whose two-sample window is partly kept, over three nodes
+    "three_nodes_order2": (random_markov_model(10, nodes=3, order=2), 5),
+    "three_nodes_mixed_alphabet": (mixed_alphabet_model(3, sizes=(2, 3, 2)), 4),
 }
 
 

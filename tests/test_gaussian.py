@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from dirinfo import gaussian
+from dirinfo.cli import main
 from dirinfo.core import TimeSeriesPanel, make_partition, symbolize
 from dirinfo.discrete import enumerate_joint, fit_plugin
 from dirinfo.errors import InvalidModel, ParamError, SingularDesign, UnstableModel
@@ -13,7 +17,9 @@ from dirinfo.gaussian import (
     gaussian_mi_rate,
     geweke_index,
     innovation_cov,
+    load_var,
     prediction_variance,
+    save_var,
     var_from_json,
     var_to_json,
 )
@@ -67,7 +73,55 @@ def test_full_information_set_recovers_noise_block():
     model = random_var_model(5, nodes=3, order=1, noise_corr=0.2)
     risk = prediction_variance(model, (1,), [((0, 1, 2), 16, False)])
     assert np.max(np.abs(risk.error_cov - model.noise_cov[1:2, 1:2])) < 1e-10
-    assert np.max(np.abs(innovation_cov(model, (0, 1, 2)) - model.noise_cov)) < 1e-10
+    assert np.array_equal(innovation_cov(model, (0, 1, 2)), model.noise_cov)
+
+
+def count_riccati_solves(monkeypatch):
+    calls = []
+    solve = gaussian.sla.solve_discrete_are
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", counted)
+    return calls
+
+
+def test_innovation_cov_any_order_is_the_sorted_solve_permuted(monkeypatch):
+    model = random_var_model(6, nodes=4, order=2, noise_corr=0.3)
+    sorted_cov = {nodes: innovation_cov(dataclasses.replace(model), nodes)
+                  for nodes in ((0, 2, 3), (0, 1, 2, 3))}
+    calls = count_riccati_solves(monkeypatch)
+    for nodes, want in sorted_cov.items():
+        for order in itertools.permutations(range(len(nodes))):
+            got = innovation_cov(model, [nodes[i] for i in order])
+            assert np.array_equal(got, want[np.ix_(order, order)])
+    assert len(calls) == 1
+
+
+def test_decompose_solves_each_past_set_once(tmp_path, monkeypatch):
+    # past sets {A, C}, {B, C} and the full set, which needs no solve
+    save_var(random_var_model(8, nodes=3, order=2, noise_corr=0.25), tmp_path / "var.json")
+    calls = count_riccati_solves(monkeypatch)
+    assert main(["decompose", "--model", str(tmp_path / "var.json"), "--A", "x0",
+                 "--B", "x1", "--out", str(tmp_path / "gw")]) == 0
+    assert len(calls) == 2
+
+
+def test_models_start_with_empty_memos(tmp_path):
+    model = random_var_model(4, nodes=3, order=2, noise_corr=0.2)
+    autocovariance(model, 3)
+    innovation_cov(model, (0, 1))
+    save_var(model, tmp_path / "var.json")
+    loaded = load_var(tmp_path / "var.json")
+    assert loaded._gamma_cache == {} and loaded._innovations == {}
+    # a replaced model computes its own values, not the source model's
+    coeffs = model.coeffs / 2
+    replaced = dataclasses.replace(model, coeffs=coeffs)
+    fresh = VarModel(order=2, coeffs=coeffs, noise_cov=model.noise_cov, labels=model.labels)
+    assert np.array_equal(autocovariance(replaced, 3), autocovariance(fresh, 3))
+    assert np.array_equal(innovation_cov(replaced, (0, 1)), innovation_cov(fresh, (0, 1)))
 
 
 def test_irrelevant_predictors_leave_risk_unchanged():
