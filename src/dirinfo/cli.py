@@ -256,8 +256,7 @@ def _cmd_test(args) -> int:
     if args.kind == "causality":
         res = llr_causality(panel, args.A, args.B, args.C, **common)
     else:
-        res = llr_coupling(panel, args.A, args.B, args.C,
-                           mode=ConditioningMode(args.mode), **common)
+        res = llr_coupling(panel, args.A, args.B, args.C, mode=args.mode, **common)
     doc = res.to_json()
     doc.update({"kind": args.kind, "A": args.A, "B": args.B, "C": args.C,
                 "family": family.name})
@@ -286,7 +285,7 @@ def _cmd_graph(args) -> int:
     panel = _maybe_symbolize(panel, args)
     family = family_from_spec(args.family, order=args.order, smoothing=args.smoothing)
     graph = infer_graph(panel, family, alpha=args.alpha,
-                        mode=ConditioningMode(args.mode), correction=args.correction,
+                        mode=args.mode, correction=args.correction,
                         calibration=args.calibration, surrogates=args.surrogates,
                         seed=args.seed, threads=args.threads)
     json_path = f"{args.out}.json"
@@ -310,31 +309,38 @@ def _cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _decomposition_problems(doc) -> list[str]:
-    """Either convention's decomposition splits each DI into its TE and
-    IIE terms (the chain rule holds to rounding in both), and every
-    reported measure but ``delta_cb`` is nonnegative."""
+    """An exact decomposition holds every residual to ``EXACT_RESIDUAL_TOL``;
+    a Gaussian one holds its Geweke residual to ``GEWEKE_RESIDUAL_TOL``, and
+    that residual to the terms it was built from.  Either convention's
+    decomposition splits each DI into its TE and IIE terms (the chain rule
+    holds to rounding in both), and every reported measure but ``delta_cb``
+    is nonnegative.  A missing or non-numeric field is a problem too."""
     problems = []
-    te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
-    for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
-                                  ("di_ba", doc["di_ba"], te_ba + iie)):
-        if abs(recorded - value) > EXACT_RESIDUAL_TOL:
-            problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
-    for name in ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi"):
-        if doc[name] < -EXACT_RESIDUAL_TOL:
-            problems.append(f"{name} = {doc[name]!r} is negative")
-    return problems
-
-
-def _geweke_problems(doc) -> list[str]:
-    """A Gaussian decomposition holds its Geweke residual to
-    ``GEWEKE_RESIDUAL_TOL``, and that residual to the terms it was built from."""
-    problems = []
-    residual = doc["residuals"]["geweke"]
-    if abs(residual) > GEWEKE_RESIDUAL_TOL:
-        problems.append(f"residual geweke = {residual:.3e} exceeds {GEWEKE_RESIDUAL_TOL}")
-    value = doc["te_ab"] + doc["te_ba"] + doc["iie"] - doc["mi"]
-    if abs(residual - value) > EXACT_RESIDUAL_TOL:
-        problems.append(f"residual geweke = {residual!r} differs from its terms' sum {value!r}")
+    try:
+        if doc.get("exact"):
+            for name, value in doc["residuals"].items():
+                if abs(value) > EXACT_RESIDUAL_TOL:
+                    problems.append(f"residual {name} = {value:.3e} exceeds "
+                                    f"{EXACT_RESIDUAL_TOL}")
+        elif doc.get("convention") == "geweke-log-variance-ratio":
+            residual = doc["residuals"]["geweke"]
+            if abs(residual) > GEWEKE_RESIDUAL_TOL:
+                problems.append(f"residual geweke = {residual:.3e} exceeds "
+                                f"{GEWEKE_RESIDUAL_TOL}")
+            value = doc["te_ab"] + doc["te_ba"] + doc["iie"] - doc["mi"]
+            if abs(residual - value) > EXACT_RESIDUAL_TOL:
+                problems.append(f"residual geweke = {residual!r} differs from its "
+                                f"terms' sum {value!r}")
+        te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
+        for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
+                                      ("di_ba", doc["di_ba"], te_ba + iie)):
+            if abs(recorded - value) > EXACT_RESIDUAL_TOL:
+                problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
+        for name in ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi"):
+            if doc[name] < -EXACT_RESIDUAL_TOL:
+                problems.append(f"{name} = {doc[name]!r} is negative")
+    except (KeyError, TypeError) as exc:
+        problems.append(f"decomposition has a missing or non-numeric field ({exc!r})")
     return problems
 
 
@@ -382,17 +388,7 @@ def _cmd_check(args) -> int:
         doc = json.load(fh)
     problems = []
     if "residuals" in doc:
-        try:
-            if doc.get("exact"):
-                for name, value in doc["residuals"].items():
-                    if abs(value) > EXACT_RESIDUAL_TOL:
-                        problems.append(f"residual {name} = {value:.3e} exceeds "
-                                        f"{EXACT_RESIDUAL_TOL}")
-            elif doc.get("convention") == "geweke-log-variance-ratio":
-                problems.extend(_geweke_problems(doc))
-            problems.extend(_decomposition_problems(doc))
-        except (KeyError, TypeError) as exc:
-            problems.append(f"decomposition has a missing or non-numeric field ({exc!r})")
+        problems.extend(_decomposition_problems(doc))
     entries = []
     if "decision" in doc:
         entries.append(doc)

@@ -39,7 +39,7 @@ from .errors import (
     RateNotConverged,
     SingularDesign,
 )
-from .measures import ConditioningMode, rate as measure_rate
+from .measures import ConditioningMode, _as_mode, rate as measure_rate
 
 DEFAULT_SURROGATES = 200
 MIN_SURROGATES = 20
@@ -52,6 +52,10 @@ _PIVOT_RTOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # model families
+# each family builds its own statistics on the panel data its ``_prepare``
+# returns: ``_causality`` and ``_coupling`` give (stat_of, dof, n_obs,
+# weights) to ``_edge_test``, ``_loglik`` one target's log likelihood to
+# ``generalized_llr``; weights are None (the Wilks law) but for VAR causality
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,6 +68,16 @@ class DiscreteMarkovFamily:
 
     name = "discrete_markov"
 
+    def _prepare(self, panel):
+        values = _discrete_values(panel)
+        return _Symbols(values, _alphabet(values, range(panel.n_nodes)))
+
+    def _causality(self, data, a_idx, b_idx, c_idx):
+        return _discrete_causality(data, a_idx, b_idx, c_idx, self.order, self.smoothing)
+
+    def _coupling(self, data, a_idx, b_idx, c_idx, mode):
+        return _discrete_coupling(data, a_idx, b_idx, c_idx, self.order, self.smoothing, mode)
+
 
 @dataclass(frozen=True)
 class VarFamily:
@@ -72,6 +86,20 @@ class VarFamily:
     order: int = 1
 
     name = "var"
+
+    def _prepare(self, panel):
+        x = panel.values.astype(float)
+        return _LaggedGram(x - x.mean(axis=0), self.order)
+
+    def _causality(self, data, a_idx, b_idx, c_idx):
+        return _var_causality(data, a_idx, b_idx, c_idx)
+
+    def _coupling(self, data, a_idx, b_idx, c_idx, mode):
+        return _var_coupling(data, a_idx, b_idx, c_idx, mode)
+
+    def _loglik(self, data, target, cols):
+        """Gaussian log likelihood of ``target`` on lags 1..k of ``cols``."""
+        return -0.5 * data.n * _logdet(data.fit(data.lags(cols), data.present([target]))[0])
 
 
 @dataclass(frozen=True)
@@ -82,6 +110,28 @@ class GlmSpikingFamily:
     max_iter: int = 500
 
     name = "glm_spiking"
+
+    def _prepare(self, panel):
+        values = _discrete_values(panel)
+        if values.max() > 1:
+            raise InvalidModel("GLM spiking family needs a binary panel")
+        return _Spikes(values.astype(float), self.memory, len(values) - self.memory)
+
+    def _loglik(self, data, target, cols):
+        """Maximized logistic log likelihood of ``target`` on an intercept
+        and lags 1..memory of ``cols``."""
+        design = np.concatenate([np.ones((data.n, 1)),
+                                 _lagged_design(data.values, data.k, cols)], axis=1)
+        return _fit_glm(design, data.values[data.k:, target], self.max_iter)
+
+
+def _family_method(family, name, caller):
+    """``family``'s method ``name``; without it the family is unsupported
+    by ``caller``."""
+    method = getattr(family, name, None)
+    if method is None:
+        raise ParamError(f"unsupported family {family!r} for {caller}")
+    return method
 
 
 def family_from_spec(name: str, order: int = 1, smoothing: float = 0.5):
@@ -256,7 +306,7 @@ def _rows_of(perms, T):
 
 
 def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
-    """Statistic function, dof and n_obs of the discrete causality test.
+    """Statistic function, dof, n_obs and weights of the discrete causality test.
 
     The restricted fit (B on the past of B and C) does not involve A, so
     it is computed once here.  The returned function takes a stack of row
@@ -284,13 +334,13 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
 
     m_a = int(np.prod([sizes[a] for a in a_idx]))
     dof = (m_a**k - 1) * (m_res**k) * (m_tgt - 1)
-    return stat_of, dof, n_obs
+    return stat_of, dof, n_obs, None
 
 
 def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
-    """Statistic function, dof and n_obs of the discrete coupling test.
-    A's past and present enter every term, so each row order refits all
-    three."""
+    """Statistic function, dof, n_obs and weights of the discrete coupling
+    test.  A's past and present enter every term, so each row order refits
+    all three."""
     values, sizes = data.values, data.sizes
     T = values.shape[0]
     if T <= k:
@@ -321,7 +371,7 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
         return (ll_joint - ll_a - ll_b) / n_obs
 
     dof = n_ctx * (m_a - 1) * (m_b - 1)
-    return stat_of, dof, n_obs
+    return stat_of, dof, n_obs, None
 
 
 def _cholesky(gram):
@@ -473,12 +523,12 @@ def _logdet(cov):
 
 
 def _var_causality(g, a_idx, b_idx, c_idx):
-    """Statistic function, dof and n_obs of the VAR causality test: the
-    Gaussian LLR of B on the past of (A, B, C) against B on the past of
-    (B, C).  The restricted log-det does not involve A and is computed once
-    on ``g``; the returned function takes a stack of row orders of A's
-    columns (None: the observed panel) and fits only the full model of
-    each."""
+    """Statistic function, dof, n_obs and weights (a ``_sandwich_weights``
+    thunk) of the VAR causality test: the Gaussian LLR of B on the past of
+    (A, B, C) against B on the past of (B, C).  The restricted log-det does
+    not involve A and is computed once on ``g``; the returned function takes
+    a stack of row orders of A's columns (None: the observed panel) and fits
+    only the full model of each."""
     y = g.present(b_idx)
     full = g.lags(sorted(a_idx + b_idx + c_idx))
     logdet_res = _logdet(g.fit(g.lags(sorted(b_idx + c_idx)), y)[0])
@@ -486,7 +536,8 @@ def _var_causality(g, a_idx, b_idx, c_idx):
     def stat_of(perms):
         return 0.5 * (logdet_res - _logdet(g.covs(full, y, a_idx, perms)))
 
-    return stat_of, g.k * len(a_idx) * len(b_idx), g.n
+    return (stat_of, g.k * len(a_idx) * len(b_idx), g.n,
+            lambda: _sandwich_weights(g, a_idx, b_idx, c_idx))
 
 
 def _sandwich_weights(g, a_idx, b_idx, c_idx):
@@ -519,8 +570,8 @@ def _sandwich_weights(g, a_idx, b_idx, c_idx):
 
 
 def _var_coupling(g, a_idx, b_idx, c_idx, mode):
-    """Statistic function, dof and n_obs of the VAR coupling test: the
-    mutual information of the present of A and B given the history (and
+    """Statistic function, dof, n_obs and weights of the VAR coupling test:
+    the mutual information of the present of A and B given the history (and
     C's present under the contemporaneous mode), from one joint fit."""
     design = g.lags(sorted(a_idx + b_idx + c_idx))
     if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
@@ -532,19 +583,7 @@ def _var_coupling(g, a_idx, b_idx, c_idx, mode):
         cov = g.covs(design, y, a_idx, perms)
         return 0.5 * (_logdet(cov[:, :na, :na]) + _logdet(cov[:, na:, na:]) - _logdet(cov))
 
-    return stat_of, na * len(b_idx), g.n
-
-
-def _prepare(panel, family, caller):
-    """Per-panel data every test of ``family`` on ``panel`` shares: the
-    symbol values and alphabet (discrete) or the lagged Gram (VAR)."""
-    if isinstance(family, DiscreteMarkovFamily):
-        values = _discrete_values(panel)
-        return _Symbols(values, _alphabet(values, range(panel.n_nodes)))
-    if isinstance(family, VarFamily):
-        x = panel.values.astype(float)
-        return _LaggedGram(x - x.mean(axis=0), family.order)
-    raise ParamError(f"unsupported family {family!r} for {caller}")
+    return stat_of, na * len(b_idx), g.n, None
 
 
 # ---------------------------------------------------------------------------
@@ -670,36 +709,31 @@ def _check_calibration(calibration):
         raise ParamError(f"unknown calibration {calibration!r}")
 
 
-def _causality_test(data, family, a_idx, b_idx, c_idx, alpha, calibration,
-                    surrogates, seed) -> TestResult:
-    """``llr_causality`` on the panel data ``_prepare`` returned."""
-    if isinstance(family, VarFamily):
-        stat_of, dof, n_obs = _var_causality(data, a_idx, b_idx, c_idx)
-    else:
-        stat_of, dof, n_obs = _discrete_causality(data, a_idx, b_idx, c_idx,
-                                                  family.order, family.smoothing)
+def _edge_test(family, build, data, args, alpha, calibration, surrogates,
+               seed) -> TestResult:
+    """One causality or coupling test on the panel data ``family._prepare``
+    returned: ``build(data, *args)`` is the family's statistic builder, and
+    its weights thunk (None: the Wilks law) runs only under chi-square
+    calibration."""
+    stat_of, dof, n_obs, weights = build(data, *args)
     stat = stat_of(None)[0]
     if calibration == "surrogate":
         return _surrogate_result(stat_of, data.values.shape[0], 5 * family.order,
                                  surrogates, alpha, seed, n_obs, stat)
-    weights = (_sandwich_weights(data, a_idx, b_idx, c_idx)
-               if isinstance(family, VarFamily) else None)
-    return _chi_square_result(stat, dof, n_obs, alpha, weights=weights)
+    return _chi_square_result(stat, dof, n_obs, alpha,
+                              weights=None if weights is None else weights())
 
 
-def _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
-                   surrogates, seed) -> TestResult:
-    """``llr_coupling`` on the panel data ``_prepare`` returned."""
-    if isinstance(family, VarFamily):
-        stat_of, dof, n_obs = _var_coupling(data, a_idx, b_idx, c_idx, mode)
-    else:
-        stat_of, dof, n_obs = _discrete_coupling(data, a_idx, b_idx, c_idx,
-                                                 family.order, family.smoothing, mode)
-    stat = stat_of(None)[0]
-    if calibration == "surrogate":
-        return _surrogate_result(stat_of, data.values.shape[0], 5 * family.order,
-                                 surrogates, alpha, seed, n_obs, stat)
-    return _chi_square_result(stat, dof, n_obs, alpha)
+def _resolve(panel, family, builder, caller, groups, calibration):
+    """The family's statistic builder named ``builder``, its panel data and
+    the index tuples of the label groups A, B, C, once the groups, the
+    family and ``calibration`` pass their checks."""
+    a_idx, b_idx, c_idx = (_group_indices(panel, g) for g in groups)
+    _check_disjoint(a_idx, b_idx, c_idx)
+    build = _family_method(family, builder, caller)
+    data = family._prepare(panel)
+    _check_calibration(calibration)
+    return build, data, (a_idx, b_idx, c_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -725,14 +759,9 @@ def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     Surrogate calibration draws ``surrogates`` resamplings, by default
     ``max(DEFAULT_SURROGATES, min_surrogates(alpha))``.
     """
-    a_idx = _group_indices(panel, a_labels)
-    b_idx = _group_indices(panel, b_labels)
-    c_idx = _group_indices(panel, c_labels)
-    _check_disjoint(a_idx, b_idx, c_idx)
-    data = _prepare(panel, family, "llr_causality")
-    _check_calibration(calibration)
-    return _causality_test(data, family, a_idx, b_idx, c_idx, alpha, calibration,
-                           surrogates, seed)
+    build, data, groups = _resolve(panel, family, "_causality", "llr_causality",
+                                   (a_labels, b_labels, c_labels), calibration)
+    return _edge_test(family, build, data, groups, alpha, calibration, surrogates, seed)
 
 
 def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
@@ -749,20 +778,26 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     the conditional-independence-graph convention) or only C's past.
     Surrogates default as in ``llr_causality``.
     """
-    mode = mode if isinstance(mode, ConditioningMode) else ConditioningMode(str(mode))
-    a_idx = _group_indices(panel, a_labels)
-    b_idx = _group_indices(panel, b_labels)
-    c_idx = _group_indices(panel, c_labels)
-    _check_disjoint(a_idx, b_idx, c_idx)
-    data = _prepare(panel, family, "llr_coupling")
-    _check_calibration(calibration)
-    return _coupling_test(data, family, a_idx, b_idx, c_idx, mode, alpha, calibration,
-                          surrogates, seed)
+    mode = _as_mode(mode)
+    build, data, groups = _resolve(panel, family, "_coupling", "llr_coupling",
+                                   (a_labels, b_labels, c_labels), calibration)
+    return _edge_test(family, build, data, groups + (mode,), alpha, calibration,
+                      surrogates, seed)
 
 
 # ---------------------------------------------------------------------------
 # generalized LLR over parameter restrictions
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Spikes:
+    """The GLM family's panel data: the binary panel as floats, its memory
+    ``k`` and the ``n`` rows t = k..T-1 each regression fits."""
+
+    values: np.ndarray
+    k: int
+    n: int
+
 
 def _lagged_design(x, k, cols):
     """Regressor block [x(t-1) .. x(t-k)] restricted to ``cols``."""
@@ -824,49 +859,19 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
         raise ParamError("theta_restriction must name at least one link")
     targets = sorted({t for t, _ in pairs})
     masked_by_target = {t: sorted({s for tt, s in pairs if tt == t}) for t in targets}
-
-    if isinstance(family, VarFamily):
-        g = _prepare(panel, family, "generalized_llr")
-        all_cols = list(range(panel.n_nodes))
-        full = g.lags(all_cols)
-        ll_full = 0.0
-        ll_res = 0.0
-        for t_lab in targets:
-            y = g.present([panel.index_of(t_lab)])
-            keep_cols = [cidx for cidx in all_cols
-                         if panel.labels[cidx] not in masked_by_target[t_lab]]
-            ll_full += -0.5 * g.n * _logdet(g.fit(full, y)[0])
-            ll_res += -0.5 * g.n * _logdet(g.fit(g.lags(keep_cols), y)[0])
-        stat = (ll_full - ll_res) / g.n
-        dof = family.order * len(pairs)
-        return _chi_square_result(stat, dof, g.n, alpha)
-
-    if isinstance(family, GlmSpikingFamily):
-        values = _discrete_values(panel)
-        if values.max() > 1:
-            raise InvalidModel("GLM spiking family needs a binary panel")
-        k = family.memory
-        x = values.astype(float)
-        T = x.shape[0]
-        n_obs = T - k
-        ones = np.ones((n_obs, 1))
-        ll_full = 0.0
-        ll_res = 0.0
-        for t_lab in targets:
-            t_idx = panel.index_of(t_lab)
-            y = x[k:, t_idx]
-            all_cols = list(range(panel.n_nodes))
-            keep_cols = [cidx for cidx in all_cols
-                         if panel.labels[cidx] not in masked_by_target[t_lab]]
-            design_f = np.concatenate([ones, _lagged_design(x, k, all_cols)], axis=1)
-            design_r = np.concatenate([ones, _lagged_design(x, k, keep_cols)], axis=1)
-            ll_full += _fit_glm(design_f, y, family.max_iter)
-            ll_res += _fit_glm(design_r, y, family.max_iter)
-        stat = (ll_full - ll_res) / n_obs
-        dof = k * len(pairs)
-        return _chi_square_result(stat, dof, n_obs, alpha)
-
-    raise ParamError(f"unsupported family {family!r} for generalized_llr")
+    loglik = _family_method(family, "_loglik", "generalized_llr")
+    data = family._prepare(panel)
+    all_cols = list(range(panel.n_nodes))
+    ll_full = 0.0
+    ll_res = 0.0
+    for t_lab in targets:
+        target = panel.index_of(t_lab)
+        keep_cols = [cidx for cidx in all_cols
+                     if panel.labels[cidx] not in masked_by_target[t_lab]]
+        ll_full += loglik(data, target, all_cols)
+        ll_res += loglik(data, target, keep_cols)
+    stat = (ll_full - ll_res) / data.n
+    return _chi_square_result(stat, data.k * len(pairs), data.n, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1177,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     at the corrected level; a count too few for that level raises
     ``CalibrationError`` before any edge runs.
     """
-    mode = mode if isinstance(mode, ConditioningMode) else ConditioningMode(str(mode))
+    mode = _as_mode(mode)
     labels = panel.labels
     if correction == "bonferroni":
         level = alpha / bonferroni_count(len(labels))
@@ -1184,7 +1189,9 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     if calibration == "surrogate":
         surrogates = surrogate_count(surrogates, level)
         _check_surrogates(surrogates, level)
-    data = _prepare(panel, family, "infer_graph")
+    causality = _family_method(family, "_causality", "infer_graph")
+    coupling = _family_method(family, "_coupling", "infer_graph")
+    data = family._prepare(panel)
 
     tasks = []
     for a in labels:
@@ -1198,29 +1205,21 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
 
     def run(task, child_seed):
         kind, (a, b) = task
-        a_idx, b_idx = (panel.index_of(a),), (panel.index_of(b),)
-        c_idx = tuple(panel.index_of(x) for x in labels if x not in (a, b))
-        if kind == "directed":
-            return _causality_test(data, family, a_idx, b_idx, c_idx, level,
-                                   calibration, surrogates, child_seed)
-        return _coupling_test(data, family, a_idx, b_idx, c_idx, mode, level,
-                              calibration, surrogates, child_seed)
+        groups = ((panel.index_of(a),), (panel.index_of(b),),
+                  tuple(panel.index_of(x) for x in labels if x not in (a, b)))
+        build, args = ((causality, groups) if kind == "directed"
+                       else (coupling, groups + (mode,)))
+        try:
+            return _edge_test(family, build, data, args, level, calibration, surrogates,
+                              child_seed)
+        except DirinfoError as exc:
+            return exc
 
-    outcomes = [None] * len(tasks)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, task, s) for task, s in zip(tasks, seeds)]
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes[i] = fut.result()
-                except DirinfoError as exc:
-                    outcomes[i] = exc
+            outcomes = list(pool.map(run, tasks, seeds))
     else:
-        for i, (task, s) in enumerate(zip(tasks, seeds)):
-            try:
-                outcomes[i] = run(task, s)
-            except DirinfoError as exc:
-                outcomes[i] = exc
+        outcomes = list(map(run, tasks, seeds))
 
     directed, undirected, errors = {}, {}, {}
     for (kind, (a, b)), out in zip(tasks, outcomes):
@@ -1233,8 +1232,8 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
             undirected[key] = out
 
     config = {
-        "family": getattr(family, "name", str(family)),
-        "order": getattr(family, "order", getattr(family, "memory", None)),
+        "family": family.name,
+        "order": family.order,
         "alpha": alpha, "correction": correction, "calibration": calibration,
         "mode": mode.value, "surrogates": surrogates if calibration == "surrogate" else None,
         "seed": seed,

@@ -45,9 +45,12 @@ DEFAULT_MODE = ConditioningMode.STRICT_PAST
 
 
 def _as_mode(mode) -> ConditioningMode:
-    if isinstance(mode, ConditioningMode):
-        return mode
-    return ConditioningMode(str(mode))
+    """``mode`` as a ConditioningMode: a member or its value."""
+    try:
+        return ConditioningMode(mode)
+    except ValueError:
+        allowed = ", ".join(repr(m.value) for m in ConditioningMode)
+        raise ParamError(f"unknown mode {mode!r}: expected one of {allowed}") from None
 
 
 def _check_groups(dist, n, *groups):

@@ -87,6 +87,41 @@ def test_groups_must_be_disjoint():
         llr_causality(iid_panel(500, 1), ["x0"], ["x0"], family=VarFamily())
 
 
+@pytest.mark.parametrize("family", [GlmSpikingFamily(), "var"], ids=["glm", "string"])
+@pytest.mark.parametrize("call", [
+    lambda panel, family: llr_causality(panel, ["x"], ["y"], family=family),
+    lambda panel, family: llr_coupling(panel, ["x"], ["y"], family=family),
+    lambda panel, family: infer_graph(panel, family),
+], ids=["llr_causality", "llr_coupling", "infer_graph"])
+def test_unsupported_family_is_param_error(call, family):
+    panel, _ = gen_chain_example(500, seed=4)
+    with pytest.raises(ParamError, match="unsupported family"):
+        call(panel, family)
+
+
+def test_generalized_llr_unsupported_family_is_param_error():
+    with pytest.raises(ParamError, match="unsupported family .* for generalized_llr"):
+        generalized_llr(iid_panel(500, 0), DiscreteMarkovFamily(), [("x1", "x0")])
+
+
+@pytest.mark.parametrize("mode", list(ConditioningMode))
+def test_mode_value_gives_the_member_results(mode):
+    panel, _ = gen_chain_example(1000, seed=4)
+    by_member = llr_coupling(panel, ["x"], ["y"], ["z"], family=VarFamily(), mode=mode)
+    assert llr_coupling(panel, ["x"], ["y"], ["z"], family=VarFamily(),
+                        mode=mode.value) == by_member
+    graph = infer_graph(panel, VarFamily(), mode=mode)
+    assert infer_graph(panel, VarFamily(), mode=mode.value).to_json() == graph.to_json()
+
+
+def test_unknown_mode_is_param_error():
+    panel, _ = gen_chain_example(500, seed=4)
+    with pytest.raises(ParamError, match="unknown mode 'bogus'"):
+        llr_coupling(panel, ["x"], ["y"], family=VarFamily(), mode="bogus")
+    with pytest.raises(ParamError, match="unknown mode 'bogus'"):
+        infer_graph(panel, VarFamily(), mode="bogus")
+
+
 @pytest.mark.parametrize("family", [DiscreteMarkovFamily(smoothing=0.0), VarFamily()])
 @pytest.mark.parametrize("seed", range(5))
 def test_nested_llr_nonnegative(family, seed):
@@ -185,8 +220,7 @@ def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
     def edge(*args, **kwargs):
         raise AssertionError("an edge ran")
 
-    monkeypatch.setattr(inference, "_causality_test", edge)
-    monkeypatch.setattr(inference, "_coupling_test", edge)
+    monkeypatch.setattr(inference, "_edge_test", edge)
     panel, _ = gen_chain_example(500, seed=3)
     with pytest.raises(CalibrationError, match="got 200"):
         infer_graph(panel, VarFamily(), calibration="surrogate", surrogates=200, seed=1)
@@ -199,7 +233,7 @@ def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
     panel, _ = gen_chain_example(3000, seed=31)
     if family == "discrete":
         fam = DiscreteMarkovFamily(order=order)
-        data = inference._prepare(symbolize(panel, 3, "equal_frequency"), fam, "test")
+        data = fam._prepare(symbolize(panel, 3, "equal_frequency"))
         if kind == "causality":
             stat_of = inference._discrete_causality(data, a_idx, b_idx, c_idx, order,
                                                     fam.smoothing)[0]
@@ -212,7 +246,7 @@ def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
                 v, data.sizes, a_idx, b_idx, c_idx, order, fam.smoothing,
                 mode is ConditioningMode.CONTEMPORANEOUS)
         return stat_of, data, ref
-    data = inference._prepare(panel, VarFamily(order=order), "test")
+    data = VarFamily(order=order)._prepare(panel)
 
     def ref(values):
         # the single-panel statistic on a Gram built from the permuted panel
@@ -361,7 +395,7 @@ def test_sandwich_weights_match_lstsq_reference():
     """Per-target meats against per-edge lstsq projections: every edge of
     an 8-node order-2 graph, the nonlinear example and a two-node B."""
     for name, panel, a_idx, b_idx, c_idx, order in _sandwich_cases():
-        g = inference._prepare(panel, VarFamily(order=order), "test")
+        g = VarFamily(order=order)._prepare(panel)
         got = inference._sandwich_weights(g, a_idx, b_idx, c_idx)
         want = reference.var_causality_stat(panel.values, a_idx, b_idx, c_idx, order)[3]
         per_target = (len(b_idx), -1)

@@ -184,6 +184,20 @@ def test_iie_common_driver_intrinsic_vs_extrinsic():
 
 
 @pytest.mark.parametrize("mode", [CONTEMP, STRICT])
+def test_mode_value_gives_the_member_results(mode):
+    dist = enumerate_joint(random_markov_model(3, nodes=3), 4)
+    for measure in (directed_information, instantaneous_exchange):
+        by_member = measure(dist, (0,), (1,), 4, (2,), mode).value
+        assert measure(dist, (0,), (1,), 4, (2,), mode.value).value == by_member
+
+
+def test_unknown_mode_is_param_error():
+    dist = enumerate_joint(delay_channel(), 3)
+    with pytest.raises(ParamError, match="unknown mode 'bogus'"):
+        directed_information(dist, (0,), (1,), mode="bogus")
+
+
+@pytest.mark.parametrize("mode", [CONTEMP, STRICT])
 def test_iie_symmetry(mode):
     model = random_markov_model(3, nodes=3)
     dist = enumerate_joint(model, 4)
