@@ -333,12 +333,11 @@ def symbolize(panel: TimeSeriesPanel, bins: int, scheme: str = "equal_width") ->
 # ---------------------------------------------------------------------------
 
 def _xlogx_sum(p: np.ndarray) -> float:
-    """sum(p * ln p) with 0 ln 0 = 0, accumulated in extended precision."""
+    """sum(p * ln p) with 0 ln 0 = 0: float64 terms, summed in extended
+    precision."""
     flat = np.asarray(p, dtype=float).ravel()
     nz = flat[flat > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return float(np.sum(nz.astype(np.longdouble) * np.log(nz.astype(np.longdouble))))
+    return float(np.sum((nz * np.log(nz)).astype(np.longdouble)))
 
 
 def _law(array, shape, what) -> np.ndarray:
@@ -407,6 +406,7 @@ class SequenceDistribution:
         self._pmf = initial if width == n else None
         self._prefix = None
         self._entropy_cache = {}
+        self._step_memo = {}
 
     @property
     def n_nodes(self) -> int:
@@ -513,7 +513,9 @@ class SequenceDistribution:
         Each step keeps the selected cells as axes, carries the unselected
         cells of the current window and sums out the ones that leave it.
         The steps are planned and charged to the budget first; each then
-        runs as one batched matrix product (:meth:`_step`).
+        runs as one batched matrix product (:meth:`_step`).  A step before
+        the last is memoized by ``(t0, time, kept cells)``, which fixes its
+        input: passes that share a past replay its steps.
         """
         d, w = self.n_nodes, self._width
         last = max(t for _, t in cells)
@@ -528,9 +530,15 @@ class SequenceDistribution:
                        for _, _, kept in plan)
         if required > self.budget:
             raise BudgetError(required, self.budget)
-        for axes, new, kept in plan:
-            phi = self._step(phi, axes, new, kept)
-        return phi
+        for t, (axes, new, kept) in enumerate(plan[:-1], start=t0 + 1):
+            key = (t0, t, tuple(kept))
+            out = self._step_memo.get(key)
+            if out is None:
+                out = self._step(phi, axes, new, kept)
+                out.setflags(write=False)
+                self._step_memo[key] = out
+            phi = out
+        return self._step(phi, *plan[-1])
 
     def _step(self, phi, axes, new, kept) -> np.ndarray:
         """One kernel step: the law ``phi`` over the cells ``axes`` to the

@@ -68,6 +68,11 @@ class DiscreteMarkovFamily:
 
     name = "discrete_markov"
 
+    def __post_init__(self):
+        _check_at_least_one(order=self.order)
+        if not self.smoothing >= 0.0:
+            raise ParamError(f"smoothing must be >= 0, got {self.smoothing!r}")
+
     def _prepare(self, panel):
         values = _discrete_values(panel)
         return _Symbols(values, _alphabet(values, range(panel.n_nodes)))
@@ -86,6 +91,9 @@ class VarFamily:
     order: int = 1
 
     name = "var"
+
+    def __post_init__(self):
+        _check_at_least_one(order=self.order)
 
     def _prepare(self, panel):
         x = panel.values.astype(float)
@@ -111,6 +119,9 @@ class GlmSpikingFamily:
 
     name = "glm_spiking"
 
+    def __post_init__(self):
+        _check_at_least_one(memory=self.memory, max_iter=self.max_iter)
+
     def _prepare(self, panel):
         values = _discrete_values(panel)
         if values.max() > 1:
@@ -123,6 +134,13 @@ class GlmSpikingFamily:
         design = np.concatenate([np.ones((data.n, 1)),
                                  _lagged_design(data.values, data.k, cols)], axis=1)
         return _fit_glm(design, data.values[data.k:, target], self.max_iter)
+
+
+def _check_at_least_one(**params):
+    """Refuse a family parameter (a lag count or an iteration cap) below 1."""
+    for name, value in params.items():
+        if not value >= 1:
+            raise ParamError(f"{name} must be >= 1, got {value!r}")
 
 
 def _family_method(family, name, caller):
@@ -652,12 +670,17 @@ def _quantile_rank(alpha, n_surrogates):
     return math.ceil((1.0 - alpha) * (n_surrogates + 1))
 
 
+def _check_level(level):
+    """Refuse a test level outside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ParamError(f"alpha must lie in (0, 1), got {level}")
+
+
 def min_surrogates(level: float) -> int:
     """Fewest surrogates that calibrate a test at ``level``: at least
     ``MIN_SURROGATES``, and enough that the (1 - level) quantile of the
     surrogates plus the observed value has a rank at most their count."""
-    if not 0.0 < level < 1.0:
-        raise ParamError(f"alpha must lie in (0, 1), got {level}")
+    _check_level(level)
     need = max(MIN_SURROGATES, math.ceil(1.0 / level) - 2)
     while _quantile_rank(level, need) > need:
         need += 1
@@ -724,13 +747,14 @@ def _edge_test(family, build, data, args, alpha, calibration, surrogates,
                               weights=None if weights is None else weights())
 
 
-def _resolve(panel, family, builder, caller, groups, calibration):
+def _resolve(panel, family, builder, caller, groups, alpha, calibration):
     """The family's statistic builder named ``builder``, its panel data and
     the index tuples of the label groups A, B, C, once the groups, the
-    family and ``calibration`` pass their checks."""
+    family, ``alpha`` and ``calibration`` pass their checks."""
     a_idx, b_idx, c_idx = (_group_indices(panel, g) for g in groups)
     _check_disjoint(a_idx, b_idx, c_idx)
     build = _family_method(family, builder, caller)
+    _check_level(alpha)
     data = family._prepare(panel)
     _check_calibration(calibration)
     return build, data, (a_idx, b_idx, c_idx)
@@ -760,7 +784,7 @@ def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     ``max(DEFAULT_SURROGATES, min_surrogates(alpha))``.
     """
     build, data, groups = _resolve(panel, family, "_causality", "llr_causality",
-                                   (a_labels, b_labels, c_labels), calibration)
+                                   (a_labels, b_labels, c_labels), alpha, calibration)
     return _edge_test(family, build, data, groups, alpha, calibration, surrogates, seed)
 
 
@@ -780,7 +804,7 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     """
     mode = _as_mode(mode)
     build, data, groups = _resolve(panel, family, "_coupling", "llr_coupling",
-                                   (a_labels, b_labels, c_labels), calibration)
+                                   (a_labels, b_labels, c_labels), alpha, calibration)
     return _edge_test(family, build, data, groups + (mode,), alpha, calibration,
                       surrogates, seed)
 
@@ -851,12 +875,17 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
     and the sub-family where the masked parameters are pinned to zero.
 
     ``theta_restriction`` is an iterable of (target_label, source_label)
-    pairs; all lag coefficients of those links are removed under the null.
-    Calibration is chi-square with one degree of freedom per masked scalar.
+    pairs; all lag coefficients of those links are removed under the null,
+    and a pair named twice counts once.  Calibration is chi-square with one
+    degree of freedom per masked scalar.
     """
-    pairs = [(str(t), str(s)) for t, s in theta_restriction]
+    pairs = sorted({(str(t), str(s)) for t, s in theta_restriction})
     if not pairs:
         raise ParamError("theta_restriction must name at least one link")
+    for link in pairs:
+        for label in link:
+            panel.index_of(label)
+    _check_level(alpha)
     targets = sorted({t for t, _ in pairs})
     masked_by_target = {t: sorted({s for tt, s in pairs if tt == t}) for t in targets}
     loglik = _family_method(family, "_loglik", "generalized_llr")
@@ -1178,6 +1207,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     ``CalibrationError`` before any edge runs.
     """
     mode = _as_mode(mode)
+    _check_level(alpha)
     labels = panel.labels
     if correction == "bonferroni":
         level = alpha / bonferroni_count(len(labels))

@@ -9,7 +9,7 @@ from dirinfo.cli import build_parser, main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
 from dirinfo.inference import bonferroni_count, min_surrogates
-from dirinfo.core import DEFAULT_STATE_BUDGET
+from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution
 from dirinfo.simulate import chain_markov_model, random_markov_model, random_var_model
 
 
@@ -74,6 +74,24 @@ def test_decompose_horizon_past_dense_table_at_default_budget(tmp_path):
     doc = json.loads((tmp_path / "dec.json").read_text())
     assert doc["horizon"] == 10
     assert run("check", tmp_path / "dec.json") == 0
+
+
+def test_decompose_runs_each_shared_kernel_step_once(tmp_path, monkeypatch):
+    # the benchmark's discrete decompose: 3 binary nodes, order 1, n = 7.
+    # Contracting each of its 95 passes from scratch takes 240 kernel steps;
+    # 120 of them are distinct
+    calls = []
+    step = SequenceDistribution._step
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return step(self, *args)
+
+    monkeypatch.setattr(SequenceDistribution, "_step", counted)
+    save_model(random_markov_model(1, nodes=3, alphabet=2, order=1), tmp_path / "model.json")
+    assert run("decompose", "--model", tmp_path / "model.json", "--A", "x0",
+               "--B", "x1", "--n", 7, "--out", tmp_path / "dec") == 0
+    assert len(calls) == 120
 
 
 def test_decompose_budget_too_small_exits_1(tmp_path, capsys):
@@ -203,6 +221,18 @@ def test_estimate_then_decompose_roundtrip(tmp_path):
                "--B", "z", "--n", 4, "--out", tmp_path / "d2") == 0
     doc = json.loads((tmp_path / "d2.json").read_text())
     assert all(abs(v) < 1e-9 for v in doc["residuals"].values())
+
+
+@pytest.mark.parametrize("command", ["graph", "test"])
+def test_order_zero_exits_1(tmp_path, capsys, command):
+    run("simulate", "chain", "--T", 300, "--seed", 2, "--out", tmp_path / "c")
+    argv = [command, "--input", tmp_path / "c.csv", "--family", "var", "--order", 0,
+            "--out", tmp_path / "r"]
+    if command == "test":
+        argv += ["--kind", "causality", "--A", "x", "--B", "y"]
+    assert run(*argv) == 1
+    assert "ParamError: order must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_test_command_surrogate_requires_seed(tmp_path):

@@ -231,6 +231,28 @@ def test_chain_distribution_validation():
         SequenceDistribution((2,), 1, pmf=initial, initial=initial)
 
 
+def _xlogx_fsum(p):
+    """Oracle of ``core._xlogx_sum``: exactly rounded sum of float64 terms."""
+    return math.fsum(x * math.log(x) for x in np.ravel(p).tolist() if x > 0.0)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.05], ids=["dense", "sparse"])
+@pytest.mark.parametrize("size", [3, 4096, 2**16])
+def test_xlogx_sum_matches_fsum_oracle(size, density):
+    rng = np.random.default_rng(size)
+    p = rng.random(size) * (rng.random(size) < density)
+    p[0] = 0.5
+    p[1::7] *= 1e-250  # masses far below the rest
+    want = _xlogx_fsum(p)
+    assert want < 0.0
+    assert abs(core._xlogx_sum(p.reshape(-1, 1)) - want) <= 1e-15 * abs(want)
+
+
+def test_xlogx_sum_of_point_masses_is_zero():
+    assert core._xlogx_sum(np.zeros((2, 2))) == 0.0
+    assert core._xlogx_sum(np.array([0.0, 1.0])) == 0.0
+
+
 def test_measure_value_units():
     mv = MeasureValue(value=math.log(2.0), horizon=1, kind="entropy")
     assert mv.in_bits() == pytest.approx(1.0)

@@ -194,6 +194,36 @@ def test_budget_charges_largest_intermediate():
         oracle.H(oracle_law(model, 6), cells), abs=1e-12)
 
 
+def test_budget_error_same_with_step_memo_cold_and_warm():
+    # node 0 over 1..4 runs the first steps of node 0 over 1..6, whose plan
+    # needs 2**6 entries
+    model = random_markov_model(7, nodes=2)
+    cells = cells_of([0], range(1, 7))
+    cold = enumerate_joint(model, 6, budget=2**6 - 1)
+    with pytest.raises(BudgetError) as err_cold:
+        cold.entropy_of_cells(cells)
+    warm = enumerate_joint(model, 6, budget=2**6 - 1)
+    warm.entropy_of_cells(cells_of([0], range(1, 5)))
+    memo = dict(warm._step_memo)
+    assert memo
+    with pytest.raises(BudgetError) as err_warm:
+        warm.entropy_of_cells(cells)
+    assert err_cold.value.required == err_warm.value.required == 2**6
+    assert warm._step_memo == memo  # the check runs before any step
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_step_memo_keeps_passes_from_different_starts_apart(seed):
+    # both passes reach time 4 carrying every node at times 3 and 4: one
+    # starts from the window law at time 3, the other from the initial law
+    model = random_markov_model(seed, nodes=3)
+    sets = (cells_of(range(3), range(1, 4)) | cells_of([0], [5]),
+            cells_of(range(3), [3]) | cells_of([0], [5]))
+    dist = enumerate_joint(model, 5)
+    assert [dist.entropy_of_cells(c) for c in sets] == \
+        [enumerate_joint(model, 5).entropy_of_cells(c) for c in sets]
+
+
 def test_horizon_past_dense_budget():
     # a stationary order-1 chain has H(x^n) = H(x_1) + (n - 1) H(x_2 | x_1)
     model = with_stationary_initial(random_markov_model(2, nodes=3))

@@ -82,6 +82,36 @@ def test_family_spec_parsing():
         family_from_spec("kernel")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: VarFamily(order=0),
+    lambda: DiscreteMarkovFamily(order=0),
+    lambda: DiscreteMarkovFamily(smoothing=-0.5),
+    lambda: DiscreteMarkovFamily(smoothing=math.nan),
+    lambda: GlmSpikingFamily(memory=0),
+    lambda: GlmSpikingFamily(max_iter=0),
+    lambda: family_from_spec("var", order=0),
+], ids=["var_order", "discrete_order", "negative_smoothing", "nan_smoothing",
+        "glm_memory", "glm_max_iter", "spec_order"])
+def test_family_parameters_checked_at_construction(make):
+    with pytest.raises(ParamError, match=r"must be >= [01], got"):
+        make()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda panel, alpha: llr_causality(panel, ["x"], ["y"], ["z"], family=VarFamily(),
+                                       alpha=alpha),
+    lambda panel, alpha: llr_coupling(panel, ["x"], ["y"], ["z"], family=VarFamily(),
+                                      alpha=alpha),
+    lambda panel, alpha: infer_graph(panel, VarFamily(), alpha=alpha),
+    lambda panel, alpha: generalized_llr(panel, VarFamily(), [("y", "x")], alpha=alpha),
+], ids=["llr_causality", "llr_coupling", "infer_graph", "generalized_llr"])
+def test_chi_square_level_outside_unit_interval_is_param_error(call, alpha):
+    panel, _ = gen_chain_example(500, seed=4)
+    with pytest.raises(ParamError, match=r"alpha must lie in \(0, 1\)"):
+        call(panel, alpha)
+
+
 def test_groups_must_be_disjoint():
     with pytest.raises(PartitionError):
         llr_causality(iid_panel(500, 1), ["x0"], ["x0"], family=VarFamily())
@@ -439,6 +469,20 @@ def test_generalized_llr_needs_restriction():
     panel, _ = gen_chain_example(1000, seed=10)
     with pytest.raises(ParamError):
         generalized_llr(panel, VarFamily(order=1), [])
+
+
+def test_generalized_llr_rejects_unknown_labels():
+    panel, _ = gen_chain_example(1000, seed=1)
+    for restriction in ([("y", "nosuch")], [("nosuch", "x")]):
+        with pytest.raises(PartitionError, match="unknown node label 'nosuch'"):
+            generalized_llr(panel, VarFamily(), restriction)
+
+
+def test_generalized_llr_counts_a_repeated_link_once():
+    panel, _ = gen_chain_example(2000, seed=1)
+    once = generalized_llr(panel, VarFamily(), [("y", "x")])
+    assert generalized_llr(panel, VarFamily(), [("y", "x"), ("y", "x")]) == once
+    assert once.dof == 1
 
 
 def test_glm_null_rejection_near_level():

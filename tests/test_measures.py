@@ -7,7 +7,7 @@ import oracle
 from conftest import oracle_law
 from dirinfo.core import make_partition
 from dirinfo.discrete import enumerate_joint
-from dirinfo.errors import DivergenceInfinite, ParamError, PartitionError
+from dirinfo.errors import BudgetError, DivergenceInfinite, ParamError, PartitionError
 from dirinfo.measures import (
     ConditioningMode,
     causal_mutual_information,
@@ -368,6 +368,39 @@ def test_decompose_matches_oracle_terms():
         oracle.instantaneous_exchange(law, (0,), (1,), 3, (2,), "strict_past"), abs=1e-11)
     assert dec.mi == pytest.approx(
         oracle.causal_mutual_information(law, (0,), (1,), 3, (2,)), abs=1e-11)
+
+
+class _FreshPerEntropy:
+    """The law of ``model`` up to ``n``, enumerated anew for each entropy,
+    so no two marginals share a contraction step."""
+
+    def __init__(self, model, n):
+        self.model, self.horizon, self.n_nodes = model, n, model.n_nodes
+
+    def entropy_of_cells(self, cells):
+        return enumerate_joint(self.model, self.horizon).entropy_of_cells(cells)
+
+
+@pytest.mark.parametrize("mode", list(ConditioningMode))
+@pytest.mark.parametrize("seed, order", [(1, 1), (4, 2)])
+def test_decompose_with_shared_steps_equals_fresh_contractions(seed, order, mode):
+    model = random_markov_model(seed, nodes=3, order=order)
+    part = make_partition(["x0", "x1", "x2"], ["x0"], ["x1"])
+    shared = decompose(enumerate_joint(model, 6), part, 6, mode=mode)
+    assert decompose(_FreshPerEntropy(model, 6), part, 6, mode=mode) == shared
+
+
+def test_decompose_budget_error_same_when_repeated():
+    # the second call finds the entropies and steps of the first memoized
+    dist = enumerate_joint(random_markov_model(1, nodes=3), 5, budget=1023)
+    part = make_partition(["x0", "x1", "x2"], ["x0"], ["x1"])
+    required = []
+    for _ in range(2):
+        with pytest.raises(BudgetError) as err:
+            decompose(dist, part, 5)
+        required.append(err.value.required)
+    assert dist._step_memo
+    assert required == [1024, 1024]
 
 
 def test_decompose_json_fields():
