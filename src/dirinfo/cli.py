@@ -248,7 +248,7 @@ def _cmd_test(args) -> int:
         return _die("surrogate calibration is stochastic: --seed is required")
     panel = load_panel(args.input, format=args.format)
     panel = _maybe_symbolize(panel, args)
-    family = family_from_spec(args.family, order=args.order, smoothing=args.smoothing)
+    family = family_from_spec(args.family, order=args.order)
     if args.calibration == "surrogate":  # the manifest records the count drawn
         args.surrogates = surrogate_count(args.surrogates, args.alpha)
     common = dict(family=family, alpha=args.alpha, calibration=args.calibration,
@@ -283,7 +283,7 @@ def _cmd_graph(args) -> int:
         return _die("surrogate calibration is stochastic: --seed is required")
     panel = load_panel(args.input, format=args.format)
     panel = _maybe_symbolize(panel, args)
-    family = family_from_spec(args.family, order=args.order, smoothing=args.smoothing)
+    family = family_from_spec(args.family, order=args.order)
     graph = infer_graph(panel, family, alpha=args.alpha,
                         mode=args.mode, correction=args.correction,
                         calibration=args.calibration, surrogates=args.surrogates,
@@ -308,15 +308,22 @@ def _cmd_graph(args) -> int:
 # check and replay
 # ---------------------------------------------------------------------------
 
+_MEASURES = ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi")
+
+
 def _decomposition_problems(doc) -> list[str]:
     """An exact decomposition holds every residual to ``EXACT_RESIDUAL_TOL``;
     a Gaussian one holds its Geweke residual to ``GEWEKE_RESIDUAL_TOL``, and
     that residual to the terms it was built from.  Either convention's
     decomposition splits each DI into its TE and IIE terms (the chain rule
     holds to rounding in both), and every reported measure but ``delta_cb``
-    is nonnegative.  A missing or non-numeric field is a problem too."""
+    is nonnegative.  Missing, non-numeric and non-finite fields are problems."""
     problems = []
     try:
+        numbers = [(f"residual {name}", value) for name, value in doc["residuals"].items()]
+        numbers += [(name, doc[name]) for name in _MEASURES]
+        problems += [f"{what} = {value!r} is not finite"
+                     for what, value in numbers if not math.isfinite(value)]
         if doc.get("exact"):
             for name, value in doc["residuals"].items():
                 if abs(value) > EXACT_RESIDUAL_TOL:
@@ -336,7 +343,7 @@ def _decomposition_problems(doc) -> list[str]:
                                       ("di_ba", doc["di_ba"], te_ba + iie)):
             if abs(recorded - value) > EXACT_RESIDUAL_TOL:
                 problems.append(f"{name} = {recorded!r} differs from its terms' sum {value!r}")
-        for name in ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi"):
+        for name in _MEASURES:
             if doc[name] < -EXACT_RESIDUAL_TOL:
                 problems.append(f"{name} = {doc[name]!r} is negative")
     except (KeyError, TypeError) as exc:
@@ -355,14 +362,16 @@ def _config_level(doc):
 
 
 def _decision_problems(entry, level) -> list[str]:
-    """A test's decision must follow from its statistic and threshold; a
-    chi-square threshold is recomputed from the level (the config's, when
-    known), the Satterthwaite scale and dof, and ``n_obs``."""
+    """A test's decision must follow from its statistic and threshold, both
+    finite; a chi-square threshold is recomputed from the level (the
+    config's, when known), the Satterthwaite scale and dof, and ``n_obs``."""
     stat = entry.get("stat", entry.get("statistic"))
     threshold = entry.get("threshold")
     if stat is None or threshold is None:
         return []
-    problems = []
+    problems = [f"{what} {value!r} is not finite"
+                for what, value in (("statistic", stat), ("threshold", threshold))
+                if not math.isfinite(value)]
     if level is not None and entry.get("level") != level:
         problems.append(f"level {entry.get('level')!r} differs from {level!r} "
                         f"set by the config")
@@ -444,13 +453,13 @@ def _add_common_io(p, units=True):
 
 
 def _add_family_options(p):
-    p.add_argument("--family", choices=("discrete", "var"), default="discrete")
+    p.add_argument("--family", choices=("discrete", "var"), default="discrete",
+                   help="discrete tests read every log likelihood from one count table "
+                        "of (context, target) cells, pseudo-count 1/2 per cell")
     p.add_argument("--order", type=int, default=1, help="model memory (lags)")
     p.add_argument("--bins", type=int, help="symbolization bins for continuous input")
     p.add_argument("--scheme", choices=("equal_width", "equal_frequency"),
                    default="equal_frequency")
-    p.add_argument("--smoothing", type=float, default=0.5,
-                   help="additive smoothing for discrete fits")
 
 
 @functools.cache
@@ -481,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_family_options(p)
+    p.add_argument("--smoothing", type=float, default=0.5,
+                   help="additive smoothing of the discrete plug-in kernel (estimate only)")
     p.add_argument("--method", choices=("ols", "yule_walker"), default="ols",
                    help="VAR fitting method")
     _add_common_io(p, units=False)

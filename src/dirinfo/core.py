@@ -345,6 +345,8 @@ def _law(array, shape, what) -> np.ndarray:
     law = np.asarray(array, dtype=float)
     if law.shape != shape:
         raise InvalidModel(f"{what} shape {law.shape} != expected {shape}")
+    if not np.isfinite(law).all():
+        raise InvalidModel(f"{what} has non-finite entries")
     if law.size and law.min() < -PMF_ATOL:
         raise InvalidModel(f"{what} has negative entries")
     law = law.copy()
@@ -466,13 +468,13 @@ class SequenceDistribution:
         while s < last and all((a, s + 1) in cells for a in range(d)):
             s += 1
         if s < w:
-            return -_xlogx_sum(self._marginal(cells))
+            return -_xlogx_sum(self._marginal(cells, self._step_memo))
         laws, h_prefix, h_window = self._chain_prefix()
         rest = {c for c in cells if c[1] > s}
         if not rest:
             return h_prefix[s]
         window = {(a, t) for a in range(d) for t in range(s - w + 1, s + 1)}
-        joint = self._forward(window | rest, s, laws[s])
+        joint = self._forward(window | rest, s, laws[s], self._step_memo)
         return h_prefix[s] - h_window[s] - _xlogx_sum(joint)
 
     def _chain_prefix(self):
@@ -498,14 +500,14 @@ class SequenceDistribution:
             self._prefix = laws, h_prefix, h_window
         return self._prefix
 
-    def _marginal(self, cells) -> np.ndarray:
+    def _marginal(self, cells, memo=None) -> np.ndarray:
         if max((t for _, t in cells), default=0) <= self._width:
             keep = {self.axis_of(a, t) for a, t in cells}
             drop = tuple(ax for ax in range(self._initial.ndim) if ax not in keep)
             return np.sum(self._initial, axis=drop) if drop else self._initial
-        return self._forward(cells, self._width, self._initial)
+        return self._forward(cells, self._width, self._initial, memo)
 
-    def _forward(self, cells, t0, phi) -> np.ndarray:
+    def _forward(self, cells, t0, phi, memo=None) -> np.ndarray:
         """Joint marginal of ``cells`` (all at times after ``t0 - w``),
         starting from the joint law ``phi`` of every cell of times
         ``t0-w+1..t0`` and applying one kernel step per later time.
@@ -514,8 +516,9 @@ class SequenceDistribution:
         cells of the current window and sums out the ones that leave it.
         The steps are planned and charged to the budget first; each then
         runs as one batched matrix product (:meth:`_step`).  A step before
-        the last is memoized by ``(t0, time, kept cells)``, which fixes its
-        input: passes that share a past replay its steps.
+        the last is memoized in ``memo`` by ``(t0, time, kept cells)``, which
+        fixes its input: entropy passes share ``_step_memo`` and replay the
+        steps of a shared past.  A dense build (no ``memo``) keeps none.
         """
         d, w = self.n_nodes, self._width
         last = max(t for _, t in cells)
@@ -532,11 +535,12 @@ class SequenceDistribution:
             raise BudgetError(required, self.budget)
         for t, (axes, new, kept) in enumerate(plan[:-1], start=t0 + 1):
             key = (t0, t, tuple(kept))
-            out = self._step_memo.get(key)
+            out = None if memo is None else memo.get(key)
             if out is None:
                 out = self._step(phi, axes, new, kept)
-                out.setflags(write=False)
-                self._step_memo[key] = out
+                if memo is not None:
+                    out.setflags(write=False)
+                    memo[key] = out
             phi = out
         return self._step(phi, *plan[-1])
 

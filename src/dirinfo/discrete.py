@@ -52,6 +52,8 @@ class DiscreteMarkovModel:
         kernel = np.asarray(self.kernel, dtype=float)
         if kernel.shape != (M**k, M):
             raise InvalidModel(f"kernel shape {kernel.shape} != {(M**k, M)}")
+        if not np.isfinite(kernel).all():
+            raise InvalidModel("kernel has non-finite entries")
         if kernel.min() < 0:
             raise InvalidModel("kernel has negative entries")
         rows = kernel.sum(axis=1)
@@ -60,6 +62,8 @@ class DiscreteMarkovModel:
         initial = np.asarray(self.initial, dtype=float)
         if initial.shape != (M**k,):
             raise InvalidModel(f"initial shape {initial.shape} != {(M**k,)}")
+        if not np.isfinite(initial).all():
+            raise InvalidModel("initial has non-finite entries")
         if initial.min() < 0 or abs(initial.sum() - 1.0) > KERNEL_ATOL:
             raise InvalidModel("initial must be a distribution over the first k samples")
         labels = self.labels
@@ -157,9 +161,11 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     """
     if not panel.is_integer():
         raise InvalidModel("plug-in fitting needs an integer (symbolized) panel")
-    if smoothing < 0:
-        raise InvalidModel("smoothing must be >= 0")
+    if not 0 <= smoothing < np.inf:
+        raise InvalidModel(f"smoothing must be finite and >= 0, got {smoothing!r}")
     k = int(order)
+    if k < 1:
+        raise InvalidModel("order must be >= 1")
     T = panel.n_samples
     if T <= k:
         raise InsufficientData(f"need more than order={k} samples, got T={T}")
@@ -277,8 +283,8 @@ def window_codes(codes: np.ndarray, k: int, base: int) -> np.ndarray:
     """Code of every window of ``k`` consecutive symbols along the last
     axis, oldest most significant: ``(..., T)`` to ``(..., T - k + 1)``."""
     T = codes.shape[-1]
-    out = np.zeros(codes.shape[:-1] + (T - k + 1,), dtype=np.int64)
-    for j in range(k):
+    out = codes[..., :T - k + 1].astype(np.int64)
+    for j in range(1, k):
         out = out * base + codes[..., j:T - k + 1 + j]
     return out
 

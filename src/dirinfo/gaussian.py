@@ -53,10 +53,14 @@ class VarModel:
             coeffs = coeffs[None, :, :]
         if coeffs.ndim != 3 or coeffs.shape[0] != p or coeffs.shape[1] != coeffs.shape[2]:
             raise InvalidModel(f"coeffs must be (order, d, d), got {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise InvalidModel("coeffs have non-finite entries")
         d = coeffs.shape[1]
         noise = np.asarray(self.noise_cov, dtype=float)
         if noise.shape != (d, d):
             raise InvalidModel(f"noise_cov must be ({d}, {d}), got {noise.shape}")
+        if not np.isfinite(noise).all():
+            raise InvalidModel("noise_cov has non-finite entries")
         if np.max(np.abs(noise - noise.T)) > 1e-10:
             raise InvalidModel("noise_cov is not symmetric")
         eigs = np.linalg.eigvalsh(0.5 * (noise + noise.T))

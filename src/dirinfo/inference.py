@@ -60,28 +60,25 @@ _PIVOT_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscreteMarkovFamily:
-    """Finite-alphabet conditional models of order ``order`` with additive
-    smoothing ``smoothing`` (0 keeps plain maximum likelihood)."""
+    """Finite-alphabet conditional models of order ``order``, each fitted
+    with pseudo-count 1/2 per (context, target) cell."""
 
     order: int = 1
-    smoothing: float = 0.5
 
     name = "discrete_markov"
 
     def __post_init__(self):
         _check_at_least_one(order=self.order)
-        if not self.smoothing >= 0.0:
-            raise ParamError(f"smoothing must be >= 0, got {self.smoothing!r}")
 
     def _prepare(self, panel):
         values = _discrete_values(panel)
-        return _Symbols(values, _alphabet(values, range(panel.n_nodes)))
+        return _Symbols(values, tuple(int(m) + 1 for m in values.max(axis=0)))
 
     def _causality(self, data, a_idx, b_idx, c_idx):
-        return _discrete_causality(data, a_idx, b_idx, c_idx, self.order, self.smoothing)
+        return _discrete_causality(data, a_idx, b_idx, c_idx, self.order)
 
     def _coupling(self, data, a_idx, b_idx, c_idx, mode):
-        return _discrete_coupling(data, a_idx, b_idx, c_idx, self.order, self.smoothing, mode)
+        return _discrete_coupling(data, a_idx, b_idx, c_idx, self.order, mode)
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,9 @@ def _family_method(family, name, caller):
     return method
 
 
-def family_from_spec(name: str, order: int = 1, smoothing: float = 0.5):
+def family_from_spec(name: str, order: int = 1):
     if name in ("discrete", "discrete_markov"):
-        return DiscreteMarkovFamily(order=order, smoothing=smoothing)
+        return DiscreteMarkovFamily(order=order)
     if name == "var":
         return VarFamily(order=order)
     if name in ("glm", "glm_spiking"):
@@ -233,71 +230,52 @@ def _check_disjoint(*groups):
         seen |= set(g)
 
 
-def _alphabet(values, idx):
-    return tuple(int(values[:, a].max()) + 1 for a in idx)
-
-
-def _encode(values, idx, sizes):
-    """Joint symbol per row for the chosen columns (0 everywhere if empty)."""
+def _encode(data, idx):
+    """Joint symbol per row of the columns ``idx`` of a symbol panel, and
+    the number of joint symbols; no columns give symbol 0 of 1."""
     if not idx:
-        return np.zeros(values.shape[0], dtype=np.int64), 1
-    size = int(np.prod(sizes))
-    codes = np.ravel_multi_index(tuple(values[:, a] for a in idx), sizes)
-    return codes.astype(np.int64), size
+        return np.zeros(data.values.shape[0], dtype=np.int64), 1
+    sizes = tuple(data.sizes[a] for a in idx)
+    codes = np.ravel_multi_index(tuple(data.values[:, a] for a in idx), sizes)
+    return codes.astype(np.int64), math.prod(sizes)
 
 
-def _encode_split(values, idx, sizes, a_idx):
-    """``_encode`` of ``idx`` as the part of the columns outside A and the
-    part of those in A.  The code is linear in the symbols, so the parts
-    sum to the joint code, and reordering A's rows reorders only the
-    second part."""
-    outside = values.copy()
-    outside[:, list(a_idx)] = 0
-    fixed, size = _encode(outside, idx, sizes)
-    return fixed, _encode(values - outside, idx, sizes)[0], size
-
-
-def _cond_loglik(ctx, tgt, n_tgt, alpha):
-    """Plug-in conditional log likelihood sum over the observed sample."""
-    uniq, inv = np.unique(ctx, return_inverse=True)
-    counts = np.bincount(inv * n_tgt + tgt, minlength=uniq.size * n_tgt)
-    counts = counts.reshape(uniq.size, n_tgt).astype(float)
-    row = counts.sum(axis=1, keepdims=True)
-    if alpha > 0:
-        probs = (counts + alpha) / (row + alpha * n_tgt)
-    else:
-        probs = counts / row
-    mask = counts > 0
-    return float(np.sum(counts[mask] * np.log(probs[mask])))
-
-
-def _cond_logliks(ctx, tgt, n_ctx, n_tgt, alpha):
-    """``_cond_loglik`` of every row of ``ctx`` (S, n), contexts below
-    ``n_ctx``, against ``tgt`` of shape (n,) or (S, n).
-
-    When S x n_ctx x n_tgt fits the state budget, one ``bincount`` over
-    (row, context, target) counts every row at once.  The observed cells
-    come out in the order ``_cond_loglik`` sums them, and each row's sum is
-    taken over its own cells, so every value equals ``_cond_loglik``'s bit
-    for bit.  A larger table falls back to ``_cond_loglik`` row by row.
-    """
+def _counts(ctx, tgt, n_ctx, n_tgt):
+    """(rows, n_ctx, n_tgt) table counting each row of ``ctx`` against the
+    same row of ``tgt``, both (S, n), in one ``bincount``."""
     n_rows = ctx.shape[0]
-    tgt = np.broadcast_to(tgt, ctx.shape)
-    if n_rows * n_ctx * n_tgt > DEFAULT_STATE_BUDGET:
-        return np.array([_cond_loglik(c, t, n_tgt, alpha) for c, t in zip(ctx, tgt)])
     cells = (np.arange(n_rows)[:, None] * n_ctx + ctx) * n_tgt + tgt
     counts = np.bincount(cells.ravel(), minlength=n_rows * n_ctx * n_tgt)
-    counts = counts.reshape(n_rows, n_ctx, n_tgt).astype(float)
-    mask = counts > 0
-    observed = counts[mask]
-    row = np.broadcast_to(counts.sum(axis=2, keepdims=True), counts.shape)[mask]
-    if alpha > 0:
-        probs = (observed + alpha) / (row + alpha * n_tgt)
-    else:
-        probs = observed / row
-    terms = observed * np.log(probs)
-    ends = np.cumsum(mask.reshape(n_rows, -1).sum(axis=1)).tolist()
-    return np.array([terms[start:end].sum() for start, end in zip([0] + ends, ends)])
+    return counts.reshape(n_rows, n_ctx, n_tgt)
+
+
+def _read_counts(read, ctx, tgt, n_ctx, n_tgt):
+    """``read`` of the count table of every row of ``ctx`` (S, n), contexts
+    below ``n_ctx``, against ``tgt`` of shape (n,) or (S, n), targets below
+    ``n_tgt``: one (S, n_ctx, n_tgt) table when it fits the state budget,
+    else one table per row over the contexts that row holds."""
+    tgt = np.broadcast_to(tgt, ctx.shape)
+    if ctx.shape[0] * n_ctx * n_tgt <= DEFAULT_STATE_BUDGET:
+        return read(_counts(ctx, tgt, n_ctx, n_tgt))
+    rows = []
+    for c, t in zip(ctx, tgt):
+        uniq, inv = np.unique(c, return_inverse=True)
+        rows.append(read(_counts(inv[None], t[None], uniq.size, n_tgt)))
+    return np.concatenate(rows)
+
+
+def _loglik(counts):
+    """Log likelihood of each row of a (rows, contexts, targets) count
+    table under the conditional fit with pseudo-count 1/2 per cell:
+    sum n ln(n + 1/2) - sum n_ctx ln(n_ctx + m/2) for m targets.  Each
+    term is looked up by its count, which takes a log per distinct count
+    instead of per cell; ``einsum`` sums the short target axis several
+    times faster than ``ndarray.sum``."""
+    n_rows, _, m = counts.shape
+    ctx_tot = np.einsum("sct->sc", counts)
+    n = np.arange(ctx_tot.max() + 1)
+    return ((n * np.log(n + 0.5))[counts].reshape(n_rows, -1).sum(axis=1)
+            - (n * np.log(n + 0.5 * m))[ctx_tot].sum(axis=1))
 
 
 def _discrete_values(panel):
@@ -317,78 +295,71 @@ class _Symbols:
     sizes: tuple
 
 
-def _rows_of(perms, T):
-    """Row order of each panel a statistic function evaluates: the observed
-    panel alone when ``perms`` is None."""
-    return np.arange(T)[None] if perms is None else perms
-
-
-def _discrete_causality(data, a_idx, b_idx, c_idx, k, alpha):
+def _discrete_causality(data, a_idx, b_idx, c_idx, k):
     """Statistic function, dof, n_obs and weights of the discrete causality test.
 
-    The restricted fit (B on the past of B and C) does not involve A, so
-    it is computed once here.  The returned function takes a stack of row
-    orders of A's columns (None: the observed panel) and fits only the full
+    The context of B's present is the pair (past window of B and C, past
+    window of A), so a row order of A's columns moves only the second part.
+    The restricted fit (B on the past of B and C) does not involve A, so it
+    is counted once here.  The returned function takes a stack of row
+    orders of A's columns (None: the observed panel) and counts the full
     model of each.
     """
-    values, sizes = data.values, data.sizes
-    T = values.shape[0]
+    T = data.values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
-    full_idx = tuple(sorted(a_idx + b_idx + c_idx))
-    res_idx = tuple(sorted(b_idx + c_idx))
-    full_fixed, full_moving, m_full = _encode_split(
-        values, full_idx, tuple(sizes[a] for a in full_idx), a_idx)
-    res_codes, m_res = _encode(values, res_idx, tuple(sizes[a] for a in res_idx))
-    tgt_codes, m_tgt = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
+    res_codes, m_res = _encode(data, tuple(sorted(b_idx + c_idx)))
+    a_codes, m_a = _encode(data, a_idx)
+    tgt_codes, m_tgt = _encode(data, b_idx)
     tgt = tgt_codes[k:]
     n_obs = T - k
-    ll_res = _cond_loglik(window_codes(res_codes[:-1], k, m_res), tgt, m_tgt, alpha)
+    res_ctx = window_codes(res_codes[:-1], k, m_res)
+    ll_res = _read_counts(_loglik, res_ctx[None], tgt, m_res**k, m_tgt)
+    fixed_ctx = res_ctx * m_a**k
 
     def stat_of(perms):
-        full_codes = full_fixed + full_moving[_rows_of(perms, T)]
-        ctx = window_codes(full_codes[:, :-1], k, m_full)
-        return (_cond_logliks(ctx, tgt, m_full**k, m_tgt, alpha) - ll_res) / n_obs
+        a_rows = a_codes[None] if perms is None else a_codes[perms]
+        ctx = fixed_ctx + window_codes(a_rows[:, :-1], k, m_a)
+        return (_read_counts(_loglik, ctx, tgt, (m_res * m_a)**k, m_tgt) - ll_res) / n_obs
 
-    m_a = int(np.prod([sizes[a] for a in a_idx]))
     dof = (m_a**k - 1) * (m_res**k) * (m_tgt - 1)
     return stat_of, dof, n_obs, None
 
 
-def _discrete_coupling(data, a_idx, b_idx, c_idx, k, alpha, mode):
+def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
     """Statistic function, dof, n_obs and weights of the discrete coupling
-    test.  A's past and present enter every term, so each row order refits
-    all three."""
-    values, sizes = data.values, data.sizes
-    T = values.shape[0]
+    test.  A's past and present enter every term, so each row order counts
+    the joint present of A and B in context (past of B and C, C's present
+    under contemporaneous conditioning, past of A) and reads the fits of A
+    and of B from the table's two marginal sums."""
+    T = data.values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
-    past_idx = tuple(sorted(a_idx + b_idx + c_idx))
-    past_fixed, past_moving, m_past = _encode_split(
-        values, past_idx, tuple(sizes[a] for a in past_idx), a_idx)
-    n_ctx = m_past**k
-    side_present = mode is ConditioningMode.CONTEMPORANEOUS and bool(c_idx)
-    if side_present:
-        c_codes, m_c = _encode(values, tuple(sorted(c_idx)),
-                               tuple(sizes[a] for a in sorted(c_idx)))
-        n_ctx *= m_c
-    a_codes, m_a = _encode(values, a_idx, tuple(sizes[a] for a in a_idx))
-    b_codes, m_b = _encode(values, b_idx, tuple(sizes[a] for a in b_idx))
+    fixed_codes, m_fixed = _encode(data, tuple(sorted(b_idx + c_idx)))
+    fixed_ctx = window_codes(fixed_codes[:-1], k, m_fixed)
+    n_fixed = m_fixed**k
+    if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
+        c_codes, m_c = _encode(data, tuple(sorted(c_idx)))
+        fixed_ctx = fixed_ctx * m_c + c_codes[k:]
+        n_fixed *= m_c
+    a_codes, m_a = _encode(data, a_idx)
+    b_codes, m_b = _encode(data, b_idx)
     b_t = b_codes[k:]
     n_obs = T - k
+    fixed_ctx *= m_a**k
+
+    def read(counts):
+        joint = counts.reshape(counts.shape[:2] + (m_a, m_b))
+        return (_loglik(counts) - _loglik(np.einsum("scab->sca", joint))
+                - _loglik(np.einsum("scab->scb", joint)))
 
     def stat_of(perms):
-        rows = _rows_of(perms, T)
-        ctx = window_codes((past_fixed + past_moving[rows])[:, :-1], k, m_past)
-        if side_present:
-            ctx = ctx * m_c + c_codes[k:]
-        a_t = a_codes[rows][:, k:]
-        ll_joint = _cond_logliks(ctx, a_t * m_b + b_t, n_ctx, m_a * m_b, alpha)
-        ll_a = _cond_logliks(ctx, a_t, n_ctx, m_a, alpha)
-        ll_b = _cond_logliks(ctx, b_t, n_ctx, m_b, alpha)
-        return (ll_joint - ll_a - ll_b) / n_obs
+        a_rows = a_codes[None] if perms is None else a_codes[perms]
+        ctx = fixed_ctx + window_codes(a_rows[:, :-1], k, m_a)
+        return _read_counts(read, ctx, a_rows[:, k:] * m_b + b_t, n_fixed * m_a**k,
+                            m_a * m_b) / n_obs
 
-    dof = n_ctx * (m_a - 1) * (m_b - 1)
+    dof = n_fixed * m_a**k * (m_a - 1) * (m_b - 1)
     return stat_of, dof, n_obs, None
 
 

@@ -105,6 +105,46 @@ def test_decompose_budget_too_small_exits_1(tmp_path, capsys):
            "state budget is 1023" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["discrete", "var"])
+def test_decompose_refuses_non_finite_model(tmp_path, capsys, family):
+    if family == "discrete":
+        save_model(chain_markov_model(0.1), tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["kernel"][0] = math.nan
+        a, b = "x", "y"
+    else:
+        save_var(random_var_model(3, nodes=2, order=1), tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["noise_cov"][0][1] = doc["noise_cov"][1][0] = math.nan
+        a, b = "x0", "x1"
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert run("decompose", "--model", tmp_path / "model.json", "--A", a, "--B", b,
+               "--out", tmp_path / "dec") == 1
+    assert "InvalidModel" in capsys.readouterr().err
+    assert not (tmp_path / "dec.json").exists()
+
+
+def test_check_flags_non_finite_numbers(tmp_path, capsys):
+    # every comparison with NaN is False, so each tolerance check alone
+    # passes these
+    nan = float("nan")
+    doc = {"exact": True, "residuals": {"id1": nan, "id2": nan},
+           "di_ab": nan, "di_ba": 0.1, "te_ab": nan, "te_ba": 0.1, "iie": 0.0,
+           "mi": 0.2,
+           "directed": [{"from": "x", "to": "y", "statistic": nan, "threshold": 0.1,
+                         "decision": "keep_H0", "calibration": "surrogate"},
+                        {"from": "y", "to": "x", "statistic": 0.2,
+                         "threshold": float("inf"), "decision": "keep_H0",
+                         "calibration": "surrogate"}]}
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "r.json") == 1
+    err = capsys.readouterr().err
+    for what in ("residual id1", "residual id2", "di_ab", "te_ab"):
+        assert f"{what} = nan is not finite" in err
+    assert "statistic nan is not finite" in err
+    assert "threshold inf is not finite" in err
+
+
 def test_check_flags_tampered_results(tmp_path):
     save_model(chain_markov_model(0.1), tmp_path / "model.json")
     run("decompose", "--model", tmp_path / "model.json", "--A", "x", "--B", "y",

@@ -215,6 +215,17 @@ def test_sequence_distribution_validation():
         SequenceDistribution(alphabet_sizes=(2,), horizon=1, pmf=good)
 
 
+@pytest.mark.parametrize("what", ["pmf", "initial law", "kernel"])
+def test_sequence_distribution_refuses_non_finite_entries(what):
+    laws = {"initial": np.full(2, 0.5), "kernel": np.full((2, 2), 0.5)}
+    if what == "pmf":
+        laws = {"pmf": np.full((2, 2), 0.25)}
+    arr = laws["initial" if what == "initial law" else what]
+    arr.flat[-1] = np.nan
+    with pytest.raises(InvalidModel, match=f"{what} has non-finite entries"):
+        SequenceDistribution((2,), 2, **laws)
+
+
 def test_chain_distribution_validation():
     initial = np.full(2, 0.5)
     kernel = np.full((2, 2), 0.5)

@@ -224,6 +224,20 @@ def test_step_memo_keeps_passes_from_different_starts_apart(seed):
         [enumerate_joint(model, 5).entropy_of_cells(c) for c in sets]
 
 
+def test_dense_builds_leave_step_memo_unchanged():
+    # reading the dense table or a cell marginal runs steps that no
+    # entropy pass shares; they must not stay in the memo
+    model = random_markov_model(1, nodes=3, alphabet=2, order=1)
+    dist = enumerate_joint(model, 6)
+    dist.entropy_of_cells(cells_of([0, 1], range(1, 6)))
+    memo = dict(dist._step_memo)
+    assert memo
+    dist.pmf
+    dist.cell_marginal(cells_of([0, 2], range(1, 7)))
+    marginal(dist, [1], range(2, 7))
+    assert dist._step_memo == memo
+
+
 def test_horizon_past_dense_budget():
     # a stationary order-1 chain has H(x^n) = H(x_1) + (n - 1) H(x_2 | x_1)
     model = with_stationary_initial(random_markov_model(2, nodes=3))
@@ -289,6 +303,18 @@ def test_fit_plugin_insufficient_data():
     panel = TimeSeriesPanel(values=np.array([[0, 1], [1, 0]]), labels=("a", "b"))
     with pytest.raises(InsufficientData):
         fit_plugin(panel, order=2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(smoothing=-0.5), "smoothing must be finite and >= 0"),
+    (dict(smoothing=float("nan")), "smoothing must be finite and >= 0"),
+    (dict(smoothing=float("inf")), "smoothing must be finite and >= 0"),
+    (dict(order=0), "order must be >= 1"),
+], ids=["negative_smoothing", "nan_smoothing", "inf_smoothing", "order_0"])
+def test_fit_plugin_refuses_bad_parameters(kwargs, message):
+    panel = TimeSeriesPanel(values=np.array([[0, 1], [1, 0], [1, 1]]), labels=("a", "b"))
+    with pytest.raises(InvalidModel, match=message):
+        fit_plugin(panel, **{"order": 1, **kwargs})
 
 
 def test_fit_plugin_rejects_float_panel():
@@ -369,6 +395,14 @@ def test_model_json_roundtrip():
     assert np.allclose(back.kernel, model.kernel)
     assert np.allclose(back.initial, model.initial)
     assert back.order == model.order and back.labels == model.labels
+
+
+@pytest.mark.parametrize("field", ["kernel", "initial"])
+def test_model_refuses_non_finite_entries(field):
+    arrays = {"kernel": np.full((2, 2), 0.5), "initial": np.array([0.5, 0.5])}
+    arrays[field][0] = np.nan
+    with pytest.raises(InvalidModel, match=f"{field} has non-finite entries"):
+        DiscreteMarkovModel(alphabet_sizes=(2,), order=1, **arrays)
 
 
 def test_kernel_validation():

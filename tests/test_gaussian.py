@@ -48,6 +48,17 @@ def test_varmodel_validation():
     assert model.is_stable and model.spectral_radius < 1.0
 
 
+@pytest.mark.parametrize("field", ["coeffs", "noise_cov"])
+def test_varmodel_refuses_non_finite_entries(field):
+    arrays = {"coeffs": np.zeros((1, 2, 2)), "noise_cov": np.eye(2)}
+    if field == "coeffs":
+        arrays["coeffs"][0, 1, 0] = np.nan
+    else:
+        arrays["noise_cov"][0, 1] = arrays["noise_cov"][1, 0] = np.nan
+    with pytest.raises(InvalidModel, match=f"{field} ha(s|ve) non-finite entries"):
+        VarModel(order=1, labels=("a", "b"), **arrays)
+
+
 def test_autocovariance_matches_simulation():
     model = bivariate_var1(corr=0.3)
     gammas = autocovariance(model, 3)

@@ -74,6 +74,37 @@ def test_decision_matches_threshold_rule():
     assert res.dof == 2 and res.calibration == "chi_square"
 
 
+def _pseudo_count_loglik(cells, contexts, m):
+    """sum n ln(n + 1/2) over the observed cells minus sum N ln(N + m/2)
+    over the observed contexts, for m target symbols."""
+    return (sum(n * math.log(n + 0.5) for n in cells)
+            - sum(n * math.log(n + 0.5 * m) for n in contexts))
+
+
+def test_discrete_statistics_match_hand_counts():
+    # x: 0 1 1 0 1 0 0 1 1;  y: 0 0 1 1 0 1 0 0 0;  order 1, 8 transitions
+    panel = TimeSeriesPanel(values=np.array([[0, 1, 1, 0, 1, 0, 0, 1, 1],
+                                             [0, 0, 1, 1, 0, 1, 0, 0, 0]]).T,
+                            labels=("x", "y"))
+    # y(t) given (y, x)(t-1): (0,0) -> 0,0; (0,1) -> 1,1,0; (1,1) -> 1;
+    # (1,0) -> 0,0.  Given y(t-1) alone: 0 -> 0,1,1,0,0; 1 -> 1,0,0
+    full = _pseudo_count_loglik([2, 2, 1, 1, 2], [2, 3, 1, 2], 2)
+    restricted = _pseudo_count_loglik([3, 2, 2, 1], [5, 3], 2)
+    res = llr_causality(panel, ["x"], ["y"], family=DiscreteMarkovFamily())
+    assert res.statistic == pytest.approx((full - restricted) / 8, rel=1e-14)
+    assert res.dof == 2
+    # (x, y)(t) given (x, y)(t-1): (0,0) -> 10,10; (1,0) -> 11,01,10;
+    # (1,1) -> 01; (0,1) -> 10,00
+    contexts = [2, 3, 1, 2]
+    joint = _pseudo_count_loglik([2, 1, 1, 1, 1, 1, 1], contexts, 4)
+    x_fit = _pseudo_count_loglik([2, 2, 1, 1, 1, 1], contexts, 2)
+    y_fit = _pseudo_count_loglik([2, 2, 1, 1, 2], contexts, 2)
+    for mode in ConditioningMode:
+        res = llr_coupling(panel, ["x"], ["y"], family=DiscreteMarkovFamily(), mode=mode)
+        assert res.statistic == pytest.approx((joint - x_fit - y_fit) / 8, rel=1e-14)
+        assert res.dof == 4
+
+
 def test_family_spec_parsing():
     assert isinstance(family_from_spec("discrete", order=2), DiscreteMarkovFamily)
     assert isinstance(family_from_spec("var", order=3), VarFamily)
@@ -85,15 +116,12 @@ def test_family_spec_parsing():
 @pytest.mark.parametrize("make", [
     lambda: VarFamily(order=0),
     lambda: DiscreteMarkovFamily(order=0),
-    lambda: DiscreteMarkovFamily(smoothing=-0.5),
-    lambda: DiscreteMarkovFamily(smoothing=math.nan),
     lambda: GlmSpikingFamily(memory=0),
     lambda: GlmSpikingFamily(max_iter=0),
     lambda: family_from_spec("var", order=0),
-], ids=["var_order", "discrete_order", "negative_smoothing", "nan_smoothing",
-        "glm_memory", "glm_max_iter", "spec_order"])
+], ids=["var_order", "discrete_order", "glm_memory", "glm_max_iter", "spec_order"])
 def test_family_parameters_checked_at_construction(make):
-    with pytest.raises(ParamError, match=r"must be >= [01], got"):
+    with pytest.raises(ParamError, match=r"must be >= 1, got"):
         make()
 
 
@@ -152,18 +180,14 @@ def test_unknown_mode_is_param_error():
         infer_graph(panel, VarFamily(), mode="bogus")
 
 
-@pytest.mark.parametrize("family", [DiscreteMarkovFamily(smoothing=0.0), VarFamily()])
 @pytest.mark.parametrize("seed", range(5))
-def test_nested_llr_nonnegative(family, seed):
-    if isinstance(family, VarFamily):
-        rng = np.random.default_rng(seed)
-        panel = TimeSeriesPanel(values=rng.standard_normal((400, 3)),
-                                labels=("x0", "x1", "x2"))
-    else:
-        panel = iid_panel(400, seed, nodes=3)
-    res = llr_causality(panel, ["x0"], ["x1"], ["x2"], family=family)
+def test_nested_llr_nonnegative(seed):
+    rng = np.random.default_rng(seed)
+    panel = TimeSeriesPanel(values=rng.standard_normal((400, 3)),
+                            labels=("x0", "x1", "x2"))
+    res = llr_causality(panel, ["x0"], ["x1"], ["x2"], family=VarFamily())
     assert res.statistic >= -1e-10
-    resc = llr_coupling(panel, ["x0"], ["x1"], ["x2"], family=family)
+    resc = llr_coupling(panel, ["x0"], ["x1"], ["x2"], family=VarFamily())
     assert resc.statistic >= -1e-10
 
 
@@ -257,25 +281,32 @@ def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
 
 
 def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
-    """Package statistic function, panel data and a per-panel reference
-    statistic for one test of x1 on the 3-node chain."""
+    """Package statistic function, panel data, the package's statistic of
+    one panel's values, and the ``tests/reference.py`` statistic (None for
+    VAR) for one test of x1 on the 3-node chain."""
     b_idx = (1,)
     panel, _ = gen_chain_example(3000, seed=31)
     if family == "discrete":
-        fam = DiscreteMarkovFamily(order=order)
-        data = fam._prepare(symbolize(panel, 3, "equal_frequency"))
+        data = DiscreteMarkovFamily(order=order)._prepare(
+            symbolize(panel, 3, "equal_frequency"))
+
+        def build(d):
+            if kind == "causality":
+                return inference._discrete_causality(d, a_idx, b_idx, c_idx, order)[0]
+            return inference._discrete_coupling(d, a_idx, b_idx, c_idx, order, mode)[0]
+
+        def ref(values):
+            # a permuted column keeps its alphabet
+            return build(inference._Symbols(values, data.sizes))(None)[0]
+
         if kind == "causality":
-            stat_of = inference._discrete_causality(data, a_idx, b_idx, c_idx, order,
-                                                    fam.smoothing)[0]
-            ref = lambda v: reference.discrete_causality_stat(  # noqa: E731
-                v, data.sizes, a_idx, b_idx, c_idx, order, fam.smoothing)
+            oracle_of = lambda v: reference.discrete_causality_stat(  # noqa: E731
+                v, data.sizes, a_idx, b_idx, c_idx, order, 0.5)
         else:
-            stat_of = inference._discrete_coupling(data, a_idx, b_idx, c_idx, order,
-                                                   fam.smoothing, mode)[0]
-            ref = lambda v: reference.discrete_coupling_stat(  # noqa: E731
-                v, data.sizes, a_idx, b_idx, c_idx, order, fam.smoothing,
+            oracle_of = lambda v: reference.discrete_coupling_stat(  # noqa: E731
+                v, data.sizes, a_idx, b_idx, c_idx, order, 0.5,
                 mode is ConditioningMode.CONTEMPORANEOUS)
-        return stat_of, data, ref
+        return build(data), data, ref, oracle_of
     data = VarFamily(order=order)._prepare(panel)
 
     def ref(values):
@@ -289,7 +320,7 @@ def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
         stat_of = inference._var_causality(data, a_idx, b_idx, c_idx)[0]
     else:
         stat_of = inference._var_coupling(data, a_idx, b_idx, c_idx, mode)[0]
-    return stat_of, data, ref
+    return stat_of, data, ref, None
 
 
 @pytest.mark.parametrize("n_surrogates", [20, 201])
@@ -306,11 +337,13 @@ def _surrogate_case(family, kind, a_idx, c_idx, mode, order):
 def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mode,
                                                  order, n_surrogates):
     """Chunked surrogate statistics against the loop that evaluates one
-    permuted panel at a time (T = 3000, so 201 surrogates span three
-    chunks): discrete and VAR causality statistics bit for bit, VAR
-    coupling to 1e-12 relative, and the same threshold, p-value and
-    generator state afterwards."""
-    stat_of, data, ref = _surrogate_case(family, kind, a_idx, c_idx, mode, order)
+    permuted panel at a time with the package (T = 3000, so 201 surrogates
+    span three chunks): discrete and VAR causality statistics bit for bit,
+    VAR coupling to 1e-12 relative, and the same threshold, p-value and
+    generator state afterwards.  Discrete statistics also match the
+    independent ``np.unique`` counts of ``tests/reference.py`` to 1e-12
+    relative, which sum the log likelihood terms in another order."""
+    stat_of, data, ref, oracle_of = _surrogate_case(family, kind, a_idx, c_idx, mode, order)
     stat = stat_of(None)[0]
     block_len, alpha, seed = 5 * order, 0.05, 1234
     chunks = []
@@ -327,7 +360,7 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
                                               n_surrogates, seed)
     assert len(chunks) == (3 if n_surrogates == 201 else 1)
     assert rng.random() == ref_rng.random()
-    assert ref(data.values) == pytest.approx(stat, rel=1e-12, abs=0)
+    assert ref(data.values) == stat
     exact = family == "discrete" or kind == "causality"
     if exact:
         np.testing.assert_array_equal(got, want)
@@ -336,19 +369,38 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
     rank = math.ceil((1 - alpha) * (n_surrogates + 1))
     assert res.threshold == pytest.approx(np.sort(want)[rank - 1], rel=0 if exact else 1e-12)
     assert res.p_value == (1 + np.sum(want >= stat)) / (n_surrogates + 1)
+    if oracle_of is not None:
+        assert oracle_of(data.values) == pytest.approx(stat, rel=1e-12, abs=0)
+        independent = reference.surrogate_stats(oracle_of, data.values, a_idx, block_len,
+                                                n_surrogates, seed)[0]
+        np.testing.assert_allclose(got, independent, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["causality", "coupling"])
-def test_surrogate_counts_over_state_budget_fall_back_bit_identically(kind, monkeypatch):
-    """Above the state budget each surrogate is counted on its own through
-    ``np.unique``; the statistics equal the one-bincount chunk's."""
+def test_counts_over_state_budget_fall_back_to_unique_contexts(kind, monkeypatch):
+    """Above the state budget each row order is counted on its own over
+    the contexts it holds (``np.unique``).  With the budget at 0 before the
+    statistic is built, the restricted causality fit falls back too; the
+    statistics match the dense build's to 1e-12 relative (the dense sums
+    also add the zero terms of unseen cells)."""
     mode = ConditioningMode.CONTEMPORANEOUS if kind == "coupling" else None
-    stat_of, data, _ = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)
-    perms = inference._block_permutations(data.values.shape[0], 10,
-                                          np.random.default_rng(3), 12)
-    chunked = stat_of(perms)
+    stat_of = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)[0]
+    perms = inference._block_permutations(3000, 10, np.random.default_rng(3), 12)
+    dense = np.concatenate([stat_of(None), stat_of(perms)])
+    counted = []
+    real_counts = inference._counts
+
+    def counts(ctx, *args):
+        counted.append(ctx.shape[0])
+        return real_counts(ctx, *args)
+
     monkeypatch.setattr(inference, "DEFAULT_STATE_BUDGET", 0)
-    np.testing.assert_array_equal(stat_of(perms), chunked)
+    monkeypatch.setattr(inference, "_counts", counts)
+    stat_of = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)[0]
+    fallback = np.concatenate([stat_of(None), stat_of(perms)])
+    # one table per row order, and one for the restricted causality fit
+    assert counted == [1] * (13 + (kind == "causality"))
+    np.testing.assert_allclose(fallback, dense, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("block_len", [5, 10])
