@@ -367,28 +367,27 @@ def _decision_problems(entry, level) -> list[str]:
     config's, when known), the Satterthwaite scale and dof, and ``n_obs``."""
     stat = entry.get("stat", entry.get("statistic"))
     threshold = entry.get("threshold")
-    if stat is None or threshold is None:
-        return []
-    problems = [f"{what} {value!r} is not finite"
-                for what, value in (("statistic", stat), ("threshold", threshold))
-                if not math.isfinite(value)]
-    if level is not None and entry.get("level") != level:
-        problems.append(f"level {entry.get('level')!r} differs from {level!r} "
-                        f"set by the config")
-    if entry.get("calibration") == "chi_square":
-        try:
+    problems = []
+    try:
+        problems += [f"{what} {value!r} is not finite"
+                     for what, value in (("statistic", stat), ("threshold", threshold))
+                     if not math.isfinite(value)]
+        if level is not None and entry.get("level") != level:
+            problems.append(f"level {entry.get('level')!r} differs from {level!r} "
+                            f"set by the config")
+        if entry.get("calibration") == "chi_square":
             recomputed = chi_square_threshold(entry["level"] if level is None else level,
                                               entry["chi2_scale"], entry["chi2_df"],
                                               entry["n_obs"])
-        except (KeyError, TypeError):
-            return problems + ["chi-square entry lacks level, chi2_scale, chi2_df or n_obs"]
-        if not math.isclose(threshold, recomputed, rel_tol=1e-12):
-            problems.append(f"threshold {threshold!r} differs from the recomputed {recomputed!r}")
-        threshold = recomputed
-    expected = "reject_H0" if stat > threshold else "keep_H0"
-    if entry["decision"] != expected:
-        problems.append(f"decision {entry['decision']} inconsistent with "
-                        f"statistic {stat} vs threshold {threshold}")
+            if not math.isclose(threshold, recomputed, rel_tol=1e-12):
+                problems.append(f"threshold {threshold!r} differs from the recomputed {recomputed!r}")
+            threshold = recomputed
+        expected = "reject_H0" if stat > threshold else "keep_H0"
+        if entry["decision"] != expected:
+            problems.append(f"decision {entry['decision']} inconsistent with "
+                            f"statistic {stat} vs threshold {threshold}")
+    except (KeyError, TypeError) as exc:
+        problems.append(f"test has a missing or non-numeric field ({exc!r})")
     return problems
 
 

@@ -586,7 +586,8 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
     is referred to a Satterthwaite-matched scaled chi-square; all-ones
     weights recover the classical Wilks law.
     """
-    scale = 2.0 * n_obs
+    if dof <= 0:
+        raise CalibrationError(f"chi-square calibration needs dof > 0, the test has {dof}")
     if weights:
         lam = np.asarray(weights, dtype=float)
         c = float(lam @ lam / lam.sum())
@@ -594,7 +595,7 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
     else:
         c, f = 1.0, dof
     threshold = chi_square_threshold(alpha, c, f, n_obs)
-    p_value = _chi_square_sf(scale * stat / c, f)
+    p_value = _chi_square_sf(2.0 * n_obs * stat / c, f)
     return _decide(stat, threshold, p_value, "chi_square", dof, n_obs, alpha,
                    chi2_scale=float(c), chi2_df=float(f))
 

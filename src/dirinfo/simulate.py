@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .core import TimeSeriesPanel
 from .errors import ParamError, UnstableModel
@@ -139,7 +138,11 @@ def gen_nonlinear_example(alpha: float, beta: float, T: int, seed) -> tuple[Time
     eps = rng.standard_normal(total)
     drive = np.zeros(total)
     drive[1:] = beta * y[:-1] ** 2 + eps[1:]
-    x = signal.lfilter([1.0], [1.0, -alpha], drive)
+    # lfilter([1], [1, -alpha], drive)'s arithmetic, without scipy.signal
+    x, level = [], 0.0
+    for d in drive.tolist():
+        level = alpha * level + d
+        x.append(level)
     values = np.column_stack([x, y])[NONLINEAR_BURN_IN:]
     labels = ("x", "y")
     directed = [("y", "x")] if beta != 0.0 else []

@@ -7,12 +7,14 @@ laws to chain contractions: every regression is a separate ``lstsq`` fit on
 an explicitly stacked lagged design, the permutation cuts the rotated index
 vector with ``np.array_split``, surrogate statistics are computed one
 permuted panel at a time, discrete likelihoods count the contexts found by
-``np.unique``, and the joint law of a Markov model is the dense product of
-its initial law and kernels.  They share nothing with the package's
+``np.unique``, the joint law of a Markov model is the dense product of
+its initial law and kernels, and the nonlinear example's AR(1) filter is
+``scipy.signal.lfilter``.  They share nothing with the package's
 implementations.
 """
 
 import numpy as np
+from scipy import signal
 
 from dirinfo.errors import SingularDesign
 
@@ -118,6 +120,19 @@ def chained_table(model, n):
         lead = t - 1 - k
         table = table[..., None] * kernel_nd.reshape((1,) * lead + (M,) * (k + 1))
     return table.reshape(model.alphabet_sizes * n)
+
+
+def nonlinear_example_values(alpha, beta, T, seed, burn_in):
+    """Panel values (x, y) of the nonlinear example x(n+1) = alpha x(n) +
+    beta y(n)^2 + e(n+1), its AR(1) drive filtered by ``lfilter``."""
+    rng = np.random.default_rng(seed)
+    total = T + burn_in
+    y = rng.standard_normal(total)
+    eps = rng.standard_normal(total)
+    drive = np.zeros(total)
+    drive[1:] = beta * y[:-1] ** 2 + eps[1:]
+    x = signal.lfilter([1.0], [1.0, -alpha], drive)
+    return np.column_stack([x, y])[burn_in:]
 
 
 def _centred(values):

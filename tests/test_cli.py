@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+import dirinfo
 
 from dirinfo.cli import build_parser, main
 from dirinfo.discrete import save_model
 from dirinfo.gaussian import save_var
 from dirinfo.inference import bonferroni_count, min_surrogates
-from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution
+from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, write_panel
 from dirinfo.simulate import chain_markov_model, random_markov_model, random_var_model
 
 
@@ -143,6 +149,63 @@ def test_check_flags_non_finite_numbers(tmp_path, capsys):
         assert f"{what} = nan is not finite" in err
     assert "statistic nan is not finite" in err
     assert "threshold inf is not finite" in err
+
+
+@pytest.mark.parametrize("field, value", [("statistic", "abc"), ("threshold", "abc"),
+                                          ("statistic", None), ("threshold", None)])
+def test_check_reports_non_numeric_decision_fields(tmp_path, capsys, field, value):
+    entry = {"statistic": 0.2, "threshold": 0.1, "decision": "reject_H0",
+             "calibration": "surrogate", field: value}
+    if value is None:
+        del entry[field]
+    (tmp_path / "r.json").write_text(json.dumps(entry))
+    assert run("check", tmp_path / "r.json") == 1
+    assert "test has a missing or non-numeric field" in capsys.readouterr().err
+
+
+def test_check_reports_missing_chi_square_fields(tmp_path, capsys):
+    entry = {"statistic": 0.2, "threshold": 0.1, "decision": "reject_H0",
+             "calibration": "chi_square", "level": 0.05, "chi2_scale": 1.0,
+             "chi2_df": "1", "n_obs": 100}
+    (tmp_path / "r.json").write_text(json.dumps(entry))
+    assert run("check", tmp_path / "r.json") == 1
+    assert "test has a missing or non-numeric field" in capsys.readouterr().err
+    del entry["chi2_df"]
+    (tmp_path / "r.json").write_text(json.dumps(entry))
+    assert run("check", tmp_path / "r.json") == 1
+    assert "KeyError('chi2_df')" in capsys.readouterr().err
+
+
+def test_zero_dof_test_fails_and_graph_records_it(tmp_path, capsys):
+    # x takes a single symbol: every chi-square test with x as source or
+    # target has no degree of freedom
+    values = np.random.default_rng(0).integers(0, 2, size=(500, 3))
+    values[:, 0] = 0
+    write_panel(TimeSeriesPanel(values=values, labels=("x", "y", "z")), tmp_path / "c.csv")
+    assert run("test", "--input", tmp_path / "c.csv", "--kind", "causality", "--A", "x",
+               "--B", "y", "--C", "z", "--out", tmp_path / "t") == 1
+    assert "CalibrationError: chi-square calibration needs dof > 0" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    assert run("graph", "--input", tmp_path / "c.csv", "--out", tmp_path / "g") == 0
+    errors = json.loads((tmp_path / "g.json").read_text())["errors"]
+    assert sorted(errors) == ["x -- y", "x -- z", "x -> y", "x -> z", "y -> x", "z -> x"]
+    assert all(e.startswith("CalibrationError") for e in errors.values())
+    assert run("check", tmp_path / "g.json") == 0
+
+
+def test_imports_stay_light():
+    # a fresh interpreter: the package imports no scipy, and the CLI only
+    # the linear algebra and special functions it uses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirinfo.__file__)))
+    code = ("import sys, dirinfo\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "import dirinfo.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "[]"]
 
 
 def test_check_flags_tampered_results(tmp_path):

@@ -74,6 +74,17 @@ def test_decision_matches_threshold_rule():
     assert res.dof == 2 and res.calibration == "chi_square"
 
 
+@pytest.mark.parametrize("test", [llr_causality, llr_coupling])
+def test_chi_square_refuses_zero_dof(test):
+    # a source that takes a single symbol adds no parameter to the fit
+    panel = iid_panel(500, 4, nodes=3)
+    values = panel.values.copy()
+    values[:, 0] = 0
+    panel = TimeSeriesPanel(values=values, labels=panel.labels)
+    with pytest.raises(CalibrationError, match="needs dof > 0, the test has 0"):
+        test(panel, ["x0"], ["x1"], ["x2"], family=DiscreteMarkovFamily())
+
+
 def _pseudo_count_loglik(cells, contexts, m):
     """sum n ln(n + 1/2) over the observed cells minus sum N ln(N + m/2)
     over the observed contexts, for m target symbols."""

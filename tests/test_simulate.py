@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import reference
 from dirinfo.discrete import DiscreteMarkovModel, enumerate_joint
 from dirinfo.errors import ParamError, UnstableModel
 from dirinfo.gaussian import VarModel
 from dirinfo.measures import delayed_directed_information
 from dirinfo.simulate import (
+    NONLINEAR_BURN_IN,
     GroundTruth,
     chain_markov_model,
     delay_channel,
@@ -87,6 +89,18 @@ def test_nonlinear_zero_lagged_covariance():
     # var(x(n+1) y(n)) / T bounds the estimator variance
     se = np.sqrt(np.var(x[1:] * y[:-1]) / T)
     assert abs(c) < 3 * se
+
+
+@pytest.mark.parametrize("T", [1, 500, 20_000])
+@pytest.mark.parametrize("alpha", [-0.8, 0, 0.5, 0.99])
+@pytest.mark.parametrize("seed", [0, 3, 1009])
+def test_nonlinear_filter_matches_lfilter(seed, alpha, T):
+    # the AR(1) recursion does lfilter's arithmetic, so the panel is the
+    # same bit for bit
+    panel, _ = gen_nonlinear_example(alpha, 1.0, T, seed)
+    want = reference.nonlinear_example_values(alpha, 1.0, T, seed, NONLINEAR_BURN_IN)
+    assert panel.values.dtype == want.dtype and panel.values.shape == want.shape
+    assert panel.values.tobytes() == want.tobytes()
 
 
 def test_nonlinear_alpha_range():
