@@ -391,12 +391,33 @@ def _decision_problems(entry, level) -> list[str]:
     return problems
 
 
+def _coverage_problems(doc) -> list[str]:
+    """A graph tests each ordered node pair for a directed edge and each
+    unordered pair for coupling.  An edge whose test failed, or that has
+    neither a test nor a recorded failure, leaves the graph unverified."""
+    try:
+        nodes = doc["nodes"]
+        errors = doc["errors"]
+        tested = {f"{e['from']} -> {e['to']}" for e in doc["directed"]}
+        tested |= {" -- ".join(sorted(e["pair"])) for e in doc["undirected"]}
+        problems = [f"edge {key} untested: {message}" for key, message in sorted(errors.items())]
+        names = sorted(nodes)
+        keys = [f"{a} -> {b}" for a in nodes for b in nodes if a != b]
+        keys += [f"{a} -- {b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        return [f"graph has a missing or malformed field ({exc!r})"]
+    return problems + [f"edge {key} has neither a test nor a recorded error"
+                       for key in keys if key not in tested and key not in errors]
+
+
 def _cmd_check(args) -> int:
     with open(args.result) as fh:
         doc = json.load(fh)
     problems = []
     if "residuals" in doc:
         problems.extend(_decomposition_problems(doc))
+    if "nodes" in doc:
+        problems.extend(_coverage_problems(doc))
     entries = []
     if "decision" in doc:
         entries.append(doc)

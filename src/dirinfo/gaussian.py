@@ -9,8 +9,10 @@ its entire past solves one discrete algebraic Riccati equation (Barnett &
 Seth, Phys. Rev. E 91, 040101(R), 2015), so indices and rates are exact
 infinite-horizon values.  One equation is solved per distinct past set and
 model, and none for the full node set, whose innovation covariance is the
-noise covariance.  :func:`prediction_variance` projects on a finite
-lag window instead and serves as an independent cross-check.
+noise covariance.  The equation is solved in numpy by structure-preserving
+doubling (Chu, Fan, Lin & Wang, Int. J. Control 77, 2004), which converges
+quadratically.  The finite-window projection that cross-checks these values
+lives with the test references, not in the package.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .core import MeasureValue, TimeSeriesPanel
 from .errors import (
@@ -39,9 +40,8 @@ class VarModel:
     coeffs: np.ndarray  # (p, d, d)
     noise_cov: np.ndarray  # (d, d)
     labels: tuple[str, ...]
-    # memos of derived arrays; fresh per instance, so a model made by
-    # dataclasses.replace recomputes them
-    _gamma_cache: dict = field(init=False, repr=False, compare=False)
+    # memo of innovation covariances; fresh per instance, so a model made
+    # by dataclasses.replace recomputes them
     _innovations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,7 +77,6 @@ class VarModel:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_cov", noise)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_gamma_cache", {})
         object.__setattr__(self, "_innovations", {})
 
     @property
@@ -99,114 +98,6 @@ class VarModel:
     @property
     def is_stable(self) -> bool:
         return self.spectral_radius < 1.0
-
-
-def autocovariance(model: VarModel, max_lag: int) -> np.ndarray:
-    """Gamma(h) = E[x(t) x(t-h)'] for h = 0..max_lag, shape (max_lag+1, d, d).
-
-    Gamma(0..p-1) come from the companion-form Lyapunov equation, higher
-    lags from the Yule-Walker recursion.
-    """
-    cached = model._gamma_cache.get("gammas")
-    if cached is not None and cached.shape[0] > max_lag:
-        return cached[:max_lag + 1]
-    if not model.is_stable:
-        raise UnstableModel(
-            f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
-    p, d = model.order, model.n_nodes
-    F = model.companion()
-    Q = np.zeros((p * d, p * d))
-    Q[:d, :d] = model.noise_cov
-    big = sla.solve_discrete_lyapunov(F, Q, method="bilinear")
-    gammas = np.empty((max(max_lag, p - 1) + 1, d, d))
-    for h in range(min(p, max_lag + 1)):
-        gammas[h] = big[:d, h * d:(h + 1) * d]
-    for h in range(p, max_lag + 1):
-        gammas[h] = sum(model.coeffs[j - 1] @ gammas[h - j] for j in range(1, p + 1))
-    gammas.setflags(write=False)
-    model._gamma_cache["gammas"] = gammas
-    return gammas[:max_lag + 1]
-
-
-# ---------------------------------------------------------------------------
-# one-step prediction risks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PredictionRisk:
-    """Asymptotic one-step prediction error for a target group.
-
-    ``risk`` is ``log det`` of the error covariance, making the nested
-    Geweke ratios dimension-consistent for multivariate targets.
-    """
-
-    target: tuple[int, ...]
-    predictor_spec: tuple
-    error_cov: np.ndarray
-    risk: float
-
-
-def _normalize_spec(spec):
-    """predictor_spec entries are (nodes, max_lag, include_contemporaneous)."""
-    cells = set()
-    normalized = []
-    for entry in spec:
-        nodes, max_lag, contemporaneous = entry
-        nodes = tuple(int(a) for a in nodes)
-        max_lag = int(max_lag)
-        if max_lag < 0:
-            raise ParamError("predictor max_lag must be >= 0")
-        normalized.append((nodes, max_lag, bool(contemporaneous)))
-        for a in nodes:
-            for lag in range(1, max_lag + 1):
-                cells.add((a, lag))
-            if contemporaneous:
-                cells.add((a, 0))
-    return tuple(normalized), sorted(cells, key=lambda c: (c[1], c[0]))
-
-
-def prediction_variance(model: VarModel, target, predictors) -> PredictionRisk:
-    """Error covariance of the best linear one-step predictor of the target
-    nodes from the specified information set.
-
-    ``predictors`` is a list of ``(node set, max lag, include_contemporaneous)``
-    groups; lags count backwards from the predicted time step, so lag 0 is a
-    contemporaneous regressor.  The computation uses the model's analytic
-    autocovariances followed by a finite-order projection.
-    """
-    target = tuple(int(b) for b in target)
-    if not target:
-        raise ParamError("target must be nonempty")
-    spec, cells = _normalize_spec(predictors)
-    for b in target:
-        if (b, 0) in cells:
-            raise ParamError(f"target node {b} cannot be its own contemporaneous predictor")
-    max_lag = max((lag for _, lag in cells), default=0)
-    gammas = autocovariance(model, max_lag)
-
-    g0_bb = gammas[0][np.ix_(target, target)]
-    if not cells:
-        err = g0_bb
-    else:
-        nodes = np.array([a for a, _ in cells])
-        lags = np.array([lag for _, lag in cells])
-        # block-Toeplitz: G[i, j] = Gamma(lb-la)[a, b] if lb >= la else Gamma(la-lb)[b, a]
-        ahead = lags[None, :] >= lags[:, None]
-        G = gammas[np.abs(lags[None, :] - lags[:, None]),
-                   np.where(ahead, nodes[:, None], nodes[None, :]),
-                   np.where(ahead, nodes[None, :], nodes[:, None])]
-        c = gammas[lags[None, :], np.array(target)[:, None], nodes[None, :]]
-        try:
-            sol = sla.solve(G, c.T, assume_a="pos")
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(G, c.T, rcond=None)[0]
-        err = g0_bb - c @ sol
-        err = 0.5 * (err + err.T)
-    sign, logdet = np.linalg.slogdet(err)
-    if sign <= 0:
-        raise SingularDesign("prediction error covariance is singular")
-    return PredictionRisk(target=target, predictor_spec=spec,
-                          error_cov=err, risk=float(logdet))
 
 
 def innovation_cov(model: VarModel, nodes) -> np.ndarray:
@@ -240,20 +131,61 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
 
 
 def _riccati_innovation_cov(model: VarModel, nodes) -> np.ndarray:
-    p, d = model.order, model.n_nodes
+    """The filter Riccati equation of ``innovation_cov`` with the cross
+    covariance K Sigma_{.S} of state and observation noise folded into the
+    state matrix: A = F - K Sigma_{.S} R^-1 C, Q = K (Sigma - Sigma_{.S}
+    R^-1 Sigma_{S.}) K', and P = A P (I + C' R^-1 C P)^-1 A' + Q."""
+    d = model.n_nodes
     F = model.companion()
     C = F[nodes]
-    K = np.eye(p * d, d)
     sigma = model.noise_cov
     R = sigma[np.ix_(nodes, nodes)]
+    gain = np.linalg.solve(R, sigma[nodes]).T  # Sigma_{.S} R^-1
+    A = F.copy()
+    A[:d] -= gain @ C
+    Q = np.zeros_like(F)
+    Q[:d, :d] = sigma - gain @ sigma[nodes]
     try:
-        P = sla.solve_discrete_are(F.T, C.T, K @ sigma @ K.T, R, s=K @ sigma[:, nodes])
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        P = _solve_riccati(A.T, C.T @ np.linalg.solve(R, C), Q)
+    except np.linalg.LinAlgError as exc:
         raise SingularDesign(f"Riccati equation for nodes {nodes} failed: {exc}") from None
     cov = C @ P @ C.T + R
     cov = 0.5 * (cov + cov.T)
     cov.setflags(write=False)
     return cov
+
+
+# doubling stops once an update's largest entry is this small relative to
+# the solution's; it converges quadratically, so the cap is never reached on a
+# stable model
+RICCATI_TOL = 1e-15
+RICCATI_MAX_STEPS = 64
+
+
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises below
+def _solve_riccati(A, G, H) -> np.ndarray:
+    """Stabilizing solution X of X = A' X (I + G X)^-1 A + H, with G and H
+    symmetric positive semidefinite, by structure-preserving doubling: with
+    W = I + G H, A <- A W^-1 A, G <- G + A W^-1 G A', H <- H + A' H W^-1 A,
+    and H converges to X.  Raises ``SingularDesign`` on a non-finite input
+    or iterate, and when no update falls below ``RICCATI_TOL`` within
+    ``RICCATI_MAX_STEPS`` steps."""
+    if not (np.isfinite(A).all() and np.isfinite(G).all() and np.isfinite(H).all()):
+        raise SingularDesign("Riccati equation has non-finite coefficients")
+    eye = np.eye(A.shape[0])
+    n = A.shape[1]
+    for _ in range(RICCATI_MAX_STEPS):
+        solved = np.linalg.solve(eye + G @ H, np.concatenate([A, G], axis=1))
+        WA, WG = solved[:, :n], solved[:, n:]
+        update = A.T @ H @ WA
+        G = G + A @ WG @ A.T
+        A = A @ WA
+        H = H + update
+        if not np.isfinite(H).all():
+            raise SingularDesign("Riccati doubling diverged")
+        if np.abs(update).max() <= RICCATI_TOL * np.abs(H).max():
+            return 0.5 * (H + H.T)
+    raise SingularDesign(f"Riccati doubling did not converge in {RICCATI_MAX_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +207,7 @@ def _risk(model, target, past, present=()):
     q = [past.index(a) for a in present]
     err = cov[np.ix_(t, t)]
     if q:
-        err = err - cov[np.ix_(t, q)] @ sla.solve(cov[np.ix_(q, q)], cov[np.ix_(q, t)],
-                                                  assume_a="pos")
+        err = err - cov[np.ix_(t, q)] @ np.linalg.solve(cov[np.ix_(q, q)], cov[np.ix_(q, t)])
     return float(np.linalg.slogdet(err)[1])
 
 
@@ -368,7 +299,7 @@ def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel
                 R[(j - 1) * d:j * d, (i - 1) * d:i * d] = blk
         G = np.concatenate([gam[i] for i in range(1, p + 1)], axis=1)
         try:
-            A = sla.solve(R.T, G.T).T
+            A = np.linalg.solve(R.T, G.T).T
         except np.linalg.LinAlgError:
             raise SingularDesign("Yule-Walker system is singular") from None
         coeffs = np.stack([A[:, (j - 1) * d:j * d] for j in range(1, p + 1)])

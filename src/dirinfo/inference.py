@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
 from .discrete import (
@@ -600,18 +599,26 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
                    chi2_scale=float(c), chi2_df=float(f))
 
 
+def _special():
+    """``scipy.special``, imported on first use: it is the package's only
+    scipy module, and only chi-square laws need it."""
+    from scipy import special
+
+    return special
+
+
 def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
     """Per-sample LLR threshold of a (scaled) chi-square calibration.
     ``chdtri`` is what ``stats.chi2.isf`` evaluates, without its per-call
     argument handling."""
-    return chi2_scale * special.chdtri(chi2_df, level) / (2.0 * n_obs)
+    return chi2_scale * _special().chdtri(chi2_df, level) / (2.0 * n_obs)
 
 
 def _chi_square_sf(x, df) -> float:
     """``stats.chi2.sf(x, df)`` bit for bit: ``chdtrc`` is what it
     evaluates inside the support, and outside it gives 1 for x <= 0 and
     NaN for df <= 0, without its per-call argument handling."""
-    return float(special.chdtrc(df, max(x, 0.0))) if df > 0 else math.nan
+    return float(_special().chdtrc(df, max(x, 0.0))) if df > 0 else math.nan
 
 
 def _block_permutations(T, block_len, rng, count):

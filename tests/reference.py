@@ -8,15 +8,19 @@ an explicitly stacked lagged design, the permutation cuts the rotated index
 vector with ``np.array_split``, surrogate statistics are computed one
 permuted panel at a time, discrete likelihoods count the contexts found by
 ``np.unique``, the joint law of a Markov model is the dense product of
-its initial law and kernels, and the nonlinear example's AR(1) filter is
-``scipy.signal.lfilter``.  They share nothing with the package's
-implementations.
+its initial law and kernels, the nonlinear example's AR(1) filter is
+``scipy.signal.lfilter``, and a VAR's one-step prediction risk is a
+finite-window projection on its Lyapunov autocovariances rather than a
+Riccati solve.  They share nothing with the package's implementations.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy import linalg as sla
 from scipy import signal
 
-from dirinfo.errors import SingularDesign
+from dirinfo.errors import ParamError, SingularDesign, UnstableModel
 
 
 def block_permutation(T, block_len, rng):
@@ -228,3 +232,111 @@ def var_generalized_llr_stat(values, k, masked_by_target):
         ll_full += -0.5 * n_obs * _logdet(cov_f)
         ll_res += -0.5 * n_obs * _logdet(cov_r)
     return (ll_full - ll_res) / n_obs
+
+
+def autocovariance(model, max_lag):
+    """Gamma(h) = E[x(t) x(t-h)'] for h = 0..max_lag, shape (max_lag+1, d, d)
+    of a VAR model: Gamma(0..p-1) from the companion-form Lyapunov
+    equation, higher lags from the Yule-Walker recursion."""
+    if not model.is_stable:
+        raise UnstableModel(
+            f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
+    p, d = model.order, model.n_nodes
+    F = model.companion()
+    Q = np.zeros((p * d, p * d))
+    Q[:d, :d] = model.noise_cov
+    big = sla.solve_discrete_lyapunov(F, Q, method="bilinear")
+    gammas = np.empty((max(max_lag, p - 1) + 1, d, d))
+    for h in range(min(p, max_lag + 1)):
+        gammas[h] = big[:d, h * d:(h + 1) * d]
+    for h in range(p, max_lag + 1):
+        gammas[h] = sum(model.coeffs[j - 1] @ gammas[h - j] for j in range(1, p + 1))
+    return gammas[:max_lag + 1]
+
+
+@dataclass(frozen=True)
+class PredictionRisk:
+    """One-step prediction error of a target group; ``risk`` is ``log det``
+    of the error covariance."""
+
+    target: tuple
+    predictor_spec: tuple
+    error_cov: np.ndarray
+    risk: float
+
+
+def _normalize_spec(spec):
+    """predictor_spec entries are (nodes, max_lag, include_contemporaneous)."""
+    cells = set()
+    normalized = []
+    for nodes, max_lag, contemporaneous in spec:
+        nodes = tuple(int(a) for a in nodes)
+        max_lag = int(max_lag)
+        if max_lag < 0:
+            raise ParamError("predictor max_lag must be >= 0")
+        normalized.append((nodes, max_lag, bool(contemporaneous)))
+        for a in nodes:
+            for lag in range(1, max_lag + 1):
+                cells.add((a, lag))
+            if contemporaneous:
+                cells.add((a, 0))
+    return tuple(normalized), sorted(cells, key=lambda c: (c[1], c[0]))
+
+
+def prediction_variance(model, target, predictors):
+    """Error covariance of the best linear one-step predictor of the
+    target nodes of a VAR model from a finite information set.
+
+    ``predictors`` is a list of ``(node set, max lag, include_contemporaneous)``
+    groups; lags count backwards from the predicted time step, so lag 0 is a
+    contemporaneous regressor.  The predictor is the projection on those
+    lagged values, computed from the model's autocovariances.
+    """
+    target = tuple(int(b) for b in target)
+    if not target:
+        raise ParamError("target must be nonempty")
+    spec, cells = _normalize_spec(predictors)
+    for b in target:
+        if (b, 0) in cells:
+            raise ParamError(f"target node {b} cannot be its own contemporaneous predictor")
+    max_lag = max((lag for _, lag in cells), default=0)
+    gammas = autocovariance(model, max_lag)
+
+    g0_bb = gammas[0][np.ix_(target, target)]
+    if not cells:
+        err = g0_bb
+    else:
+        nodes = np.array([a for a, _ in cells])
+        lags = np.array([lag for _, lag in cells])
+        # block-Toeplitz: G[i, j] = Gamma(lb-la)[a, b] if lb >= la else Gamma(la-lb)[b, a]
+        ahead = lags[None, :] >= lags[:, None]
+        G = gammas[np.abs(lags[None, :] - lags[:, None]),
+                   np.where(ahead, nodes[:, None], nodes[None, :]),
+                   np.where(ahead, nodes[None, :], nodes[:, None])]
+        c = gammas[lags[None, :], np.array(target)[:, None], nodes[None, :]]
+        try:
+            sol = sla.solve(G, c.T, assume_a="pos")
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(G, c.T, rcond=None)[0]
+        err = g0_bb - c @ sol
+        err = 0.5 * (err + err.T)
+    sign, logdet = np.linalg.slogdet(err)
+    if sign <= 0:
+        raise SingularDesign("prediction error covariance is singular")
+    return PredictionRisk(target=target, predictor_spec=spec,
+                          error_cov=err, risk=float(logdet))
+
+
+def riccati_innovation_cov(model, nodes):
+    """``innovation_cov`` of a VAR model by ``scipy.linalg.solve_discrete_are``
+    on the unfolded filter Riccati equation, with the cross covariance of
+    state and observation noise as its ``s`` term."""
+    p, d = model.order, model.n_nodes
+    F = model.companion()
+    C = F[nodes]
+    K = np.eye(p * d, d)
+    sigma = model.noise_cov
+    R = sigma[np.ix_(nodes, nodes)]
+    P = sla.solve_discrete_are(F.T, C.T, K @ sigma @ K.T, R, s=K @ sigma[:, nodes])
+    cov = C @ P @ C.T + R
+    return 0.5 * (cov + cov.T)

@@ -190,22 +190,98 @@ def test_zero_dof_test_fails_and_graph_records_it(tmp_path, capsys):
     errors = json.loads((tmp_path / "g.json").read_text())["errors"]
     assert sorted(errors) == ["x -- y", "x -- z", "x -> y", "x -> z", "y -> x", "z -> x"]
     assert all(e.startswith("CalibrationError") for e in errors.values())
+    capsys.readouterr()
+    # an edge that could not be tested leaves the graph unverified
+    assert run("check", tmp_path / "g.json") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"check failed: edge {key} untested: {errors[key]}" for key in sorted(errors)]
+
+
+def test_check_reports_graph_edges_without_a_test(tmp_path, capsys):
+    run("simulate", "chain", "--T", 1000, "--seed", 4, "--out", tmp_path / "c")
+    assert run("graph", "--input", tmp_path / "c.csv", "--family", "var",
+               "--out", tmp_path / "g") == 0
     assert run("check", tmp_path / "g.json") == 0
+    clean = json.loads((tmp_path / "g.json").read_text())
+    dropped = {**clean, "directed": clean["directed"][1:],
+               "undirected": clean["undirected"][:-1]}
+    (tmp_path / "g.json").write_text(json.dumps(dropped))
+    capsys.readouterr()
+    assert run("check", tmp_path / "g.json") == 1
+    first, last = clean["directed"][0], clean["undirected"][-1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"check failed: edge {first['from']} -> {first['to']} has neither a test "
+        f"nor a recorded error",
+        f"check failed: edge {' -- '.join(last['pair'])} has neither a test "
+        f"nor a recorded error"]
+    (tmp_path / "g.json").write_text(json.dumps({**clean, "errors": None}))
+    assert run("check", tmp_path / "g.json") == 1
+    assert "graph has a missing or malformed field" in capsys.readouterr().err
+
+
+def _fresh_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirinfo.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def test_imports_stay_light():
-    # a fresh interpreter: the package imports no scipy, and the CLI only
-    # the linear algebra and special functions it uses
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dirinfo.__file__)))
+    # a fresh interpreter: neither the package nor the CLI imports scipy
     code = ("import sys, dirinfo\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "import dirinfo.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out == ["[]", "[]"]
+
+
+def scipy_modules_after(commands, cwd):
+    """The scipy modules a fresh interpreter holds after running each CLI
+    command line in ``commands``, all of which must succeed."""
+    code = ("import json, sys\n"
+            "from dirinfo.cli import main\n"
+            f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), cwd=cwd, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_model_commands_load_no_scipy(tmp_path):
+    save_model(chain_markov_model(0.1), tmp_path / "markov.json")
+    commands = [
+        ("simulate", "nonlinear", "--T", 500, "--seed", 3, "--out", "nl"),
+        ("estimate", "--input", "nl.csv", "--family", "var", "--out", "m"),
+        ("decompose", "--model", "m.model.json", "--A", "x", "--B", "y", "--out", "d"),
+        ("decompose", "--model", "markov.json", "--A", "x", "--B", "y", "--n", 3,
+         "--out", "dd"),
+        ("check", "d.json"),
+        ("check", "dd.json"),
+        ("replay", "d.manifest.json"),
+    ]
+    assert scipy_modules_after(commands, tmp_path) == []
+
+
+def test_chi_square_test_loads_special_but_not_linalg(tmp_path):
+    run("simulate", "chain", "--T", 500, "--seed", 3, "--out", tmp_path / "c")
+    modules = scipy_modules_after([("test", "--input", "c.csv", "--family", "var",
+                                    "--kind", "causality", "--A", "x", "--B", "y",
+                                    "--out", "t")], tmp_path)
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.linalg")]
+
+
+def test_replay_of_gaussian_decompose_is_byte_identical(tmp_path):
+    save_var(random_var_model(5, nodes=3, order=2, noise_corr=0.3), tmp_path / "var.json")
+    out = tmp_path / "gw"
+    assert run("decompose", "--model", tmp_path / "var.json", "--A", "x0", "--B", "x1",
+               "--out", out) == 0
+    first = (tmp_path / "gw.json").read_bytes()
+    (tmp_path / "gw.json").write_text("{}")
+    assert run("replay", tmp_path / "gw.manifest.json") == 0
+    assert (tmp_path / "gw.json").read_bytes() == first
 
 
 def test_check_flags_tampered_results(tmp_path):

@@ -12,19 +12,18 @@ from dirinfo.errors import InvalidModel, ParamError, SingularDesign, UnstableMod
 from dirinfo.gaussian import (
     GEWEKE_KINDS,
     VarModel,
-    autocovariance,
     fit_var,
     gaussian_mi_rate,
     geweke_index,
     innovation_cov,
     load_var,
-    prediction_variance,
     save_var,
     var_from_json,
     var_to_json,
 )
 from dirinfo.measures import delayed_directed_information, instantaneous_exchange
 from dirinfo.simulate import gen_var, random_var_model
+from reference import autocovariance, prediction_variance, riccati_innovation_cov
 
 
 def bivariate_var1(a_to_b=0.4, corr=0.0):
@@ -89,13 +88,13 @@ def test_full_information_set_recovers_noise_block():
 
 def count_riccati_solves(monkeypatch):
     calls = []
-    solve = gaussian.sla.solve_discrete_are
+    solve = gaussian._solve_riccati
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", counted)
+    monkeypatch.setattr(gaussian, "_solve_riccati", counted)
     return calls
 
 
@@ -122,16 +121,14 @@ def test_decompose_solves_each_past_set_once(tmp_path, monkeypatch):
 
 def test_models_start_with_empty_memos(tmp_path):
     model = random_var_model(4, nodes=3, order=2, noise_corr=0.2)
-    autocovariance(model, 3)
     innovation_cov(model, (0, 1))
     save_var(model, tmp_path / "var.json")
     loaded = load_var(tmp_path / "var.json")
-    assert loaded._gamma_cache == {} and loaded._innovations == {}
+    assert loaded._innovations == {}
     # a replaced model computes its own values, not the source model's
     coeffs = model.coeffs / 2
     replaced = dataclasses.replace(model, coeffs=coeffs)
     fresh = VarModel(order=2, coeffs=coeffs, noise_cov=model.noise_cov, labels=model.labels)
-    assert np.array_equal(autocovariance(replaced, 3), autocovariance(fresh, 3))
     assert np.array_equal(innovation_cov(replaced, (0, 1)), innovation_cov(fresh, (0, 1)))
 
 
@@ -276,7 +273,7 @@ def test_unstable_model_raises_before_riccati(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Riccati solver called on an unstable model")
 
-    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", refuse)
+    monkeypatch.setattr(gaussian, "_solve_riccati", refuse)
     model = VarModel(order=1, coeffs=np.array([[[1.05, 0.0], [0.3, 0.2]]]),
                      noise_cov=np.eye(2), labels=("a", "b"))
     part = make_partition(("a", "b"), ["a"], ["b"])
@@ -287,16 +284,52 @@ def test_unstable_model_raises_before_riccati(monkeypatch):
         gaussian_mi_rate(model, (0,), (1,))
 
 
-@pytest.mark.parametrize("error", [np.linalg.LinAlgError("no stabilizing solution"),
-                                   ValueError("ill-posed pencil")])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                   SingularDesign("Riccati doubling diverged")])
 def test_riccati_failure_is_singular_design(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(gaussian.sla, "solve_discrete_are", fail)
+    monkeypatch.setattr(gaussian, "_solve_riccati", fail)
     part = make_partition(("a", "b"), ["a"], ["b"])
     with pytest.raises(SingularDesign):
         geweke_index(bivariate_var1(), part, "directed")
+
+
+def _proper_node_sets(d):
+    return [list(nodes) for k in range(1, d)
+            for nodes in itertools.combinations(range(d), k)]
+
+
+def test_doubling_matches_scipy_riccati():
+    # ORACLE: scipy's Schur-method solve of the unfolded equation; order-1
+    # models keep their rescaled spectral radius, the rest sit below it
+    rng = np.random.default_rng(2015)
+    radii = []
+    for seed in range(24):
+        order = 1 if seed % 2 else int(rng.integers(2, 4))
+        model = random_var_model(seed, nodes=int(rng.integers(2, 5)), order=order,
+                                 radius=(0.6, 0.9, 0.99, 0.999)[seed % 4],
+                                 noise_corr=float(rng.uniform(-0.3, 0.6)))
+        radii.append(model.spectral_radius)
+        for nodes in _proper_node_sets(model.n_nodes):
+            got = gaussian._riccati_innovation_cov(model, nodes)
+            want = riccati_innovation_cov(model, nodes)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (seed, nodes)
+    assert sum(r >= 0.99 for r in radii) >= 6
+
+
+@pytest.mark.parametrize("A, match", [
+    (np.array([[0.5, np.nan], [0.0, 0.5]]), "non-finite"),
+    (np.array([[0.5, np.inf], [0.0, 0.5]]), "non-finite"),
+    (2.0 * np.eye(2), "diverged"),
+    (np.eye(2), "did not converge"),
+], ids=["nan", "inf", "explosive", "unit-root"])
+def test_riccati_solver_refuses_bad_equations(A, match):
+    # without observations (G = 0) X = A' X A + H has no solution unless A
+    # is stable: explosive A overflows, a unit root doubles H every step
+    with pytest.raises(SingularDesign, match=match):
+        gaussian._solve_riccati(A, np.zeros((2, 2)), np.eye(2))
 
 
 def test_risk_requires_target_past():

@@ -189,11 +189,9 @@ def test_gen_var_rejects_unstable():
 def test_gen_var_moments_match_model():
     model = random_var_model(6, nodes=2, order=1, noise_corr=0.4)
     panel, _ = gen_var(model, 200_000, seed=6)
-    from dirinfo.gaussian import autocovariance
-
     x = panel.values - panel.values.mean(axis=0)
     emp = x.T @ x / x.shape[0]
-    assert np.max(np.abs(emp - autocovariance(model, 0)[0])) < 0.03
+    assert np.max(np.abs(emp - reference.autocovariance(model, 0)[0])) < 0.03
 
 
 # ---------------------------------------------------------------------------
