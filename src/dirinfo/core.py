@@ -211,10 +211,14 @@ def write_panel(panel: TimeSeriesPanel, path, format: str = "csv") -> None:
     """Write ``panel`` in canonical form (round-trips bit-exactly through
     :func:`load_panel` for CSV)."""
     if format == "csv":
+        # the per-cell rule only for rows with an integral float or an integer >= 2**53
+        values, floats = panel.values, panel.values.dtype.kind == "f"
+        by_cell = values == np.trunc(values) if floats else abs(values.astype(float)) >= 2**53
         with open(path, "w", newline="") as fh:
             fh.write(",".join(panel.labels) + "\n")
-            for row in panel.values:
-                fh.write(",".join(_format_number(x) for x in row) + "\n")
+            for row, slow in zip(values.tolist(), by_cell.any(axis=1).tolist()):
+                cell = _format_number if slow else repr if floats else "{:d}".format
+                fh.write(",".join(map(cell, row)) + "\n")
     elif format == "json":
         doc = {"labels": list(panel.labels), "values": panel.values.tolist()}
         with open(path, "w") as fh:

@@ -599,26 +599,120 @@ def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
                    chi2_scale=float(c), chi2_df=float(f))
 
 
-def _special():
-    """``scipy.special``, imported on first use: it is the package's only
-    scipy module, and only chi-square laws need it."""
-    from scipy import special
-
-    return special
-
-
 def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
-    """Per-sample LLR threshold of a (scaled) chi-square calibration.
-    ``chdtri`` is what ``stats.chi2.isf`` evaluates, without its per-call
-    argument handling."""
-    return chi2_scale * _special().chdtri(chi2_df, level) / (2.0 * n_obs)
+    """Per-sample LLR threshold of a (scaled) chi-square calibration: ``chi2_scale``
+    times the upper ``level`` quantile of chi-square(``chi2_df``), over ``2 * n_obs``."""
+    return chi2_scale * _chi_square_isf(level, chi2_df) / (2.0 * n_obs)
 
 
 def _chi_square_sf(x, df) -> float:
-    """``stats.chi2.sf(x, df)`` bit for bit: ``chdtrc`` is what it
-    evaluates inside the support, and outside it gives 1 for x <= 0 and
-    NaN for df <= 0, without its per-call argument handling."""
-    return float(_special().chdtrc(df, max(x, 0.0))) if df > 0 else math.nan
+    """Upper tail ``Q(df / 2, x / 2)`` of the chi-square law: 1 for x <= 0,
+    0 for x = inf, NaN for NaN and unless 0 < df < inf."""
+    if not 0.0 < df < math.inf or x != x:
+        return math.nan
+    return _gamma_pq(0.5 * df, 0.5 * float(x))[1] if 0.0 < x < math.inf else float(x <= 0.0)
+
+
+# Temme's uniform expansion serves a >= 300 with |x / a - 1| <= 0.2, where the series
+# and the continued fraction need the most terms.  Row k: the exact eta^n coefficients of
+# C_k, cut where they add under 1e-16 there (Temme 1979; DiDonato & Morris, TOMS 12, 1986).
+_TEMME_D = (
+    (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515, -571 / 261273600,
+     -281 / 151559100, 163879 / 197522841600, -5221 / 29554024500, 5246819 / 782190452736000,
+     5459 / 531972441000),
+    (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860, -1 / 2488320, -2743 / 151559100,
+     41969 / 5486745600, -11 / 6823440),
+    (25 / 6048, -139 / 51840, 1 / 1296, 1 / 497664, -6199 / 57736800, 5531 / 104509440,
+     -1219 / 95528160),
+    (101 / 155520, 571 / 2488320, -54179 / 115473600, 41969 / 156764160, -20639 / 272937600),
+    (-3184811 / 3695155200, 163879 / 209018880, -8707 / 29113344),
+    (-2745493 / 8151736320,),
+)
+
+
+def _log1pmx(t) -> float:
+    """``log(1 + t) - t``, near 0 from the series of ``2 atanh(t / (2 + t))``."""
+    if abs(t) > 0.5:
+        return math.log1p(t) - t
+    u = t / (2.0 + t)  # |u| <= 1/3: 18 terms reach 1e-18
+    return 2.0 * u ** 3 * sum(u ** (2 * j) / (2 * j + 3) for j in range(18)) - t * u
+
+
+def _log_gamma_prefactor(a, x) -> float:
+    """``log(x**a exp(-x) / Gamma(a))``; for a >= 30 and x >= a / 2 by ``log1pmx``
+    and Stirling's series, as ``a log(x) - lgamma(a)`` loses eps * a * log(a)."""
+    if a < 30.0 or x < 0.5 * a:
+        return a * math.log(x) - x - math.lgamma(a)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * a * a)) / (a * a)) / (a * a)) / a
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def _gamma_pq(a, x) -> tuple[float, float]:
+    """Regularized incomplete gamma functions ``(P(a, x), Q(a, x))`` for
+    finite a, x > 0: the one in the tail is computed, the other is 1 minus it."""
+    mu = (x - a) / a
+    if a >= 300.0 and abs(mu) <= 0.2:  # Temme: Q = erfc(eta sqrt(a / 2)) / 2 + R
+        log_lam, s, is_q = _log1pmx(mu), 0.0, mu >= 0.0
+        eta = math.copysign(math.sqrt(-2.0 * log_lam), mu)
+        for row in reversed(_TEMME_D):
+            s = s / a + sum(d * eta ** n for n, d in enumerate(row))
+        r = math.exp(a * log_lam) / math.sqrt(2.0 * math.pi * a) * s
+        small = 0.5 * math.erfc(abs(eta) * math.sqrt(0.5 * a)) + (r if is_q else -r)
+    else:
+        prefactor, is_q = math.exp(_log_gamma_prefactor(a, x)), x >= a + 1.0
+        if not is_q:  # P = prefactor / a * sum_n x^n / ((a + 1) ... (a + n))
+            term, total, n = 1.0, 1.0, a
+            while term > 2.0 ** -52 * total:
+                n += 1.0
+                term *= x / n
+                total += term
+            small = prefactor * total / a
+        else:  # Legendre's continued fraction for Q, modified Lentz
+            b, c, i, delta = x + 1.0 - a, math.inf, 0.0, 0.0
+            h = d = 1.0 / b
+            while abs(delta - 1.0) > 2.0 ** -52:
+                i, b = i + 1.0, b + 2.0
+                d, c = 1.0 / (b - i * (i - a) * d), b - i * (i - a) / c
+                delta = d * c
+                h *= delta
+            small = prefactor * h
+    return (1.0 - small, small) if is_q else (small, 1.0 - small)
+
+
+def _chi_square_isf(level, df) -> float:
+    """The x with ``_chi_square_sf(x, df) == level`` (inf at 0, 0 at 1, NaN outside [0, 1]
+    or unless 0 < df < inf): bracketed Halley steps on log Q (log P above the median)."""
+    if not (0.0 < df < math.inf and 0.0 <= level <= 1.0):
+        return math.nan
+    if level in (0.0, 1.0):
+        return math.inf if level == 0.0 else 0.0
+    a, upper = 0.5 * float(df), level <= 0.5
+    target = math.log(level if upper else 1.0 - level)
+    t = math.sqrt(-2.0 * target)  # normal quantile, Abramowitz & Stegun 26.2.22
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    v = 1.0 / (9.0 * a)
+    x = a * max(1.0 - v + (z if upper else -z) * math.sqrt(v), 0.0) ** 3
+    if not upper or x == 0.0:  # P(a, x) < x^a / Gamma(a + 1): the root lies above
+        x = max(x, math.exp((math.log1p(-level) + math.lgamma(a + 1.0)) / a))
+    if x == 0.0:  # the quantile is below the smallest float
+        return 0.0
+    lo, hi = 0.0, math.inf
+    for _ in range(100):
+        tail = _gamma_pq(a, x)[1 if upper else 0]
+        h = math.log(tail) - target if tail > 0.0 else -math.inf
+        lo, hi = (x, hi) if (h > 0.0) == upper else (lo, x)  # h > 0: below the root on Q
+        new = math.nan
+        if tail > 0.0:
+            slope = math.exp(_log_gamma_prefactor(a, x) - math.log(tail)) / x
+            slope = -slope if upper else slope  # d log(tail) / dx
+            step = h / slope
+            step /= max(1.0 - 0.5 * step * ((a - 1.0) / x - 1.0 - slope), 0.5)  # Halley
+            if abs(step) <= 1e-7 * x:  # Halley's error cubes: now far below 1e-16 x
+                return 2.0 * (x - step)
+            new = x - step
+        x = new if lo < new < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+    raise CalibrationError(f"chi-square quantile at level {level!r} and {df!r} "
+                           f"degrees of freedom did not converge")
 
 
 def _block_permutations(T, block_len, rng, count):

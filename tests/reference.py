@@ -11,10 +11,12 @@ permuted panel at a time, discrete likelihoods count the contexts found by
 its initial law and kernels, the nonlinear example's AR(1) filter is
 ``scipy.signal.lfilter``, and a VAR's one-step prediction risk is a
 finite-window projection on its Lyapunov autocovariances rather than a
-Riccati solve.  They share nothing with the package's implementations.
+Riccati solve, and the chi-square upper tail is summed in 50-digit decimal
+arithmetic.  They share nothing with the package's implementations.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy import linalg as sla
@@ -340,3 +342,49 @@ def riccati_innovation_cov(model, nodes):
     P = sla.solve_discrete_are(F.T, C.T, K @ sigma @ K.T, R, s=K @ sigma[:, nodes])
     cov = C @ P @ C.T + R
     return 0.5 * (cov + cov.T)
+
+
+# B_2k / (2k (2k - 1)): Stirling's series for log Gamma, whose next term is
+# below 1e-30 from 60 on
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+             (1, 156), (-3617, 122400))
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _log_gamma(a):
+    """log Gamma(a) of a Decimal a > 0: shifted past 60, then Stirling's series."""
+    shift = Decimal(0)
+    while a < 60:
+        shift += a.ln()
+        a += 1
+    series = sum(Decimal(p) / q / a ** (2 * k + 1) for k, (p, q) in enumerate(_STIRLING))
+    return (a - Decimal("0.5")) * a.ln() - a + (2 * _PI).ln() / 2 + series - shift
+
+
+def chi_square_sf(x, df):
+    """Upper tail Q(df/2, x/2) of the chi-square law at x > 0, in 50-digit
+    decimal arithmetic: 1 - P by the power series of P below x/2 = df/2 + 1,
+    Legendre's continued fraction for Q (modified Lentz) above it."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, x = Decimal(df) / 2, Decimal(x) / 2
+        prefactor = (a * x.ln() - x - _log_gamma(a)).exp()
+        tol = Decimal(10) ** -45
+        if x < a + 1:
+            term = total = 1 / a
+            n = a
+            while term > tol * total:
+                n += 1
+                term *= x / n
+                total += term
+            return float(1 - prefactor * total)
+        b = x + 1 - a
+        c, d = Decimal("Infinity"), 1 / b
+        h, i, delta = d, 0, 0
+        while abs(delta - 1) > tol:
+            i, b = i + 1, b + 2
+            d = 1 / (b - i * (i - a) * d)
+            c = b - i * (i - a) / c
+            delta = d * c
+            h *= delta
+        return float(prefactor * h)

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 import dirinfo
 
@@ -163,6 +164,32 @@ def test_check_reports_non_numeric_decision_fields(tmp_path, capsys, field, valu
     assert "test has a missing or non-numeric field" in capsys.readouterr().err
 
 
+def test_check_accepts_chi_square_thresholds_from_scipy(tmp_path):
+    # results written with scipy's chdtri, as releases before the pure-Python
+    # chi-square law wrote them, still pass check's 1e-12 recomputation:
+    # Bonferroni levels and non-integer Satterthwaite dof
+    run("simulate", "nonlinear", "--T", 3000, "--seed", 4, "--out", tmp_path / "nl")
+    assert run("graph", "--input", tmp_path / "nl.csv", "--family", "var", "--order", 2,
+               "--out", tmp_path / "g") == 0
+    assert run("test", "--input", tmp_path / "nl.csv", "--family", "var", "--order", 2,
+               "--kind", "causality", "--A", "x", "--B", "y", "--alpha", 0.01,
+               "--out", tmp_path / "t") == 0
+    graph = json.loads((tmp_path / "g.json").read_text())
+    entries = graph["directed"] + graph["undirected"]
+    assert graph["config"]["correction"] == "bonferroni"
+    test = json.loads((tmp_path / "t.json").read_text())
+    entries.append(test)
+    assert any(e["chi2_df"] != round(e["chi2_df"]) for e in entries)
+    for entry in entries:
+        entry["threshold"] = float(entry["chi2_scale"] * special.chdtri(entry["chi2_df"],
+                                                                        entry["level"])
+                                   / (2.0 * entry["n_obs"]))
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "t.json").write_text(json.dumps(test))
+    assert run("check", tmp_path / "g.json") == 0
+    assert run("check", tmp_path / "t.json") == 0
+
+
 def test_check_reports_missing_chi_square_fields(tmp_path, capsys):
     entry = {"statistic": 0.2, "threshold": 0.1, "decision": "reject_H0",
              "calibration": "chi_square", "level": 0.05, "chi2_scale": 1.0,
@@ -264,13 +291,24 @@ def test_model_commands_load_no_scipy(tmp_path):
     assert scipy_modules_after(commands, tmp_path) == []
 
 
-def test_chi_square_test_loads_special_but_not_linalg(tmp_path):
+def test_test_and_graph_commands_load_no_scipy(tmp_path):
+    # chi-square laws are evaluated on the math module: the test layer
+    # under both calibrations, and check and replay of its results, run on
+    # numpy alone
     run("simulate", "chain", "--T", 500, "--seed", 3, "--out", tmp_path / "c")
-    modules = scipy_modules_after([("test", "--input", "c.csv", "--family", "var",
-                                    "--kind", "causality", "--A", "x", "--B", "y",
-                                    "--out", "t")], tmp_path)
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m.startswith("scipy.linalg")]
+    commands = []
+    for calibration in ("chi_square", "surrogate"):
+        extra = ("--calibration", calibration, "--seed", 5)
+        commands += [
+            ("test", "--input", "c.csv", "--family", "var", "--kind", "causality", "--A", "x",
+             "--B", "y", "--C", "z", *extra, "--out", f"t_{calibration}"),
+            ("graph", "--input", "c.csv", "--family", "discrete", "--bins", 3, *extra,
+             "--out", f"g_{calibration}"),
+        ]
+        commands += [(verb, f"{name}_{calibration}.{suffix}")
+                     for name in ("t", "g")
+                     for verb, suffix in (("check", "json"), ("replay", "manifest.json"))]
+    assert scipy_modules_after(commands, tmp_path) == []
 
 
 def test_replay_of_gaussian_decompose_is_byte_identical(tmp_path):

@@ -123,6 +123,28 @@ def test_csv_roundtrip_bit_exact(tmp_path, rng):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _per_cell_csv(panel):
+    """The CSV text of the per-cell rule: an integral value below 2**53 in
+    magnitude as digits, anything else as the repr of its float."""
+    def cell(x):
+        return str(int(x)) if float(x) == int(x) and abs(float(x)) < 2**53 else repr(float(x))
+    return "".join(",".join(map(cell, row)) + "\n" for row in panel.values)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[-0.0, 0.25], [1.5, -0.0]]),
+    np.array([[0.1, 3.0], [-7.0, 2.5], [0.3, 0.7]]),
+    np.array([[2.0**53, 0.5], [-2.0**60, 1e300], [2.0**53 - 1, 0.1]]),
+    np.array([[1, -2], [2**53 + 1, 3], [-2**63, 2**63 - 1], [2**53 - 1, 0]], dtype=np.int64),
+    np.array([[True, False], [False, True]]),
+    np.array([[0.1, 2.0], [1.5, 3.25]], dtype=np.float32),
+], ids=["negative_zero", "integral_floats", "beyond_2_53", "int64", "bool", "float32"])
+def test_csv_rows_match_the_per_cell_rule(tmp_path, values):
+    panel = TimeSeriesPanel(values=values, labels=("u", "v"))
+    write_panel(panel, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_text() == "u,v\n" + _per_cell_csv(panel)
+
+
 def test_integer_panel_roundtrip(tmp_path):
     panel = TimeSeriesPanel(values=np.array([[0, 1], [2, 3]]), labels=("a", "b"))
     path = tmp_path / "ints.csv"

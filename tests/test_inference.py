@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import oracle
 import reference
@@ -58,12 +58,64 @@ def iid_panel(T, seed, nodes=2):
 
 @pytest.mark.parametrize("df", [0.0, 0.5, 1.0, 1.7, 2.0, 3.3, 7.0, 12.45, 40.0])
 def test_chi_square_sf_matches_scipy(df):
-    """The p-value shortcut equals ``stats.chi2.sf`` bit for bit, for the
-    integer Wilks and non-integer Satterthwaite dof, and outside the
-    support (x <= 0, NaN, df = 0)."""
+    """The p-value matches ``stats.chi2.sf`` to 1e-12 relative for the
+    integer Wilks and non-integer Satterthwaite dof, and exactly outside
+    the support: 1 for x <= 0, 0 for x = inf, NaN for NaN and df = 0."""
     xs = [-1e-17, -1.0, 0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 9.9, 31.4, 250.0, np.inf, np.nan]
     got = [inference._chi_square_sf(x, df) for x in xs]
-    np.testing.assert_array_equal(got, stats.chi2.sf(xs, df))
+    want = stats.chi2.sf(xs, df)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    edge = [i for i, x in enumerate(xs) if df == 0 or not 0 < x < np.inf]
+    np.testing.assert_array_equal(np.take(got, edge), want[edge])
+
+
+# Wilks dof, Satterthwaite dof (non-integer) and the large dof of sparse
+# discrete tests; the x grid reaches upper tails of 1e-300
+SF_DFS = [0.5, 1.0, 1.7, 2.0, 3.3, 7.0, 12.45, 29.9, 61.3, 150.0, 599.5, 1000.0, 2304.0,
+          4217.3, 12345.6, 33333.3, 1e5]
+
+
+@pytest.mark.parametrize("df", SF_DFS)
+def test_chi_square_sf_accuracy_to_1e_300(df):
+    """Within 1e-12 relative of a 50-digit reference where the tail is at
+    least 1e-100, and 1e-10 from 1e-300 to 1e-100.  The reference agrees
+    with scipy's ``chdtrc`` to ten times those bounds: for df above 1,000
+    and x above 1.45 df scipy is off by up to about 5.5e-12 (1e-11 below
+    1e-100), against 50-digit mpmath."""
+    quantiles = special.chdtri(df, np.concatenate([np.logspace(-300, -1, 24), [0.3, 0.5, 0.9]]))
+    for x in np.concatenate([quantiles, 0.97 * quantiles, 1.03 * quantiles]):
+        want = reference.chi_square_sf(x, df)
+        if want < 1e-300:
+            continue
+        got = inference._chi_square_sf(x, df)
+        assert abs(got - want) <= (1e-12 if want >= 1e-100 else 1e-10) * want, (x, got, want)
+        assert abs(special.chdtrc(df, x) - want) <= (1e-11 if want >= 1e-100 else 1e-9) * want
+
+
+@pytest.mark.parametrize("df", [1.0, 1.7, 2.0, 3.3, 12.45, 61.3, 599.5, 2304.0, 12345.6, 1e5])
+def test_chi_square_threshold_matches_chdtri(df):
+    """The chi-square quantile agrees with ``special.chdtri`` to 1e-13
+    relative at levels 1e-300..0.5 and to 1e-12 up to 0.99, and the
+    p-value at that quantile gives the level back."""
+    levels = np.concatenate([np.logspace(-300, np.log10(0.5), 40), np.linspace(0.5, 0.99, 12)[1:]])
+    got = np.array([inference.chi_square_threshold(p, 1.0, df, 0.5) for p in levels])
+    rel = np.abs(got - special.chdtri(df, levels)) / special.chdtri(df, levels)
+    assert rel[levels <= 0.5].max() <= 1e-13
+    assert rel[levels > 0.5].max() <= 1e-12
+    back = np.array([inference._chi_square_sf(x, df) for x in got])
+    bound = np.where(levels >= 1e-100, 1e-12, 1e-10)
+    assert np.all(np.abs(back - levels) <= bound * levels)
+    assert inference.chi_square_threshold(0.01, 1.3, df, 250) == pytest.approx(
+        1.3 * special.chdtri(df, 0.01) / 500, rel=1e-13)
+
+
+def test_chi_square_threshold_outside_the_support():
+    """Level 0 gives inf and level 1 gives 0; a level outside [0, 1], a
+    NaN, or df <= 0 gives NaN, as ``chdtri`` does."""
+    cases = [(0.0, 3.0), (1.0, 3.0), (0.0, 0.7), (1.0, 0.7), (-0.1, 3.0), (1.1, 3.0),
+             (np.nan, 3.0), (0.05, 0.0), (0.05, -1.0), (0.05, np.nan), (1.0, -2.0)]
+    got = [inference.chi_square_threshold(p, 1.0, df, 0.5) for p, df in cases]
+    np.testing.assert_array_equal(got, [special.chdtri(df, p) for p, df in cases])
 
 
 def test_decision_matches_threshold_rule():
