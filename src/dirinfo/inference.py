@@ -690,12 +690,11 @@ def _chi_square_isf(level, df) -> float:
     target = math.log(level if upper else 1.0 - level)
     t = math.sqrt(-2.0 * target)  # normal quantile, Abramowitz & Stegun 26.2.22
     z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    low = math.exp((math.log1p(-level) + math.lgamma(a + 1.0)) / a)  # P < x^a / Gamma(a + 1)
+    if low < 2.0 ** -1022:  # a subnormal quantile, where that bound is exact to rounding
+        return 2.0 * low
     v = 1.0 / (9.0 * a)
-    x = a * max(1.0 - v + (z if upper else -z) * math.sqrt(v), 0.0) ** 3
-    if not upper or x == 0.0:  # P(a, x) < x^a / Gamma(a + 1): the root lies above
-        x = max(x, math.exp((math.log1p(-level) + math.lgamma(a + 1.0)) / a))
-    if x == 0.0:  # the quantile is below the smallest float
-        return 0.0
+    x = max(a * max(1.0 - v + (z if upper else -z) * math.sqrt(v), 0.0) ** 3, low)
     lo, hi = 0.0, math.inf
     for _ in range(100):
         tail = _gamma_pq(a, x)[1 if upper else 0]

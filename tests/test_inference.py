@@ -118,6 +118,15 @@ def test_chi_square_threshold_outside_the_support():
     np.testing.assert_array_equal(got, [special.chdtri(df, p) for p, df in cases])
 
 
+def test_chi_square_threshold_with_subnormal_quantiles():
+    """Far below one degree of freedom quantiles reach subnormal floats
+    (2e-314 at df = 0.01 and level 0.973) or zero; they follow ``chdtri``
+    to the precision that subnormals hold."""
+    cases = [(0.5, 0.01), (0.973, 0.01), (1 - 1e-16, 0.1), (0.99, 0.01), (0.5, 0.2)]
+    got = [inference.chi_square_threshold(p, 1.0, df, 0.5) for p, df in cases]
+    np.testing.assert_allclose(got, [special.chdtri(df, p) for p, df in cases], rtol=1e-4)
+
+
 def test_decision_matches_threshold_rule():
     res = llr_causality(iid_panel(2000, 0), ["x0"], ["x1"],
                         family=DiscreteMarkovFamily())
