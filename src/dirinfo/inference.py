@@ -13,6 +13,7 @@ source process.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -43,8 +44,10 @@ from .measures import ConditioningMode, _as_mode, rate as measure_rate
 DEFAULT_SURROGATES = 200
 MIN_SURROGATES = 20
 # bound on the (surrogates x T) row orders one chunk of surrogate statistics
-# evaluates: about 52 surrogates at T = 5,000
-_CHUNK_ENTRIES = 2**18
+# evaluates: about 13 surrogates at T = 5,000.  At 2**18 a chunk's (S x T)
+# temporaries passed glibc's heap trim threshold: in the infer benchmark job
+# each surrogate test re-faulted 4,000-7,000 pages, against none at 2**16
+_CHUNK_ENTRIES = 2**16
 # relative pivot floor of the regressor Cholesky factor (see _cholesky)
 _PIVOT_RTOL = 1e-10
 
@@ -239,28 +242,39 @@ def _encode(data, idx):
     return codes.astype(np.int64), math.prod(sizes)
 
 
-def _counts(ctx, tgt, n_ctx, n_tgt):
-    """(rows, n_ctx, n_tgt) table counting each row of ``ctx`` against the
-    same row of ``tgt``, both (S, n), in one ``bincount``."""
-    n_rows = ctx.shape[0]
-    cells = (np.arange(n_rows)[:, None] * n_ctx + ctx) * n_tgt + tgt
+def _count_cells(cells, n_ctx, n_tgt):
+    """(rows, n_ctx, n_tgt) table counting each row of ``cells`` (S, n) in
+    one ``bincount``, after adding each row's offset to it in place."""
+    n_rows = cells.shape[0]
+    cells += np.arange(0, n_rows * n_ctx * n_tgt, n_ctx * n_tgt)[:, None]
     counts = np.bincount(cells.ravel(), minlength=n_rows * n_ctx * n_tgt)
     return counts.reshape(n_rows, n_ctx, n_tgt)
 
 
-def _read_counts(read, ctx, tgt, n_ctx, n_tgt):
-    """``read`` of the count table of every row of ``ctx`` (S, n), contexts
-    below ``n_ctx``, against ``tgt`` of shape (n,) or (S, n), targets below
-    ``n_tgt``: one (S, n_ctx, n_tgt) table when it fits the state budget,
-    else one table per row over the contexts that row holds."""
-    tgt = np.broadcast_to(tgt, ctx.shape)
-    if ctx.shape[0] * n_ctx * n_tgt <= DEFAULT_STATE_BUDGET:
-        return read(_counts(ctx, tgt, n_ctx, n_tgt))
+def _read_cells(read, cells, n_ctx, n_tgt):
+    """``read`` of the count table of each row of ``cells`` (S, n), cell =
+    context * n_tgt + target: one (S, n_ctx, n_tgt) table within the state
+    budget, else one per row over the contexts it holds.  Consumes ``cells``."""
+    if cells.shape[0] * n_ctx * n_tgt <= DEFAULT_STATE_BUDGET:
+        return read(_count_cells(cells, n_ctx, n_tgt))
     rows = []
-    for c, t in zip(ctx, tgt):
-        uniq, inv = np.unique(c, return_inverse=True)
-        rows.append(read(_counts(inv[None], t[None], uniq.size, n_tgt)))
+    for row in cells:
+        ctx, tgt = np.divmod(row, n_tgt)
+        uniq, inv = np.unique(ctx, return_inverse=True)
+        rows.append(read(_count_cells((inv * n_tgt + tgt)[None], uniq.size, n_tgt)))
     return np.concatenate(rows)
+
+
+def _moved_cells(fixed, scaled, perms):
+    """Cells of each row order (S, T) of A (None: the panel's own): ``fixed``
+    plus A's code pre-scaled for each window position j at order index t + j."""
+    n = fixed.size
+    order = np.arange(scaled.shape[1])[None] if perms is None else perms
+    cells = scaled[0][order[:, :n]]
+    for j in range(1, len(scaled)):
+        cells += scaled[j][order[:, j:j + n]]
+    cells += fixed
+    return cells
 
 
 def _loglik(counts):
@@ -310,16 +324,16 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k):
     res_codes, m_res = _encode(data, tuple(sorted(b_idx + c_idx)))
     a_codes, m_a = _encode(data, a_idx)
     tgt_codes, m_tgt = _encode(data, b_idx)
-    tgt = tgt_codes[k:]
     n_obs = T - k
     res_ctx = window_codes(res_codes[:-1], k, m_res)
-    ll_res = _read_counts(_loglik, res_ctx[None], tgt, m_res**k, m_tgt)
-    fixed_ctx = res_ctx * m_a**k
+    ll_res = _read_cells(_loglik, (res_ctx * m_tgt + tgt_codes[k:])[None], m_res**k, m_tgt)
+    fixed = res_ctx * m_a**k * m_tgt + tgt_codes[k:]
+    # A's window code, oldest most significant, counts m_tgt per context
+    scaled = a_codes * (m_a ** np.arange(k - 1, -1, -1) * m_tgt)[:, None]
 
     def stat_of(perms):
-        a_rows = a_codes[None] if perms is None else a_codes[perms]
-        ctx = fixed_ctx + window_codes(a_rows[:, :-1], k, m_a)
-        return (_read_counts(_loglik, ctx, tgt, (m_res * m_a)**k, m_tgt) - ll_res) / n_obs
+        cells = _moved_cells(fixed, scaled, perms)
+        return (_read_cells(_loglik, cells, (m_res * m_a)**k, m_tgt) - ll_res) / n_obs
 
     dof = (m_a**k - 1) * (m_res**k) * (m_tgt - 1)
     return stat_of, dof, n_obs, None
@@ -343,9 +357,11 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
         n_fixed *= m_c
     a_codes, m_a = _encode(data, a_idx)
     b_codes, m_b = _encode(data, b_idx)
-    b_t = b_codes[k:]
     n_obs = T - k
-    fixed_ctx *= m_a**k
+    n_tgt = m_a * m_b
+    fixed = fixed_ctx * m_a**k * n_tgt + b_codes[k:]
+    # A's past window in the context, then A's present in the target
+    scaled = a_codes * np.append(m_a ** np.arange(k - 1, -1, -1) * n_tgt, m_b)[:, None]
 
     def read(counts):
         joint = counts.reshape(counts.shape[:2] + (m_a, m_b))
@@ -353,10 +369,8 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
                 - _loglik(np.einsum("scab->scb", joint)))
 
     def stat_of(perms):
-        a_rows = a_codes[None] if perms is None else a_codes[perms]
-        ctx = fixed_ctx + window_codes(a_rows[:, :-1], k, m_a)
-        return _read_counts(read, ctx, a_rows[:, k:] * m_b + b_t, n_fixed * m_a**k,
-                            m_a * m_b) / n_obs
+        cells = _moved_cells(fixed, scaled, perms)
+        return _read_cells(read, cells, n_fixed * m_a**k, n_tgt) / n_obs
 
     dof = n_fixed * m_a**k * (m_a - 1) * (m_b - 1)
     return stat_of, dof, n_obs, None
@@ -403,7 +417,8 @@ class _LaggedGram:
     Row and column ``(j - 1) * d + c`` is lag j of node c, ``k * d + c`` the
     present of node c.  Each d x d block is one product of two lag-slice
     views of the panel, so no lagged design matrix is ever stacked.  Every
-    residual covariance is a Schur complement of a sub-block (``fit``).
+    residual covariance is a Schur complement of a sub-block (``fit``);
+    reordering A's rows changes only A's rows and columns (``covs``).
     """
 
     def __init__(self, x, k):
@@ -413,33 +428,20 @@ class _LaggedGram:
         self.values, self.k, self.d, self.n = x, k, d, T - k
         # first panel row of the slice behind each d x d block
         self.starts = [k - j for j in range(1, k + 1)] + [k]
-        self.gram = self._gram_of(x, np.arange((k + 1) * d), range(d))
+        self.gram = self._gram_of(x)
         self._fits = {}
         self._meats = {}
 
-    def _gram_of(self, x, idx, moved):
-        """Rows and columns ``idx`` of the Gram of a panel (T, d), or of
-        each panel in a stack (S, T, d) that differs from this panel only in
-        the columns ``moved``.  A block pair is multiplied only when it
-        holds an entry of ``idx`` in a moved column; the other entries are
-        this panel's own.  A stack's blocks are the same matrix products,
-        one per panel, and no entry of a product depends on other columns,
-        so each of its Grams equals that panel's own Gram bit for bit."""
-        blocks = [x[..., s:s + self.n, :] for s in self.starts]
-        block_of, col = np.divmod(idx, self.d)
-        hit = np.isin(col, list(moved))
-        gram = np.empty(x.shape[:-2] + (len(idx), len(idx)))
+    def _gram_of(self, x):
+        """Gram of the panel ``x`` (T, d): one product of two lag-slice views
+        per block on or above the diagonal, mirrored below it."""
+        blocks = [x[s:s + self.n] for s in self.starts]
+        gram = np.empty((len(blocks), self.d) * 2)
         for i in range(len(blocks)):
             for j in range(i, len(blocks)):
-                rows, cols = np.flatnonzero(block_of == i), np.flatnonzero(block_of == j)
-                if hit[rows].any() or hit[cols].any():
-                    block = np.swapaxes(blocks[i], -1, -2) @ blocks[j]
-                    part = block[..., col[rows][:, None], col[cols]]
-                else:
-                    part = self.gram[np.ix_(idx[rows], idx[cols])]
-                gram[..., rows[:, None], cols] = part
-                gram[..., cols[:, None], rows] = np.swapaxes(part, -1, -2)
-        return gram
+                gram[i, :, j] = blocks[i].T @ blocks[j]
+                gram[j, :, i] = gram[i, :, j].T
+        return gram.reshape(len(blocks) * self.d, -1)
 
     def lags(self, cols):
         """Indices of lags 1..k of ``cols``, lag-major."""
@@ -469,17 +471,38 @@ class _LaggedGram:
             self._fits[key] = fitted
         return fitted
 
-    def covs(self, design, target, a_idx, perms):
-        """Residual covariances of ``target`` on ``design`` as a stack: of
-        the panel alone when ``perms`` is None (``fit``), else of each panel
-        whose A columns are reordered by a row of ``perms`` (S, T)."""
-        if perms is None:
-            return self.fit(design, target)[0][None]
-        a_cols = list(a_idx)
-        x = np.repeat(self.values[None], perms.shape[0], axis=0)
-        x[:, :, a_cols] = self.values[:, a_cols][perms]
-        grams = self._gram_of(x, np.array(list(design) + list(target)), a_cols)
-        return _residual_covs(grams, len(design), self.n)[0]
+    def covs(self, design, target, a_idx):
+        """The function from row orders (S, T) of A's columns (None: the panel
+        alone, ``fit``) to the residual covariances of ``target`` on ``design``.
+        A's rows and columns of each Gram are A's lag windows times the other
+        regressors' rows, gathered on the first reordered call, and times each
+        other: one product per panel, so no result depends on the stack."""
+        idx = np.array(list(design) + list(target))
+
+        @functools.cache
+        def plan():
+            is_a = np.isin(idx % self.d, a_idx)
+            moved, kept = np.flatnonzero(is_a), np.flatnonzero(~is_a)
+            a_cols, node = np.unique(idx[moved] % self.d, return_inverse=True)
+            start = np.array(self.starts)[idx[moved] // self.d]
+            return moved, kept, self.rows(idx[kept]), a_cols, node, start
+
+        def of(perms):
+            if perms is None:
+                return self.fit(design, target)[0][None]
+            moved, kept, kept_rows, a_cols, node, start = plan()
+            # A's columns gathered once, then the (S, moved, n) lag windows
+            windows = np.lib.stride_tricks.sliding_window_view(
+                self.values.T[a_cols][:, perms], self.n, axis=2)
+            w = windows[node, np.arange(perms.shape[0])[:, None], start]
+            cross = w @ kept_rows
+            gram = np.repeat(self.gram[np.ix_(idx, idx)][None], perms.shape[0], axis=0)
+            gram[:, moved[:, None], kept] = cross
+            gram[:, kept[:, None], moved] = np.swapaxes(cross, 1, 2)
+            gram[:, moved[:, None], moved] = w @ np.swapaxes(w, 1, 2)
+            return _residual_covs(gram, len(design), self.n)[0]
+
+        return of
 
     def rows(self, idx):
         """Rows t = k..T-1 of the panel's lags and present at the Gram
@@ -520,9 +543,10 @@ def _var_causality(g, a_idx, b_idx, c_idx):
     y = g.present(b_idx)
     full = g.lags(sorted(a_idx + b_idx + c_idx))
     logdet_res = _logdet(g.fit(g.lags(sorted(b_idx + c_idx)), y)[0])
+    covs = g.covs(full, y, a_idx)
 
     def stat_of(perms):
-        return 0.5 * (logdet_res - _logdet(g.covs(full, y, a_idx, perms)))
+        return 0.5 * (logdet_res - _logdet(covs(perms)))
 
     return (stat_of, g.k * len(a_idx) * len(b_idx), g.n,
             lambda: _sandwich_weights(g, a_idx, b_idx, c_idx))
@@ -566,9 +590,10 @@ def _var_coupling(g, a_idx, b_idx, c_idx, mode):
         design += g.present(sorted(c_idx))
     y = g.present(a_idx + b_idx)
     na = len(a_idx)
+    covs = g.covs(design, y, a_idx)
 
     def stat_of(perms):
-        cov = g.covs(design, y, a_idx, perms)
+        cov = covs(perms)
         return 0.5 * (_logdet(cov[:, :na, :na]) + _logdet(cov[:, na:, na:]) - _logdet(cov))
 
     return stat_of, na * len(b_idx), g.n, None

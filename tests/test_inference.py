@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,17 +411,24 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
                                                  order, n_surrogates):
     """Chunked surrogate statistics against the loop that evaluates one
     permuted panel at a time with the package (T = 3000, so 201 surrogates
-    span three chunks): discrete and VAR causality statistics bit for bit,
-    VAR coupling to 1e-12 relative, and the same threshold, p-value and
-    generator state afterwards.  Discrete statistics also match the
+    span ``ceil(201 / (_CHUNK_ENTRIES // 3000))`` chunks), and the same
+    threshold, p-value and generator state afterwards.  Each chunk's
+    statistics equal ``stat_of`` run on one row order at a time, bit for
+    bit.  Discrete statistics equal the loop's bit for bit and match the
     independent ``np.unique`` counts of ``tests/reference.py`` to 1e-12
-    relative, which sum the log likelihood terms in another order."""
+    relative, which sum the log likelihood terms in another order.  VAR
+    statistics match a Gram built from scratch for each permuted panel to
+    1e-12 relative or 1e-15 absolute: each is a difference of O(1)
+    log-dets, so it carries about eps of absolute rounding, and a
+    surrogate Gram sums its A entries in another order than the panel's
+    block products."""
     stat_of, data, ref, oracle_of = _surrogate_case(family, kind, a_idx, c_idx, mode, order)
     stat = stat_of(None)[0]
     block_len, alpha, seed = 5 * order, 0.05, 1234
-    chunks = []
+    chunks, orders = [], []
 
     def recorded(perms):
+        orders.append(perms)
         chunks.append(stat_of(perms))
         return chunks[-1]
 
@@ -430,16 +438,19 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
     got = np.concatenate(chunks)
     want, ref_rng = reference.surrogate_stats(ref, data.values, a_idx, block_len,
                                               n_surrogates, seed)
-    assert len(chunks) == (3 if n_surrogates == 201 else 1)
+    assert len(chunks) == math.ceil(n_surrogates / (inference._CHUNK_ENTRIES // 3000))
+    one_at_a_time = [stat_of(perm[None])[0] for perms in orders for perm in perms]
+    np.testing.assert_array_equal(got, one_at_a_time)
     assert rng.random() == ref_rng.random()
     assert ref(data.values) == stat
-    exact = family == "discrete" or kind == "causality"
+    exact = family == "discrete"
     if exact:
         np.testing.assert_array_equal(got, want)
     else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     rank = math.ceil((1 - alpha) * (n_surrogates + 1))
-    assert res.threshold == pytest.approx(np.sort(want)[rank - 1], rel=0 if exact else 1e-12)
+    assert res.threshold == pytest.approx(np.sort(want)[rank - 1], rel=0 if exact else 1e-12,
+                                          abs=0 if exact else 1e-15)
     assert res.p_value == (1 + np.sum(want >= stat)) / (n_surrogates + 1)
     if oracle_of is not None:
         assert oracle_of(data.values) == pytest.approx(stat, rel=1e-12, abs=0)
@@ -460,19 +471,64 @@ def test_counts_over_state_budget_fall_back_to_unique_contexts(kind, monkeypatch
     perms = inference._block_permutations(3000, 10, np.random.default_rng(3), 12)
     dense = np.concatenate([stat_of(None), stat_of(perms)])
     counted = []
-    real_counts = inference._counts
+    real_counts = inference._count_cells
 
-    def counts(ctx, *args):
-        counted.append(ctx.shape[0])
-        return real_counts(ctx, *args)
+    def counts(cells, *args):
+        counted.append(cells.shape[0])
+        return real_counts(cells, *args)
 
     monkeypatch.setattr(inference, "DEFAULT_STATE_BUDGET", 0)
-    monkeypatch.setattr(inference, "_counts", counts)
+    monkeypatch.setattr(inference, "_count_cells", counts)
     stat_of = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)[0]
     fallback = np.concatenate([stat_of(None), stat_of(perms)])
     # one table per row order, and one for the restricted causality fit
     assert counted == [1] * (13 + (kind == "causality"))
     np.testing.assert_allclose(fallback, dense, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family, discrete", [
+    (VarFamily(order=1), False), (VarFamily(order=2), False),
+    (DiscreteMarkovFamily(order=1), True), (DiscreteMarkovFamily(order=2), True),
+], ids=["var1", "var2", "discrete1", "discrete2"])
+def test_surrogate_results_do_not_depend_on_chunking(family, discrete, monkeypatch):
+    """One row order per chunk, seven per chunk and all in one chunk give
+    byte-identical results, for one- and two-node sources and in both
+    conditioning modes."""
+    panel, _ = gen_chain_example(600, seed=8)
+    if discrete:
+        panel = symbolize(panel, 3, "equal_frequency")
+    T = panel.n_samples
+    kwargs = dict(family=family, calibration="surrogate", surrogates=40, seed=5)
+    runs = []
+    for entries in (T, 7 * T, 2**30):
+        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", entries)
+        results = [llr_causality(panel, ["x"], ["y"], ["z"], **kwargs),
+                   llr_causality(panel, ["x", "z"], ["y"], **kwargs),
+                   llr_coupling(panel, ["z", "x"], ["y"], **kwargs)]
+        results += [llr_coupling(panel, ["x"], ["y"], ["z"], mode=mode, **kwargs)
+                    for mode in ConditioningMode]
+        runs.append(json.dumps([res.to_json() for res in results]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_var_surrogate_chunk_memory():
+    """A VAR surrogate chunk allocates at most four (S, T) float stacks:
+    A's gathered column and its lag windows, but no copy of the panel.
+    Measured on one causality chunk of an 8-node VAR(2) panel (T = 5000,
+    S = 52 row orders) after a first chunk has gathered the test's fixed
+    rows; a copy of the panel per row order would take nine."""
+    T, S = 5000, 52
+    g = VarFamily(order=2)._prepare(_var_panel(6, nodes=8, order=2, T=T))
+    stat_of = inference._var_causality(g, (0,), (1,), tuple(range(2, 8)))[0]
+    perms = inference._block_permutations(T, 10, np.random.default_rng(0), S)
+    stat_of(perms)
+    tracemalloc.start()
+    try:
+        stat_of(perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * S * T * 8
 
 
 @pytest.mark.parametrize("block_len", [5, 10])
