@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,7 +78,7 @@ class TimeSeriesPanel:
             raise SchemaError(f"{len(labels)} labels for {d} columns")
         if len(set(labels)) != len(labels):
             raise SchemaError(f"duplicate labels: {sorted(labels)}")
-        if not np.all(np.isfinite(values.astype(float))):
+        if not np.isfinite(values if values.dtype.kind == "f" else values.astype(float)).all():
             raise SchemaError("panel contains missing or non-finite entries")
         values = values.copy()
         values.setflags(write=False)
@@ -130,39 +131,41 @@ def _parse_cell(text, row, col):
 
 def _load_csv(path) -> TimeSeriesPanel:
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    labels = [cell.strip() for cell in header]
-    if len(set(labels)) != len(labels):
-        raise SchemaError(f"{path}: duplicate labels in header")
-    width = len(labels)
-    data = _fast_rows(lines[reader.line_num:], width)
-    if data is None:
-        data = []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-            data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
-        if not data:
-            raise ParseError(f"{path}: no data rows")
+        # the header is read by readline, so the data's start can be told
+        header = next(csv.reader(iter(fh.readline, "")), None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        labels = [cell.strip() for cell in header]
+        if len(set(labels)) != len(labels):
+            raise SchemaError(f"{path}: duplicate labels in header")
+        width = len(labels)
+        start = fh.tell()
+        data = _fast_rows(fh, width)
+        if data is None:
+            fh.seek(start)
+            data = []
+            for r, row in enumerate(csv.reader(fh), start=2):
+                if len(row) != width:
+                    raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+                data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
+            if not data:
+                raise ParseError(f"{path}: no data rows")
     return TimeSeriesPanel(values=_coerce_integral(data), labels=tuple(labels))
 
 
-def _fast_rows(lines, width):
-    """The data lines parsed by numpy's C reader, or None unless that gives
-    exactly one finite row of ``width`` values per line.  On None the
-    per-cell parser runs and raises its own errors: ``loadtxt`` skips blank
-    lines and rejects quoted cells."""
-    if not lines or not lines[0].strip():
+def _fast_rows(fh, width):
+    """The rest of ``fh`` parsed by numpy's C reader, or None unless that
+    gives one finite row of ``width`` values per line.  On None the per-cell
+    parser runs and raises its own errors: ``loadtxt`` rejects quoted cells,
+    and a blank line, which it would skip, reaches it as a cell it rejects."""
+    if not (first := fh.readline()):
         return None  # loadtxt warns, rather than raises, when it finds no data
+    lines = (line if line.strip() else "?" for line in itertools.chain([first], fh))
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(lines), width) or not np.isfinite(values).all():
+    if values.shape[1] != width or not np.isfinite(values).all():
         return None
     return values
 
@@ -171,7 +174,8 @@ def _coerce_integral(data) -> np.ndarray:
     """Parsed cells as an array: int64 when every cell is an integer below
     2**31 in magnitude that round-trips exactly, float otherwise."""
     values = np.asarray(data, dtype=float)
-    if np.allclose(values, np.round(values)) and np.all(np.abs(values) < 2**31):
+    head = values[:1]  # a fractional panel mostly stops at its first row
+    if all(np.allclose(x, np.round(x)) for x in (head, values)) and np.all(np.abs(values) < 2**31):
         as_int = np.round(values).astype(np.int64)
         if np.array_equal(as_int.astype(float), values):
             return as_int
@@ -337,11 +341,21 @@ def symbolize(panel: TimeSeriesPanel, bins: int, scheme: str = "equal_width") ->
 # ---------------------------------------------------------------------------
 
 def _xlogx_sum(p: np.ndarray) -> float:
-    """sum(p * ln p) with 0 ln 0 = 0: float64 terms, summed in extended
-    precision."""
-    flat = np.asarray(p, dtype=float).ravel()
-    nz = flat[flat > 0.0]
-    return float(np.sum((nz * np.log(nz)).astype(np.longdouble)))
+    """sum(p * ln p) with 0 ln 0 = 0: float64 terms in C order, summed in
+    extended precision."""
+    flat = p.ravel()
+    positive = flat > 0.0
+    return float(_xlogx_pairwise(flat if positive.all() else flat[positive]))
+
+
+def _xlogx_pairwise(x):
+    """numpy's pairwise sum of the extended-precision terms x ln x, which
+    halves a block of over 128 entries at a multiple of 8, formed 2048
+    entries at a time: no temporary is large enough to be mapped afresh."""
+    if x.size <= 2048:
+        return np.add.reduce((x * np.log(x)).astype(np.longdouble))
+    half = x.size // 2 - x.size // 2 % 8
+    return _xlogx_pairwise(x[:half]) + _xlogx_pairwise(x[half:])
 
 
 def _law(array, shape, what) -> np.ndarray:
@@ -358,6 +372,17 @@ def _law(array, shape, what) -> np.ndarray:
     return law
 
 
+class CellMask(int):
+    """A cell set as one integer: bit ``(t-1) * |V| + a``, the cell's array
+    axis, is node ``a`` at time ``t``.  Iterating yields the set bits, so a
+    wrapper of ``entropy_of_cells`` can key its calls by ``frozenset``."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return (b for b in range(self.bit_length()) if self >> b & 1)
+
+
 class SequenceDistribution:
     """Exact joint law of ``x_V^n`` over a finite alphabet, held as a chain
     of window width ``w``: the law ``initial`` of the first ``w`` samples
@@ -372,6 +397,8 @@ class SequenceDistribution:
     dense ``M**n`` table is never needed; :attr:`pmf` builds it on demand.
     ``budget`` caps the entries of the largest array a contraction or
     :attr:`pmf` allocates, and is checked before anything is allocated.
+    A cell set is held as one :class:`CellMask` integer, and every memo
+    (entropies, steps, summed kernels, step plans) lives on the instance.
     """
 
     def __init__(self, alphabet_sizes, horizon, pmf=None, *, initial=None, kernel=None,
@@ -411,8 +438,11 @@ class SequenceDistribution:
         self._kernel = kernel
         self._pmf = initial if width == n else None
         self._prefix = None
-        self._entropy_cache = {}
-        self._step_memo = {}
+        # masks of every cell, of one time and of the first w times
+        self._all, self._block, self._window = (1 << n * d) - 1, (1 << d) - 1, (1 << width * d) - 1
+        self._by_size = [(m, sum(self._all // self._block << a for a in range(d) if sizes[a] == m))
+                         for m in set(sizes)]
+        self._entropy_cache, self._step_memo, self._kernels, self._kernel_plans = {}, {}, {}, {}
 
     @property
     def n_nodes(self) -> int:
@@ -423,8 +453,7 @@ class SequenceDistribution:
         """The dense ``M**n`` table, built (and charged to the budget) on
         first use."""
         if self._pmf is None:
-            table = self._marginal({(a, t) for a in range(self.n_nodes)
-                                    for t in range(1, self.horizon + 1)})
+            table = self._marginal(self._all)
             table.setflags(write=False)
             self._pmf = table
         return self._pmf
@@ -437,12 +466,17 @@ class SequenceDistribution:
             raise SelectionError(f"time {time} out of range 1..{self.horizon}")
         return (time - 1) * self.n_nodes + node
 
+    def _mask_of(self, cells) -> int:
+        """``cells``, a :class:`CellMask` or (node, time) pairs, validated."""
+        if isinstance(cells, CellMask):
+            if not 0 <= cells <= self._all:
+                raise SelectionError(f"cells {int(cells):#x} reach past time {self.horizon}")
+            return cells
+        return sum({1 << int(self.axis_of(node, t)) for node, t in cells})
+
     def cell_marginal(self, cells) -> np.ndarray:
         """Exact marginal over an arbitrary cell set, axes sorted time-major."""
-        cells = set(cells)
-        for node, t in cells:
-            self.axis_of(node, t)
-        return self._marginal(cells)
+        return self._marginal(self._mask_of(cells))
 
     def entropy_of_cells(self, cells) -> float:
         """Shannon entropy (nats) of the cells' joint marginal, cached.
@@ -452,33 +486,24 @@ class SequenceDistribution:
         the second from the window law at ``s`` contracted over the later
         cells, so the past of V is never laid out as an array.
         """
-        key = frozenset(cells)
-        if not key:
-            return 0.0
-        cached = self._entropy_cache.get(key)
+        mask = self._mask_of(cells)
+        cached = self._entropy_cache.get(mask)
         if cached is None:
-            for node, t in key:
-                self.axis_of(node, t)
-            cached = self._entropy(key)
-            self._entropy_cache[key] = cached
+            cached = self._entropy_cache[mask] = self._entropy(mask) if mask else 0.0
         return cached
 
     # -- contraction ---------------------------------------------------------
 
-    def _entropy(self, cells) -> float:
+    def _entropy(self, mask) -> float:
         d, w = self.n_nodes, self._width
-        last = max(t for _, t in cells)
-        s = 0
-        while s < last and all((a, s + 1) in cells for a in range(d)):
-            s += 1
+        s = ((~mask & mask + 1).bit_length() - 1) // d  # leading complete times
         if s < w:
-            return -_xlogx_sum(self._marginal(cells, self._step_memo))
+            return -_xlogx_sum(self._marginal(mask, self._step_memo))
         laws, h_prefix, h_window = self._chain_prefix()
-        rest = {c for c in cells if c[1] > s}
+        rest = mask >> s * d << s * d
         if not rest:
             return h_prefix[s]
-        window = {(a, t) for a in range(d) for t in range(s - w + 1, s + 1)}
-        joint = self._forward(window | rest, s, laws[s], self._step_memo)
+        joint = self._forward(self._window << (s - w) * d | rest, s, laws[s], self._step_memo)
         return h_prefix[s] - h_window[s] - _xlogx_sum(joint)
 
     def _chain_prefix(self):
@@ -504,53 +529,51 @@ class SequenceDistribution:
             self._prefix = laws, h_prefix, h_window
         return self._prefix
 
-    def _marginal(self, cells, memo=None) -> np.ndarray:
-        if max((t for _, t in cells), default=0) <= self._width:
-            keep = {self.axis_of(a, t) for a, t in cells}
-            drop = tuple(ax for ax in range(self._initial.ndim) if ax not in keep)
-            return np.sum(self._initial, axis=drop) if drop else self._initial
-        return self._forward(cells, self._width, self._initial, memo)
+    def _marginal(self, mask, memo=None) -> np.ndarray:
+        if mask <= self._window:
+            drop = tuple(ax for ax in range(self._initial.ndim) if not mask >> ax & 1)
+            return np.add.reduce(self._initial, axis=drop) if drop else self._initial
+        return self._forward(mask, self._width, self._initial, memo)
 
-    def _forward(self, cells, t0, phi, memo=None) -> np.ndarray:
-        """Joint marginal of ``cells`` (all at times after ``t0 - w``),
-        starting from the joint law ``phi`` of every cell of times
-        ``t0-w+1..t0`` and applying one kernel step per later time.
+    def _forward(self, mask, t0, phi, memo=None) -> np.ndarray:
+        """Joint marginal of the cells of ``mask`` (all at times after
+        ``t0 - w``), starting from the joint law ``phi`` of every cell of
+        times ``t0-w+1..t0`` and applying one kernel step per later time.
 
         Each step keeps the selected cells as axes, carries the unselected
         cells of the current window and sums out the ones that leave it.
         The steps are planned and charged to the budget first; each then
         runs as one batched matrix product (:meth:`_step`).  A step before
-        the last is memoized in ``memo`` by ``(t0, time, kept cells)``, which
-        fixes its input: entropy passes share ``_step_memo`` and replay the
-        steps of a shared past.  A dense build (no ``memo``) keeps none.
+        the last is memoized in ``memo`` by ``(t0, kept cells)``, which fixes
+        its input: entropy passes share ``_step_memo`` and replay the steps
+        of a shared past.  A dense build (no ``memo``) keeps none.
         """
         d, w = self.n_nodes, self._width
-        last = max(t for _, t in cells)
-        axes = [(a, t) for t in range(t0 - w + 1, t0 + 1) for a in range(d)]
-        plan = []
+        last = (mask.bit_length() - 1) // d + 1
+        axes, plan = self._window << (t0 - w) * d, []
         for t in range(t0 + 1, last + 1):
-            new = [(a, t) for a in range(d)]
-            kept = [c for c in axes + new if c in cells or (t < last and c[1] > t - w)]
-            plan.append((axes, new, kept))
+            carry = self._window << (t - w) * d if t < last else 0
+            kept = (axes | self._block << (t - 1) * d) & (mask | carry)
+            plan.append((axes, t, kept))
             axes = kept
-        required = max(math.prod(self.alphabet_sizes[a] for a, _ in kept)
+        required = max(math.prod(m ** (kept & cells).bit_count() for m, cells in self._by_size)
                        for _, _, kept in plan)
         if required > self.budget:
             raise BudgetError(required, self.budget)
-        for t, (axes, new, kept) in enumerate(plan[:-1], start=t0 + 1):
-            key = (t0, t, tuple(kept))
+        for axes, t, kept in plan[:-1]:
+            key = (t0, kept)
             out = None if memo is None else memo.get(key)
             if out is None:
-                out = self._step(phi, axes, new, kept)
+                out = self._step(phi, axes, t, kept)
                 if memo is not None:
                     out.setflags(write=False)
                     memo[key] = out
             phi = out
         return self._step(phi, *plan[-1])
 
-    def _step(self, phi, axes, new, kept) -> np.ndarray:
-        """One kernel step: the law ``phi`` over the cells ``axes`` to the
-        law over ``kept``, given the ``new`` sample's cells.
+    def _step(self, phi, axes, t, kept) -> np.ndarray:
+        """One kernel step: the law ``phi`` over the cells of ``axes`` to the
+        law over ``kept``, given the new sample at time ``t``.
 
         The cells of ``axes`` before the kernel's window (O) are there only
         because they are selected, so they are kept.  The window splits into
@@ -559,31 +582,28 @@ class SequenceDistribution:
         ``out[Wk, O, Nk] = phi[Wk, O, Wd] @ kernel[Wk, Wd, Nk]``, batched
         over Wk, and is returned with its axes in ``kept`` order.
         """
-        keep = set(kept)
-        start = new[0][1] - self._width
-        window = [c for c in axes if c[1] >= start]
-        old = [c for c in axes if c[1] < start]
-        wk = [c for c in window if c in keep]
-        wd = [c for c in window if c not in keep]
-        nk = [c for c in new if c in keep]
-        kernel = self._kernel
-        dropped = tuple(len(window) + i for i, c in enumerate(new) if c not in keep)
-        if dropped:
-            kernel = kernel.sum(axis=dropped)
-
-        def shape(cells):
-            return [self.alphabet_sizes[a] for a, _ in cells]
-
-        def arranged(array, cells, groups):
-            pos = {c: i for i, c in enumerate(cells)}
-            order = [pos[c] for group in groups for c in group]
-            return array.transpose(order).reshape([math.prod(shape(g)) for g in groups])
-
-        out = np.matmul(arranged(phi, axes, (wk, old, wd)),
-                        arranged(kernel, window + nk, (wk, wd, nk)))
-        done = wk + old + nk
-        pos = {c: i for i, c in enumerate(done)}
-        return out.reshape(shape(done)).transpose([pos[c] for c in kept])
+        d, sizes, width = self.n_nodes, self.alphabet_sizes, self._window.bit_length()
+        start = (t - 1) * d - width
+        old = [sizes[b % d] for b in range(start) if axes >> b & 1]
+        wk, nk = kept >> start & self._window, kept >> (t - 1) * d
+        plan = self._kernel_plans.get((wk, nk))
+        if plan is None:  # memoized per kept pattern, the summed kernel per new one
+            kw, dw, new = ([b for b in range(width) if m >> b & 1]
+                           for m in (wk, self._window & ~wk, nk))
+            shapes = [[sizes[b % d] for b in g] for g in (kw, dw, new)]
+            if nk not in self._kernels:
+                dropped = tuple(width + i for i in range(d) if not nk >> i & 1)
+                self._kernels[nk] = self._kernel.sum(axis=dropped) if dropped else self._kernel
+            plan = self._kernel_plans[wk, nk] = (
+                kw, dw, shapes[0], shapes[2], self._kernels[nk],
+                kw + dw + list(range(width, width + len(new))), [math.prod(g) for g in shapes])
+        kw, dw, kw_shape, nk_shape, kernel, k_order, k_groups = plan
+        o, k = len(old), len(kw)
+        order = [o + b for b in kw] + list(range(o)) + [o + b for b in dw]
+        back = [*range(k, k + o), *range(k), *range(k + o, k + o + len(nk_shape))]
+        out = np.matmul(phi.transpose(order).reshape(k_groups[0], math.prod(old), k_groups[1]),
+                        kernel.transpose(k_order).reshape(k_groups))
+        return out.reshape(kw_shape + old + nk_shape).transpose(back)
 
 
 def cells_of(nodes, times) -> frozenset[Cell]:

@@ -320,8 +320,3 @@ def save_model(model: DiscreteMarkovModel, path) -> None:
     with open(path, "w") as fh:
         json.dump(model_to_json(model), fh)
         fh.write("\n")
-
-
-def load_model(path) -> DiscreteMarkovModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))

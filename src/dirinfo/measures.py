@@ -14,7 +14,7 @@ at ``i = 1`` and simply drop out of the conditioning (wild-card rule).
 Each measure is defined once, as its time-``i`` term (:func:`_terms`);
 sums, rates and the decomposition add those terms up.  Every conditional
 mutual information reduces to entropies of marginals of one exact
-distribution, cached per distribution by cell-set signature.
+distribution, cached per distribution by cell mask.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasureValue, SequenceDistribution, cells_of
+from .core import CellMask, MeasureValue, SequenceDistribution, cells_of
 from .discrete import DiscreteMarkovModel, enumerate_joint, marginal, with_stationary_initial
 from .errors import DivergenceInfinite, ParamError, PartitionError, SelectionError
 
@@ -69,20 +69,14 @@ def _check_groups(dist, n, *groups):
     return int(n)
 
 
-def _past(nodes, i):
-    return cells_of(nodes, range(1, i))
+def _node_mask(nodes) -> int:
+    """A node group as the CellMask of its cells at time 1."""
+    return sum(1 << int(a) for a in nodes)
 
 
-def _upto(nodes, i):
-    return cells_of(nodes, range(1, i + 1))
-
-
-def _now(nodes, i):
-    return cells_of(nodes, [i])
-
-
-def _side(nodes, i, mode):
-    return _upto(nodes, i) if mode is ConditioningMode.CONTEMPORANEOUS else _past(nodes, i)
+def _upto(nodes, i, d):
+    """A node mask's cells at times 1..i (``nodes << (i-1) * d`` at time i)."""
+    return nodes * ((1 << i * d) - 1) // ((1 << d) - 1)
 
 
 def _cmi(dist, xs, ys, zs) -> float:
@@ -90,12 +84,14 @@ def _cmi(dist, xs, ys, zs) -> float:
     if not xs or not ys:
         return 0.0
     h = dist.entropy_of_cells
-    return h(xs | zs) + h(ys | zs) - h(xs | ys | zs) - h(zs)
+    return (h(CellMask(xs | zs)) + h(CellMask(ys | zs))
+            - h(CellMask(xs | ys | zs)) - h(CellMask(zs)))
 
 
-def _terms(measure, a, b, c, mode, i):
-    """The time-``i`` term of ``measure`` as ``(xs, ys, zs)`` triples whose
-    conditional mutual informations I(xs; ys | zs) add up to the term.
+def _terms(measure, a, b, c, mode, i, d):
+    """The time-``i`` term of ``measure`` as ``(xs, ys, zs)`` mask triples
+    whose conditional mutual informations I(xs; ys | zs) add up to the term;
+    ``a``, ``b`` and ``c`` are node masks of a law with ``d`` nodes.
 
     ``di``   I(x_A^i ; x_B(i) | x_B^{i-1}, x_C^*)
     ``te``   I(x_A^{i-1} ; x_B(i) | x_B^{i-1}, x_C^*)
@@ -107,13 +103,12 @@ def _terms(measure, a, b, c, mode, i):
     rule it equals the causally conditioned mutual information term of
     :func:`causal_mutual_information`.
     """
-    past_a, past_b = _past(a, i), _past(b, i)
-    now_a, now_b = _now(a, i), _now(b, i)
+    past_a, past_b, past_c = (_upto(x, i - 1, d) for x in (a, b, c))
+    now_a, now_b = a << (i - 1) * d, b << (i - 1) * d
     if measure == "mi":
-        past_c = _past(c, i)
         return ((now_a, now_b | past_b, past_a | past_c),
                 (past_a, now_b, past_b | past_c))
-    side = _side(c, i, mode)
+    side = past_c | c << (i - 1) * d if mode is ConditioningMode.CONTEMPORANEOUS else past_c
     if measure == "di":
         return ((past_a | now_a, now_b, past_b | side),)
     if measure == "te":
@@ -125,7 +120,8 @@ def _terms(measure, a, b, c, mode, i):
 
 def _steps(dist, measure, a, b, c, mode, n) -> list[float]:
     """Per-step terms of ``measure`` at times 1..n."""
-    return [sum(_cmi(dist, *triple) for triple in _terms(measure, a, b, c, mode, i))
+    a, b, c, d = _node_mask(a), _node_mask(b), _node_mask(c), dist.n_nodes
+    return [sum(_cmi(dist, *triple) for triple in _terms(measure, a, b, c, mode, i, d))
             for i in range(1, n + 1)]
 
 
@@ -145,16 +141,15 @@ def entropy(dist: SequenceDistribution, nodes, times) -> MeasureValue:
     cells = cells_of(nodes, times)
     if not cells:
         raise SelectionError("empty selection")
-    for a, t in cells:
-        dist.axis_of(a, t)
-    times = sorted({t for _, t in cells})
-    return MeasureValue(value=dist.entropy_of_cells(cells), horizon=times[-1], kind="entropy")
+    return MeasureValue(value=dist.entropy_of_cells(cells), horizon=max(t for _, t in cells),
+                        kind="entropy")
 
 
 def mutual_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
     """I(x_A^n ; x_B^n), symmetric in the two groups."""
     n = _check_groups(dist, n, a_nodes, b_nodes)
-    value = _cmi(dist, _upto(a_nodes, n), _upto(b_nodes, n), frozenset())
+    a, b = (_upto(_node_mask(x), n, dist.n_nodes) for x in (a_nodes, b_nodes))
+    value = _cmi(dist, a, b, 0)
     return MeasureValue(value=value, horizon=n, kind="mi")
 
 
@@ -220,10 +215,9 @@ def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
         raise ParamError(f"target memory k={k} outside 1..{n - 1}")
     if not 1 <= l <= n - 1:
         raise ParamError(f"source memory l={l} outside 1..{n - 1}")
-    value = _cmi(dist,
-                 cells_of(a_nodes, range(n - l, n)),
-                 _now(b_nodes, n),
-                 cells_of(b_nodes, range(n - k, n)))
+    a, b, d = _node_mask(a_nodes), _node_mask(b_nodes), dist.n_nodes
+    value = _cmi(dist, _upto(a, n - 1, d) & ~_upto(a, n - l - 1, d), b << (n - 1) * d,
+                 _upto(b, n - 1, d) & ~_upto(b, n - k - 1, d))
     return MeasureValue(value=value, horizon=n, kind="te")
 
 
@@ -232,7 +226,7 @@ def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
 # ---------------------------------------------------------------------------
 
 def _bivariate_view(dist, a_nodes, b_nodes, n):
-    """Marginal law of the A,B nodes over times 1..n, with the positions of
+    """Marginal law of the A,B nodes over times 1..n, with the node masks of
     the two groups in the reduced table."""
     keep = sorted(set(int(a) for a in a_nodes) | set(int(b) for b in b_nodes))
     if keep == list(range(dist.n_nodes)) and n == dist.horizon:
@@ -240,24 +234,23 @@ def _bivariate_view(dist, a_nodes, b_nodes, n):
     else:
         view = marginal(dist, keep, range(1, n + 1))
     pos = {node: idx for idx, node in enumerate(keep)}
-    return view, [pos[int(a)] for a in a_nodes], [pos[int(b)] for b in b_nodes]
+    return (view, _node_mask(pos[int(a)] for a in a_nodes),
+            _node_mask(pos[int(b)] for b in b_nodes))
 
 
-def _expand(view, cells):
-    """Marginal over ``cells`` reshaped to broadcast against the full table."""
-    if not cells:
+def _expand(view, mask):
+    """Marginal over the cells of ``mask`` reshaped to broadcast against the
+    full table (whose axes are the mask's bits)."""
+    if not mask:
         return np.ones(1)
-    arr = view.cell_marginal(cells)
-    shape = [1] * view.pmf.ndim
-    for size, (a, t) in zip(arr.shape, sorted(set(cells), key=lambda c: (c[1], c[0]))):
-        shape[view.axis_of(a, t)] = size
-    return arr.reshape(shape)
+    arr = view.cell_marginal(CellMask(mask))
+    return arr.reshape([m if mask >> ax & 1 else 1 for ax, m in enumerate(view.pmf.shape)])
 
 
-def _conditional_factor(view, head_cells, given_cells):
+def _conditional_factor(view, head, given):
     """p(head | given) broadcast to the full table shape, 0/0 -> 0."""
-    num = _expand(view, frozenset(head_cells) | frozenset(given_cells))
-    den = _expand(view, frozenset(given_cells))
+    num = _expand(view, head | given)
+    den = _expand(view, given)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return out
@@ -288,11 +281,12 @@ def kl_directed_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
     :func:`directed_information` on exact tables.
     """
     n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, a_pos, b_pos = _bivariate_view(dist, a_nodes, b_nodes, n)
-    factorized = _expand(view, _upto(b_pos, n))
+    view, a, b = _bivariate_view(dist, a_nodes, b_nodes, n)
+    d = view.n_nodes
+    factorized = _expand(view, _upto(b, n, d))
     for i in range(1, n + 1):
         factorized = factorized * _conditional_factor(
-            view, _now(a_pos, i), _past(a_pos, i) | _past(b_pos, i))
+            view, a << (i - 1) * d, _upto(a, i - 1, d) | _upto(b, i - 1, d))
     value = _kl_linear(view.pmf, factorized, "directed information")
     return MeasureValue(value=value, horizon=n, kind="di")
 
@@ -313,11 +307,12 @@ def lautum_transfer_rate(model_or_dist, a_nodes, b_nodes, n=None,
     else:
         dist = model_or_dist
     n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, a_pos, b_pos = _bivariate_view(dist, a_nodes, b_nodes, n)
-    factorized = _expand(view, _upto(b_pos, n))
+    view, a, b = _bivariate_view(dist, a_nodes, b_nodes, n)
+    d = view.n_nodes
+    factorized = _expand(view, _upto(b, n, d))
     for i in range(1, n + 1):
         factorized = factorized * _conditional_factor(
-            view, _now(a_pos, i), _past(a_pos, i) | _upto(b_pos, i))
+            view, a << (i - 1) * d, _upto(a, i - 1, d) | _upto(b, i, d))
     factorized = np.broadcast_to(factorized, view.pmf.shape)
     # mass lost at contexts the true law never reaches would flow onto
     # zero-probability trajectories: the divergence is infinite

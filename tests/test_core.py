@@ -67,6 +67,10 @@ LOADER_CORPUS = {
     "ragged_short_row": "x,y\n1,2\n3\n",
     "ragged_long_row": "x,y\n1,2,5\n3,4\n",
     "empty_cell": "x,y\n1,\n3,4\n",
+    "cr_line_ends": "x,y\r1,2\r3,4\r",
+    "blank_cr_line": "x,y\r\n1,2\r\n\r3,4\r\n",
+    "no_final_newline": "x,y\n1,2\n3,4",
+    "blank_first_row": "x,y\n\n1,2\n",
 }
 
 
@@ -83,7 +87,7 @@ def test_load_csv_fast_path_matches_per_cell_parser(tmp_path, monkeypatch, name)
     path = tmp_path / f"{name}.csv"
     path.write_bytes(LOADER_CORPUS[name].encode())
     fast = _load_outcome(path)
-    monkeypatch.setattr(core, "_fast_rows", lambda lines, width: None)
+    monkeypatch.setattr(core, "_fast_rows", lambda fh, width: None)
     assert fast == _load_outcome(path)
 
 
@@ -279,6 +283,14 @@ def test_xlogx_sum_matches_fsum_oracle(size, density):
     want = _xlogx_fsum(p)
     assert want < 0.0
     assert abs(core._xlogx_sum(p.reshape(-1, 1)) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("size", [1, 7, 129, 2047, 2048, 2049, 4104, 10_001, 2**16 + 3])
+def test_xlogx_blocks_keep_numpys_pairwise_sum(size):
+    # the blockwise sum groups the terms exactly as one np.sum over all of them
+    x = np.random.default_rng(size).random(size) ** 3
+    terms = (x * np.log(x)).astype(np.longdouble)
+    assert core._xlogx_pairwise(x) == np.sum(terms)
 
 
 def test_xlogx_sum_of_point_masses_is_zero():

@@ -11,7 +11,7 @@ import oracle
 import reference
 from conftest import oracle_law
 from dirinfo import inference
-from dirinfo.core import TimeSeriesPanel, symbolize
+from dirinfo.core import SequenceDistribution, TimeSeriesPanel, make_partition, symbolize
 from dirinfo.errors import (
     CalibrationError,
     ParamError,
@@ -31,7 +31,7 @@ from dirinfo.inference import (
     llr_coupling,
     stein_exponent_check,
 )
-from dirinfo.measures import ConditioningMode, rate
+from dirinfo.measures import ConditioningMode, decompose, rate
 from dirinfo.simulate import (
     chain_markov_model,
     copy_channel,
@@ -44,7 +44,7 @@ from dirinfo.simulate import (
     random_markov_model,
     random_var_model,
 )
-from dirinfo.discrete import sample_codes, sample_panel, with_stationary_initial
+from dirinfo.discrete import enumerate_joint, sample_codes, sample_panel, with_stationary_initial
 
 
 def iid_panel(T, seed, nodes=2):
@@ -887,6 +887,28 @@ def test_graph_builds_each_target_meat_once(monkeypatch):
     graph = infer_graph(_var_panel(6, nodes=8, order=2, T=3000), VarFamily(order=2))
     assert len(graph.directed) == 56
     assert passes == [2 * 8 + 1] * 8
+
+
+@pytest.mark.parametrize("mode, entropies, steps",
+                         [("strict_past", 108, 120), ("contemporaneous", 115, 127)])
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_decompose_contracts_each_marginal_once(monkeypatch, seed, mode, entropies, steps):
+    """The exact decomposition of the benchmark's 3-node binary model at
+    n = 7 evaluates each distinct entropy and each kernel step once."""
+    calls = {"_entropy": 0, "_step": 0}
+    for name in calls:
+        method = getattr(SequenceDistribution, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SequenceDistribution, name, counted)
+    model = random_markov_model(seed, nodes=3, alphabet=2, order=1)
+    decompose(enumerate_joint(model, 7), make_partition(["x0", "x1", "x2"], ["x0"], ["x1"]),
+              7, mode=mode)
+    assert calls["_entropy"] <= entropies
+    assert calls["_step"] <= steps
 
 
 def test_graph_surrogate_default_count_covers_corrected_level():

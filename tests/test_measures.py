@@ -5,9 +5,15 @@ import pytest
 
 import oracle
 from conftest import oracle_law
-from dirinfo.core import make_partition
+from dirinfo.core import CellMask, make_partition
 from dirinfo.discrete import enumerate_joint
-from dirinfo.errors import BudgetError, DivergenceInfinite, ParamError, PartitionError
+from dirinfo.errors import (
+    BudgetError,
+    DivergenceInfinite,
+    ParamError,
+    PartitionError,
+    SelectionError,
+)
 from dirinfo.measures import (
     ConditioningMode,
     causal_mutual_information,
@@ -401,6 +407,33 @@ def test_decompose_budget_error_same_when_repeated():
         required.append(err.value.required)
     assert dist._step_memo
     assert required == [1024, 1024]
+
+
+@pytest.mark.parametrize("mode", list(ConditioningMode))
+@pytest.mark.parametrize("seed", [1, 2, 1009])
+def test_decompose_caches_oracle_entropies(seed, mode):
+    model = random_markov_model(seed, nodes=3)
+    law = oracle_law(model, 4)
+    dist = enumerate_joint(model, 4)
+    decompose(dist, make_partition(["x0", "x1", "x2"], ["x0"], ["x1"]), 4, mode=mode)
+    assert len(dist._entropy_cache) > 50
+    for mask, h in dist._entropy_cache.items():
+        cells = [(b % 3, b // 3 + 1) for b in range(12) if mask >> b & 1]
+        assert h == pytest.approx(oracle.H(law, cells), abs=1e-12)
+
+
+def test_entropy_of_cells_takes_masks_and_cells_alike():
+    dist = enumerate_joint(random_markov_model(3, nodes=3), 4)
+    cells = {(0, 1), (2, 2), (1, 4)}
+    mask = CellMask(1 << 0 | 1 << 5 | 1 << 10)
+    assert sorted(mask) == [0, 5, 10]
+    assert dist.entropy_of_cells(mask) == dist.entropy_of_cells(cells)
+    np.testing.assert_array_equal(dist.cell_marginal(mask), dist.cell_marginal(cells))
+    assert dist.entropy_of_cells(CellMask(0)) == 0.0
+    with pytest.raises(SelectionError):
+        dist.entropy_of_cells(CellMask(1 << 12))
+    with pytest.raises(SelectionError):
+        dist.cell_marginal([(0, 5)])
 
 
 def test_decompose_json_fields():
