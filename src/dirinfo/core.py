@@ -33,6 +33,8 @@ from .errors import (
 PMF_ATOL = 1e-12
 # default cap on the entries of any array an exact marginal allocates
 DEFAULT_STATE_BUDGET = 2**22
+# cells per block of rows write_panel turns into text
+_WRITE_CELLS = 2**14
 
 # a "cell" is one scalar observation slot: (node index, 1-based time)
 Cell = tuple[int, int]
@@ -215,14 +217,16 @@ def write_panel(panel: TimeSeriesPanel, path, format: str = "csv") -> None:
     """Write ``panel`` in canonical form (round-trips bit-exactly through
     :func:`load_panel` for CSV)."""
     if format == "csv":
-        # the per-cell rule only for rows with an integral float or an integer >= 2**53
         values, floats = panel.values, panel.values.dtype.kind == "f"
-        by_cell = values == np.trunc(values) if floats else abs(values.astype(float)) >= 2**53
+        step = max(1, _WRITE_CELLS // panel.n_nodes)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(panel.labels) + "\n")
-            for row, slow in zip(values.tolist(), by_cell.any(axis=1).tolist()):
-                cell = _format_number if slow else repr if floats else "{:d}".format
-                fh.write(",".join(map(cell, row)) + "\n")
+            for block in (values[i:i + step] for i in range(0, len(values), step)):
+                # the per-cell rule only for rows with an integral float or an integer >= 2**53
+                by_cell = block == np.trunc(block) if floats else abs(block.astype(float)) >= 2**53
+                for row, slow in zip(block.tolist(), by_cell.any(axis=1).tolist()):
+                    cell = _format_number if slow else repr if floats else "{:d}".format
+                    fh.write(",".join(map(cell, row)) + "\n")
     elif format == "json":
         doc = {"labels": list(panel.labels), "values": panel.values.tolist()}
         with open(path, "w") as fh:

@@ -44,7 +44,8 @@ from .measures import ConditioningMode, _as_mode, rate as measure_rate
 DEFAULT_SURROGATES = 200
 MIN_SURROGATES = 20
 # bound on the (surrogates x T) row orders one chunk of surrogate statistics
-# evaluates: about 13 surrogates at T = 5,000.  At 2**18 a chunk's (S x T)
+# evaluates, about 13 surrogates at T = 5,000, and on the (rows x regressors)
+# entries one block of a sandwich meat gathers.  At 2**18 a chunk's (S x T)
 # temporaries passed glibc's heap trim threshold: in the infer benchmark job
 # each surrogate test re-faulted 4,000-7,000 pages, against none at 2**16
 _CHUNK_ENTRIES = 2**16
@@ -95,7 +96,7 @@ class VarFamily:
         _check_at_least_one(order=self.order)
 
     def _prepare(self, panel):
-        x = panel.values.astype(float)
+        x = np.asarray(panel.values, dtype=float)
         return _LaggedGram(x - x.mean(axis=0), self.order)
 
     def _causality(self, data, a_idx, b_idx, c_idx):
@@ -504,24 +505,30 @@ class _LaggedGram:
 
         return of
 
-    def rows(self, idx):
-        """Rows t = k..T-1 of the panel's lags and present at the Gram
-        indices ``idx``, gathered from windows of k + 1 panel rows."""
+    def rows(self, idx, start=0, stop=None):
+        """Rows t = k + start..k + stop - 1 (default: k..T-1) of the panel's lags and
+        present at the Gram indices ``idx``, gathered from windows of k + 1 panel rows."""
         windows = np.lib.stride_tricks.sliding_window_view(self.values, self.k + 1, axis=0)
-        return windows[:, [i % self.d for i in idx], [self.starts[i // self.d] for i in idx]]
+        return windows[start:stop, [i % self.d for i in idx],
+                       [self.starts[i // self.d] for i in idx]]
 
     def meats(self, design, target):
         """Sandwich meats of the full fit of ``target`` on ``design``: per
         target column i, sum_t e_i(t)^2 z(t) z(t)' over the design rows z and
-        full-fit residuals e, from one pass over the panel.  Memoized like
-        ``fit``; the stack returned is shared and read-only."""
+        full-fit residuals e, from one pass over the panel in blocks of at
+        most ``_CHUNK_ENTRIES`` gathered entries.  Memoized like ``fit``; the
+        stack returned is shared and read-only."""
         key = (tuple(design), tuple(target))
         if key not in self._meats:
-            both = self.rows(list(design) + list(target))
-            z = both[:, :len(design)]
-            resid = both[:, len(design):] - z @ self.fit(design, target)[1]
-            self._meats[key] = np.stack([z.T @ (z * e[:, None] ** 2) for e in resid.T])
-            self._meats[key].setflags(write=False)
+            idx, coef = list(design) + list(target), self.fit(design, target)[1]
+            meats = np.zeros((len(target), len(design), len(design)))
+            step = max(1, _CHUNK_ENTRIES // len(idx))
+            for start in range(0, self.n, step):
+                z, y = np.split(self.rows(idx, start, start + step), [len(design)], axis=1)
+                for meat, e in zip(meats, (y - z @ coef).T):
+                    meat += z.T @ (z * e[:, None] ** 2)
+            meats.setflags(write=False)
+            self._meats[key] = meats
         return self._meats[key]
 
 

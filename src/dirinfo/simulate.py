@@ -78,15 +78,13 @@ def gen_var(model: VarModel, T: int, seed) -> tuple[TimeSeriesPanel, GroundTruth
     burn = max(p, 10 * _mixing_length(model.spectral_radius))
     total = T + burn
     chol = np.linalg.cholesky(model.noise_cov)
-    innov = rng.standard_normal((total, d)) @ chol.T
-    x = np.zeros((total, d))
+    # each innovation row becomes x(t) in place
+    x = rng.standard_normal((total, d)) @ chol.T
     coeffs = model.coeffs
     for t in range(total):
-        acc = innov[t].copy()
-        for j in range(1, p + 1):
-            if t - j >= 0:
-                acc += coeffs[j - 1] @ x[t - j]
-        x[t] = acc
+        acc = x[t]
+        for j in range(1, min(t, p) + 1):
+            acc += coeffs[j - 1] @ x[t - j]
     labels = model.labels
     directed = [(labels[a], labels[b])
                 for a in range(d) for b in range(d)

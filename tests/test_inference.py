@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import tracemalloc
@@ -11,7 +12,13 @@ import oracle
 import reference
 from conftest import oracle_law
 from dirinfo import inference
-from dirinfo.core import SequenceDistribution, TimeSeriesPanel, make_partition, symbolize
+from dirinfo.core import (
+    SequenceDistribution,
+    TimeSeriesPanel,
+    make_partition,
+    symbolize,
+    write_panel,
+)
 from dirinfo.errors import (
     CalibrationError,
     ParamError,
@@ -511,6 +518,16 @@ def test_surrogate_results_do_not_depend_on_chunking(family, discrete, monkeypat
     assert runs[0] == runs[1] == runs[2]
 
 
+def _traced_peak(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_var_surrogate_chunk_memory():
     """A VAR surrogate chunk allocates at most four (S, T) float stacks:
     A's gathered column and its lag windows, but no copy of the panel.
@@ -522,13 +539,22 @@ def test_var_surrogate_chunk_memory():
     stat_of = inference._var_causality(g, (0,), (1,), tuple(range(2, 8)))[0]
     perms = inference._block_permutations(T, 10, np.random.default_rng(0), S)
     stat_of(perms)
-    tracemalloc.start()
-    try:
-        stat_of(perms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * S * T * 8
+    assert _traced_peak(lambda: stat_of(perms)) <= 4 * S * T * 8
+
+
+@pytest.mark.parametrize("T", [4000, 40000])
+def test_panel_loops_take_fixed_block_memory(T, tmp_path):
+    """Writing a panel and summing a target's sandwich meats hold a fixed
+    number of rows at a time: the traced peak is one bound, independent of
+    T, at T = 4,000 and at T = 40,000 (where the 8-node panel's text or its
+    (n, 17) order-2 design stack alone would pass it)."""
+    panel = _var_panel(6, nodes=8, order=2, T=T)
+    bound = 2**21
+    assert _traced_peak(lambda: write_panel(panel, tmp_path / "x.csv")) <= bound
+    g = VarFamily(order=2)._prepare(panel)
+    design, target = g.lags(range(8)), g.present([1])
+    g.fit(design, target)
+    assert _traced_peak(lambda: g.meats(design, target)) <= bound
 
 
 @pytest.mark.parametrize("block_len", [5, 10])
@@ -612,6 +638,13 @@ def test_sandwich_weights_match_lstsq_reference():
         np.testing.assert_allclose(np.sort(np.reshape(got, per_target)),
                                    np.sort(np.reshape(want, per_target)),
                                    rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_sandwich_weights_match_lstsq_reference_in_small_blocks(monkeypatch):
+    """The same with blocks of 1,000 gathered entries: each meat sums many
+    blocks (58 rows each at 17 regressors) and a ragged last one."""
+    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 1000)
+    test_sandwich_weights_match_lstsq_reference()
 
 
 def test_duplicated_column_is_singular_design():
@@ -875,18 +908,21 @@ def test_graph_solves_each_regression_once(monkeypatch):
 
 def test_graph_builds_each_target_meat_once(monkeypatch):
     """The 56 causality edges of an 8-node VAR graph share one weighted
-    Gram per target: 8 passes over the panel."""
-    passes = []
+    Gram per target: 8 passes over the panel, each gathering the n rows of
+    its design and target once."""
+    gathered = collections.Counter()
     rows = inference._LaggedGram.rows
 
-    def counted(self, idx):
-        passes.append(len(idx))
-        return rows(self, idx)
+    def counted(self, idx, start=0, stop=None):
+        got = rows(self, idx, start, stop)
+        gathered[tuple(idx)] += got.shape[0]
+        return got
 
     monkeypatch.setattr(inference._LaggedGram, "rows", counted)
     graph = infer_graph(_var_panel(6, nodes=8, order=2, T=3000), VarFamily(order=2))
     assert len(graph.directed) == 56
-    assert passes == [2 * 8 + 1] * 8
+    assert [len(idx) for idx in gathered] == [2 * 8 + 1] * 8
+    assert list(gathered.values()) == [3000 - 2] * 8
 
 
 @pytest.mark.parametrize("mode, entropies, steps",
