@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, symbolize, write_panel
-from .discrete import enumerate_joint, fit_plugin, model_to_json
+from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, read_json, symbolize, write_panel
+from .discrete import enumerate_joint, fit_plugin, model_from_json, model_to_json
 from .errors import DirinfoError
-from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_to_json
+from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_from_json, var_to_json
 from .inference import (
     bonferroni_count,
     chi_square_threshold,
@@ -115,13 +115,10 @@ def _cmd_simulate(args) -> int:
     elif args.preset == "glm":
         if not args.params:
             return _die("simulate glm needs --params")
-        with open(args.params) as fh:
-            spec = json.load(fh)
-        weights = {tuple(key.split("->")): np.asarray(w, dtype=float)
-                   for key, w in spec["weights"].items()}
-        panel, truth = gen_glm_spiking(weights, args.T, args.seed,
-                                       labels=spec.get("labels"),
-                                       bias=spec.get("bias"))
+        panel, truth = read_json(args.params, lambda spec: gen_glm_spiking(
+            {tuple(key.split("->")): np.asarray(w, dtype=float)
+             for key, w in spec["weights"].items()},
+            args.T, args.seed, labels=spec.get("labels"), bias=spec.get("bias")))
     else:  # pragma: no cover - argparse restricts choices
         return _die(f"unknown preset {args.preset}")
     csv_path = f"{args.out}.csv"
@@ -176,29 +173,20 @@ def _cmd_estimate(args) -> int:
 # decompose
 # ---------------------------------------------------------------------------
 
-def _load_any_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _any_model(doc):
+    """The family and the model of a model document."""
     if "kernel" in doc:
-        return "discrete", doc
+        return "discrete", model_from_json(doc)
     if "coeffs" in doc:
-        return "var", doc
-    raise DirinfoError(f"{path}: neither a discrete nor a VAR model")
-
-
-def _labels_of(doc, n):
-    labels = doc.get("labels")
-    return tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
+        return "var", var_from_json(doc)
+    raise KeyError("neither 'kernel' (a discrete model) nor 'coeffs' (a VAR model)")
 
 
 def _cmd_decompose(args) -> int:
-    kind, doc = _load_any_model(args.model)
+    kind, model = read_json(args.model, _any_model)
     mode = ConditioningMode(args.mode)
     if kind == "discrete":
-        from .discrete import model_from_json
-
-        model = model_from_json(doc)
-        labels = _labels_of(doc, model.n_nodes)
+        labels = model.labels or tuple(f"x{i}" for i in range(model.n_nodes))
         part = make_partition(labels, args.A, args.B)
         budget = {} if args.budget is None else {"budget": args.budget}
         dist = enumerate_joint(model, args.n, **budget)
@@ -209,9 +197,6 @@ def _cmd_decompose(args) -> int:
                 if isinstance(v, float)]
         rows += [(f"residual {k}", v) for k, v in sorted(result["residuals"].items())]
     else:
-        from .gaussian import var_from_json
-
-        model = var_from_json(doc)
         part = make_partition(model.labels, args.A, args.B)
         part_ba = make_partition(model.labels, args.B, args.A)
         side_past = mode is ConditioningMode.STRICT_PAST
@@ -410,10 +395,11 @@ def _coverage_problems(doc) -> list[str]:
                        for key in keys if key not in tested and key not in errors]
 
 
-def _cmd_check(args) -> int:
-    with open(args.result) as fh:
-        doc = json.load(fh)
+def _result_problems(doc) -> list[str]:
+    """What a result fails to verify; a field of a type no result has raises."""
     problems = []
+    if not {"residuals", "nodes", "decision"} & doc.keys():
+        problems.append("not a result: none of residuals, nodes or decision")
     if "residuals" in doc:
         problems.extend(_decomposition_problems(doc))
     if "nodes" in doc:
@@ -427,6 +413,11 @@ def _cmd_check(args) -> int:
     for entry in entries:
         if "decision" in entry:
             problems.extend(_decision_problems(entry, level))
+    return problems
+
+
+def _cmd_check(args) -> int:
+    problems = read_json(args.result, _result_problems)
     if problems:
         for p in problems:
             print(f"check failed: {p}", file=sys.stderr)
@@ -444,15 +435,17 @@ def _changed(recorded) -> list[str]:
 def _cmd_replay(args) -> int:
     """Re-run a manifest's command after checking that its inputs are the
     ones recorded, then check that it re-wrote every output bit for bit."""
-    with open(args.manifest) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.manifest)
     if not isinstance(doc.get("inputs"), dict) or not isinstance(doc.get("outputs"), dict):
         return _die(f"{args.manifest}: no recorded input and output hashes to verify", 1)
+    if not isinstance(argv := doc.get("argv"), list) or argv[:1] in (["check"], ["replay"]) \
+            or not all(isinstance(a, str) for a in argv):  # a replay of a replay never ends
+        return _die(f"{args.manifest}: argv is not the command line of a run with outputs", 1)
     changed = _changed(doc["inputs"])
     if changed:
         return _die(f"replay: input changed since the manifest was written: "
                     f"{', '.join(changed)}", 1)
-    code = main(doc["argv"])
+    code = main(argv)
     if code != 0:
         return code
     changed = _changed(doc["outputs"])

@@ -184,27 +184,37 @@ def _coerce_integral(data) -> np.ndarray:
     return values
 
 
-def _load_json(path) -> TimeSeriesPanel:
+def read_json(path, parse=None):
+    """The JSON object in ``path``, through ``parse`` when given.  Invalid
+    JSON or another JSON type is a ParseError, and a field that ``parse``
+    finds missing or mistyped is a SchemaError that names the file."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or text that is not UTF-8
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
+        return doc if parse is None else parse(doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"{path}: missing or mistyped field ({exc!r})") from None
+
+
+def _load_json(path) -> TimeSeriesPanel:
+    def parse(doc):
         labels = list(doc["labels"])
-        raw = doc["values"]
-    except (KeyError, TypeError):
-        raise ParseError(f"{path}: expected object with 'labels' and 'values'") from None
-    if len(set(map(str, labels))) != len(labels):
-        raise SchemaError(f"{path}: duplicate labels")
-    width = len(labels)
-    data = []
-    for r, row in enumerate(raw, start=1):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
-    return TimeSeriesPanel(values=_coerce_integral(data),
-                           labels=tuple(str(x) for x in labels))
+        if len(set(map(str, labels))) != len(labels):
+            raise SchemaError(f"{path}: duplicate labels")
+        data = []
+        for r, row in enumerate(doc["values"], start=1):
+            if len(row) != len(labels):
+                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(labels)}")
+            data.append([_parse_cell(cell, r, labels[c]) for c, cell in enumerate(row)])
+        return TimeSeriesPanel(values=_coerce_integral(data),
+                               labels=tuple(str(x) for x in labels))
+
+    return read_json(path, parse)
 
 
 def _format_number(x) -> str:

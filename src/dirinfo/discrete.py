@@ -16,13 +16,13 @@ Serialized layout (also used by the JSON format):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel
 from .errors import (
-    FitError,
+    BudgetError,
     InsufficientData,
     InvalidModel,
     SelectionError,
@@ -99,6 +99,19 @@ class DiscreteMarkovModel:
         """Inverse of :meth:`encode_states`; returns (T, |V|)."""
         parts = np.unravel_index(np.asarray(codes), self.alphabet_sizes)
         return np.stack(parts, axis=-1)
+
+    def next_window(self, window, s):
+        """Window code after appending joint symbols ``s``, the oldest one
+        dropped; from 0 it builds the code of the first t < ``order``."""
+        M = self.joint_alphabet
+        return (window % M ** (self.order - 1)) * M + s
+
+    def window_transition(self) -> np.ndarray:
+        """Dense (W, W) transition matrix of the window chain, W = M**k."""
+        windows = np.arange(len(self.kernel))[:, None]
+        trans = np.zeros((len(windows), len(windows)))
+        trans[windows, self.next_window(windows, np.arange(self.joint_alphabet))] = self.kernel
+        return trans
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +216,37 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
 # stationary law and sampling
 # ---------------------------------------------------------------------------
 
-def stationary_window_distribution(model: DiscreteMarkovModel, tol: float = 1e-12,
-                                   max_iter: int = 100_000) -> np.ndarray:
-    """Stationary law of the window chain by power iteration."""
-    M = model.joint_alphabet
-    k = model.order
-    pi = np.full(M**k, 1.0 / M**k)
-    kernel = model.kernel
-    for _ in range(max_iter):
-        # window (s_1..s_k) -> (s_2..s_k, s'): drop the leading symbol,
-        # append the kernel draw
-        if k > 1:
-            joint = pi[:, None] * kernel  # (M**k, M)
-            nxt = joint.reshape(M, M ** (k - 1), M).sum(axis=0).reshape(M**k)
-        else:
-            nxt = pi @ kernel
-        if np.abs(nxt - pi).sum() < tol:
-            return nxt
-        pi = nxt
-    raise FitError("power iteration for the stationary law did not converge")
+def stationary_window_distribution(model: DiscreteMarkovModel,
+                                   budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
+    """Stationary law of the window chain by one solve of (P^T - I) pi = 0,
+    its last row replaced by sum(pi) = 1 (Kemeny & Snell, 1960), with the
+    W x W matrix P charged to ``budget``.  It must be unique (one closed class)."""
+    W = model.joint_alphabet ** model.order
+    if W * W > budget:
+        raise BudgetError(W * W, budget)
+    trans = model.window_transition()
+    system = trans.T - np.eye(W)
+    system[-1] = 1.0
+    try:
+        pi = np.linalg.solve(system, np.eye(1, W, W - 1)[0])
+        seen = frontier = np.arange(W) == np.argmax(pi)
+    except np.linalg.LinAlgError:
+        seen = frontier = np.zeros(W, dtype=bool)
+    # one closed class, holding the likeliest window, is reached from every
+    # window; search back from that window, breadth first
+    while frontier.any():
+        frontier = (trans[:, frontier] > 0).any(axis=1) & ~seen
+        seen = seen | frontier
+    if not seen.all():
+        raise InvalidModel("the window chain has more than one closed class")
+    pi = np.maximum(pi, 0.0)  # rounding below 0
+    return pi / pi.sum()
 
 
-def with_stationary_initial(model: DiscreteMarkovModel, **kwargs) -> DiscreteMarkovModel:
+def with_stationary_initial(model: DiscreteMarkovModel,
+                            budget: int = DEFAULT_STATE_BUDGET) -> DiscreteMarkovModel:
     """Copy of ``model`` whose initial law is the stationary window law."""
-    pi = stationary_window_distribution(model, **kwargs)
-    return DiscreteMarkovModel(alphabet_sizes=model.alphabet_sizes, order=model.order,
-                               kernel=model.kernel, initial=pi, labels=model.labels)
+    return replace(model, initial=stationary_window_distribution(model, budget))
 
 
 def sample_panel(model: DiscreteMarkovModel, T: int, seed, labels=None) -> TimeSeriesPanel:
@@ -257,10 +275,9 @@ def sample_codes(model: DiscreteMarkovModel, T: int, count: int, rng) -> np.ndar
     codes[:, :k] = draw_window(model.initial, M, k, count, rng)
     kern_cdf = np.cumsum(model.kernel, axis=1)
     window = window_codes(codes[:, :k], k, M)[:, 0]
-    shift = M ** (k - 1)
     for t in range(k, T):
         codes[:, t] = draw_symbols(kern_cdf[window], rng)
-        window = (window % shift) * M + codes[:, t]
+        window = model.next_window(window, codes[:, t])
     return codes
 
 

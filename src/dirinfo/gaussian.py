@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasureValue, TimeSeriesPanel
+from .core import MeasureValue, TimeSeriesPanel, read_json
 from .errors import (
     InvalidModel,
     ParamError,
@@ -342,5 +342,4 @@ def save_var(model: VarModel, path) -> None:
 
 
 def load_var(path) -> VarModel:
-    with open(path) as fh:
-        return var_from_json(json.load(fh))
+    return read_json(path, var_from_json)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1063,15 +1062,12 @@ class _BivariateFilter:
         # joint symbol with a given a-part and b-part
         self.merge = np.full((self.m_a, self.m_b), -1, dtype=np.int64)
         self.merge[self.a_of, self.b_of] = np.arange(M)
-        self.k, self.M = k, M
+        self.k = k
         W = M**k
         self.W = W
-        # per-observed-b transition of the window chain
-        self.shift = M ** (k - 1)
-        tails = (np.arange(W) % self.shift) * M
-        self.trans_b = np.zeros((self.m_b, W, W))
-        for s in range(M):
-            self.trans_b[self.b_of[s], np.arange(W), tails + s] += self.model.kernel[:, s]
+        # the window chain's transitions split by B's part of the new symbol
+        b_new = self.b_of[np.arange(W) % M] == np.arange(self.m_b)[:, None]
+        self.trans_b = np.where(b_new[:, None, :], model.window_transition(), 0.0)
         # p(b' = beta | window), one vector per beta
         self.b_pred = [self.trans_b[beta].sum(axis=1) for beta in range(self.m_b)]
         # p(a' = alpha | window)
@@ -1088,11 +1084,6 @@ class _BivariateFilter:
         init_nd = self.init.reshape((M,) * k)
         self.prefix = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M)
                        for t in range(k)]
-
-    def advance(self, window, s):
-        """Window code after appending joint symbols ``s``; from 0 this
-        also builds the code of the first t symbols for t < k."""
-        return (window % self.shift) * self.M + s
 
     def observe(self, belief, b_t, t):
         """Condition the window belief on B's symbols at time ``t`` (a mask
@@ -1133,7 +1124,7 @@ def _stein_llr(flt: _BivariateFilter, codes: np.ndarray) -> np.ndarray:
             ll_a += np.log(flt.a_pred[window, flt.a_of[s]])
         belief, mass = flt.observe(belief, flt.b_of[s], t)
         ll_b += np.log(mass)
-        window = flt.advance(window, s)
+        window = flt.model.next_window(window, s)
         if t == flt.k - 1:  # the initial law of the first k symbols
             ll_joint = np.log(flt.init[window])
     return ll_joint - ll_a - ll_b
@@ -1167,7 +1158,7 @@ def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> np.ndarray:
             probs = flt.a_pred[window]
         a_t = draw_symbols(np.cumsum(probs, axis=1), rng)
         codes[:, t] = flt.merge[a_t, b_path[:, t]]
-        window = flt.advance(window, codes[:, t])
+        window = flt.model.next_window(window, codes[:, t])
     return codes
 
 
@@ -1350,6 +1341,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
             return exc
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only where it runs
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(run, tasks, seeds))
     else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellMask, MeasureValue, SequenceDistribution, cells_of
+from .core import DEFAULT_STATE_BUDGET, CellMask, MeasureValue, SequenceDistribution, cells_of
 from .discrete import DiscreteMarkovModel, enumerate_joint, marginal, with_stationary_initial
 from .errors import DivergenceInfinite, ParamError, PartitionError, SelectionError
 
@@ -439,11 +439,12 @@ _RATE_MEASURES = ("di", "te", "iie", "mi")
 
 
 def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
-         mode=DEFAULT_MODE, n_max: int = 6, budget=None, tol: float = 1e-6) -> RateEstimate:
+         mode=DEFAULT_MODE, n_max: int = 6, budget: int = DEFAULT_STATE_BUDGET,
+         tol: float = 1e-6) -> RateEstimate:
     """Information rate of ``measure`` for the stationary version of ``model``.
 
-    The model is restarted from its stationary window law, enumerated up to
-    ``n_max``, and the rate is read off as the last conditional increment;
+    The model is restarted from its exact stationary window law, enumerated
+    up to ``n_max``, and the rate is read off as the last conditional increment;
     the Cesaro average over the horizon is reported alongside.  A change of
     the increment from ``n_max - 1`` above ``tol`` flags non-convergence
     without failing.
@@ -453,9 +454,7 @@ def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
     if n_max < 2:
         raise ParamError(f"a rate needs n_max >= 2 to compare two increments, got {n_max}")
     mode = _as_mode(mode)
-    stationary = with_stationary_initial(model)
-    kwargs = {} if budget is None else {"budget": budget}
-    dist = enumerate_joint(stationary, n_max, **kwargs)
+    dist = enumerate_joint(with_stationary_initial(model, budget), n_max, budget)
     n = _check_groups(dist, n_max, a_nodes, b_nodes, c_nodes)
     increments = _steps(dist, measure, a_nodes, b_nodes, c_nodes, mode, n)
     gap = abs(increments[-1] - increments[-2])

@@ -8,6 +8,7 @@ array-based implementation so the two can check each other.
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def enumerate_law(alphabet_sizes, order, kernel_fn, initial_fn, n):
@@ -150,3 +151,36 @@ def causal_mutual_information(law, A, B, n, C=()):
                   + H(law, cells(B, [i]) | zb) - H(law, zb)
                   - H(law, cells(A, [i]) | cells(B, [i]) | zj) + H(law, zj))
     return total
+
+
+# -- stationary law -----------------------------------------------------
+
+def stationary_law(kernel, alphabet, order):
+    """Stationary law of the window chain of an order-``order`` kernel over
+    ``alphabet`` joint symbols, exact in rationals: rows of ``kernel`` are
+    windows (tuples of ``order`` symbols, oldest first, in lexicographic
+    order), each scaled to sum to exactly 1.  Gauss-Jordan elimination of
+    the balance equations with the last replaced by sum(pi) = 1; ValueError
+    when they have no unique solution."""
+    windows = list(itertools.product(range(alphabet), repeat=order))
+    index = {w: i for i, w in enumerate(windows)}
+    W = len(windows)
+    trans = [[Fraction(0)] * W for _ in range(W)]  # trans[i][j] = P(i -> j)
+    for w, row in zip(windows, kernel):
+        row = [Fraction(float(p)) for p in row]
+        total = sum(row)
+        for s, p in enumerate(row):
+            trans[index[w]][index[w[1:] + (s,)]] = p / total
+    # row j of ``system``: sum_i pi_i P(i -> j) - pi_j = 0
+    system = [[trans[i][j] - (i == j) for i in range(W)] + [Fraction(0)] for j in range(W)]
+    system[-1] = [Fraction(1)] * (W + 1)
+    for c in range(W):
+        pivot = next((r for r in range(c, W) if system[r][c] != 0), None)
+        if pivot is None:
+            raise ValueError("the balance equations have no unique solution")
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(W):
+            if r != c and system[r][c] != 0:
+                f = system[r][c] / system[c][c]
+                system[r] = [x - f * y for x, y in zip(system[r], system[c])]
+    return [system[i][W] / system[i][i] for i in range(W)]

@@ -14,7 +14,7 @@ import dirinfo
 
 from dirinfo.cli import build_parser, main
 from dirinfo.discrete import save_model
-from dirinfo.gaussian import save_var
+from dirinfo.gaussian import save_var, var_to_json
 from dirinfo.inference import bonferroni_count, min_surrogates
 from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, write_panel
 from dirinfo.simulate import chain_markov_model, random_markov_model, random_var_model
@@ -261,6 +261,14 @@ def test_imports_stay_light():
     out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out == ["[]", "[]"]
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # only infer_graph(threads > 1) needs concurrent.futures
+    code = "import sys, dirinfo.cli\nprint('concurrent.futures' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def scipy_modules_after(commands, cwd):
@@ -516,6 +524,57 @@ def test_computation_error_exits_1(tmp_path):
     code = run("test", "--input", tmp_path / "c.csv", "--kind", "causality",
                "--A", "x", "--B", "x", "--family", "var", "--out", tmp_path / "t")
     assert code == 1
+
+
+@pytest.mark.parametrize("doc", [{"x": 1}, {}, [1, 2]])
+def test_check_refuses_what_is_not_a_result(tmp_path, capsys, doc):
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "r.json") == 1
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert ("check failed: not a result" if isinstance(doc, dict) else "error: ParseError") \
+        in captured.err
+
+
+FILE, OUT = object(), object()
+_DECOMPOSE = ("decompose", "--model", FILE, "--A", "x0", "--B", "x1", "--out", OUT)
+_GRAPH = ("graph", "--input", FILE, "--format", "json", "--family", "var", "--out", OUT)
+_GLM = ("simulate", "glm", "--params", FILE, "--T", 10, "--seed", 1, "--out", OUT)
+_VAR_WITHOUT_LABELS = {key: value for key, value in var_to_json(random_var_model(3)).items()
+                       if key != "labels"}
+MALFORMED_INPUTS = {
+    "decompose-scalar": ("7", _DECOMPOSE),
+    "decompose-kernel-only": ('{"kernel": 5}', _DECOMPOSE),
+    "decompose-coeffs-string": ('{"coeffs": "x"}', _DECOMPOSE),
+    "decompose-var-without-labels": (json.dumps(_VAR_WITHOUT_LABELS), _DECOMPOSE),
+    "check-text": ("not json", ("check", FILE)),
+    "check-residuals-list": ('{"residuals": [1]}', ("check", FILE)),
+    "check-directed-number": ('{"nodes": ["x"], "directed": 5}', ("check", FILE)),
+    "check-config-number": ('{"decision": "keep_H0", "config": 5}', ("check", FILE)),
+    "replay-text": ("not json", ("replay", FILE)),
+    "replay-argv-number": ('{"inputs": {}, "outputs": {}, "argv": 5}', ("replay", FILE)),
+    "replay-of-replay": ('{"inputs": {}, "outputs": {}, "argv": ["replay", "in.json"]}',
+                         ("replay", FILE)),
+    "panel-values-number": ('{"labels": ["x", "y"], "values": 7}', _GRAPH),
+    "panel-values-flat": ('{"labels": ["x", "y"], "values": [1, 2]}', _GRAPH),
+    "simulate-var-list": ("[1]", ("simulate", "var", "--model", FILE, "--T", 10,
+                                  "--seed", 1, "--out", OUT)),
+    "simulate-glm-weights": ('{"weights": 5}', _GLM),
+    "simulate-glm-pair": ('{"weights": {"ab": [1]}}', _GLM),
+    "simulate-glm-labels": ('{"weights": {"a->b": [1]}, "labels": 5}', _GLM),
+    "simulate-glm-bias": ('{"weights": {"a->b": [1]}, "bias": "x"}', _GLM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_with_an_error(tmp_path, capsys, name):
+    text, argv = MALFORMED_INPUTS[name]
+    (tmp_path / "in.json").write_text(text)
+    argv = [tmp_path / "in.json" if a is FILE else tmp_path / "out" if a is OUT else a
+            for a in argv]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(tmp_path):

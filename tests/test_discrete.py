@@ -4,7 +4,7 @@ import pytest
 
 import oracle
 import reference
-from conftest import oracle_law
+from conftest import oracle_law, sticky_chain
 from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, cells_of
 from dirinfo.discrete import (
     DiscreteMarkovModel,
@@ -13,7 +13,10 @@ from dirinfo.discrete import (
     marginal,
     model_from_json,
     model_to_json,
+    draw_symbols,
+    draw_window,
     sample_panel,
+    sample_panels,
     stationary_window_distribution,
     with_stationary_initial,
 )
@@ -380,6 +383,97 @@ def test_stationary_law_is_fixed_point():
     joint = pi[:, None] * model.kernel
     nxt = joint.reshape(M, M, M).sum(axis=0).reshape(M * M)
     assert np.max(np.abs(nxt - pi)) < 1e-10
+
+
+def _oracle_error(model):
+    exact = oracle.stationary_law(model.kernel, model.joint_alphabet, model.order)
+    return np.max(np.abs(stationary_window_distribution(model) - np.array(exact, dtype=float)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("e", [3e-5, 1e-4])
+def test_stationary_law_of_slowly_mixing_chain_is_exact(e, order):
+    # power iteration stopped on its step size: 1.1e-9 off at e = 1e-4,
+    # and no convergence in 100,000 steps at e = 3e-5
+    assert _oracle_error(sticky_chain(e, order)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_stationary_law_matches_exact_oracle(seed, order):
+    assert _oracle_error(random_markov_model(seed, order=order)) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stationary_law_with_transient_windows(order):
+    # x0 = 1 absorbs, so every window that holds x0 = 0 is transient
+    model = sticky_chain(1e-3, order)
+    kernel = np.where((np.arange(len(model.kernel)) % 4 >= 2)[:, None],
+                      [0.0, 0.0, 0.1, 0.9], model.kernel)
+    model = DiscreteMarkovModel((2, 2), order, kernel, model.initial)
+    pi = stationary_window_distribution(model)
+    assert pi.min() >= 0.0 and _oracle_error(model) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stationary_law_refuses_two_closed_classes(order):
+    # with e = 0, x0 never moves: the solve alone returns one class's law
+    model = sticky_chain(0.0, order)
+    with pytest.raises(ValueError):
+        oracle.stationary_law(model.kernel, 4, order)
+    with pytest.raises(InvalidModel, match="more than one closed class"):
+        stationary_window_distribution(model)
+    with pytest.raises(InvalidModel):
+        with_stationary_initial(model)
+    with pytest.raises(InvalidModel):  # identity kernel: every window is a class
+        stationary_window_distribution(DiscreteMarkovModel((2,), 1, np.eye(2), [0.5, 0.5]))
+
+
+def test_stationary_law_charges_its_matrix_to_the_budget():
+    model = random_markov_model(3, nodes=2, order=2)
+    W = 16
+    for call in (stationary_window_distribution, with_stationary_initial):
+        with pytest.raises(BudgetError) as err:
+            call(model, budget=W * W - 1)
+        assert err.value.required == W * W
+    assert stationary_window_distribution(model, budget=W * W).shape == (W,)
+
+
+def test_window_transition_follows_next_window():
+    model = random_markov_model(8, nodes=2, alphabet=3, order=2)
+    M, W = 9, 81
+    trans = model.window_transition()
+    assert trans.shape == (W, W) and np.allclose(trans.sum(axis=1), 1.0)
+    for w in range(W):
+        # window (s_1, s_2) -> (s_2, s): the oldest symbol drops out
+        assert np.array_equal(trans[w, (w % M) * M + np.arange(M)], model.kernel[w])
+        assert model.next_window(w, 5) == (w % M) * M + 5
+    assert np.count_nonzero(trans) == W * M
+
+
+def _sample_codes_by_shift(model, T, count, rng):
+    """The sampler with the window successor written out, as it was before
+    ``next_window``."""
+    M, k = model.joint_alphabet, model.order
+    codes = np.empty((count, T), dtype=np.int64)
+    codes[:, :k] = draw_window(model.initial, M, k, count, rng)
+    kern_cdf = np.cumsum(model.kernel, axis=1)
+    window = np.ravel_multi_index(tuple(codes[:, :k].T), (M,) * k)
+    shift = M ** (k - 1)
+    for t in range(k, T):
+        codes[:, t] = draw_symbols(kern_cdf[window], rng)
+        window = (window % shift) * M + codes[:, t]
+    return codes
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sample_panels_unchanged_under_next_window(order):
+    model = random_markov_model(5, nodes=2, alphabet=3, order=order)
+    for seed in [*range(1, 11), 1009]:
+        codes = _sample_codes_by_shift(model, 200, 4, np.random.default_rng(seed))
+        panels = sample_panels(model, 200, 4, seed)
+        assert all(np.array_equal(p.values, model.decode_states(c))
+                   for p, c in zip(panels, codes))
 
 
 def test_sampling_deterministic():

@@ -848,6 +848,20 @@ def test_stein_llr_and_samplers_match_oracle(name):
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("name", sorted(STEIN_ORACLE_MODELS))
+def test_stein_filter_splits_the_window_chain_by_b(name):
+    # the per-symbol loop the filter used before window_transition
+    model, a_nodes, b_nodes = STEIN_ORACLE_MODELS[name]
+    flt = inference._BivariateFilter(model, a_nodes, b_nodes)
+    M, W = model.joint_alphabet, len(model.kernel)
+    tails = (np.arange(W) % M ** (model.order - 1)) * M
+    trans_b = np.zeros((flt.m_b, W, W))
+    for s in range(M):
+        trans_b[flt.b_of[s], np.arange(W), tails + s] += model.kernel[:, s]
+    assert np.array_equal(flt.trans_b, trans_b)
+    assert np.array_equal(flt.trans_b.sum(axis=0), model.window_transition())
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------

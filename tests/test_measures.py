@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import oracle_law
+from conftest import oracle_law, sticky_chain
 from dirinfo.core import CellMask, make_partition
 from dirinfo.discrete import enumerate_joint
 from dirinfo.errors import (
@@ -522,6 +522,26 @@ def test_rate_reads_the_measures_own_terms(measure, summed):
     assert est.cesaro * 5 == pytest.approx(total, abs=1e-12)
     shorter = summed(dist, (0,), (1,), 4, (2,), **kwargs).value
     assert est.value == pytest.approx(total - shorter, abs=1e-12)
+
+
+def test_rate_of_slowly_mixing_chain_starts_from_exact_law():
+    # the power iteration raised FitError on this chain
+    model = sticky_chain(3e-5)
+    est = rate("di", model, (0,), (1,), n_max=5)
+    exact = [float(p) for p in oracle.stationary_law(model.kernel, 4, 1)]
+    from dirinfo.discrete import DiscreteMarkovModel
+
+    law = oracle_law(DiscreteMarkovModel((2, 2), 1, model.kernel, exact), 5)
+    increment = (oracle.directed_information(law, [0], [1], 5)
+                 - oracle.directed_information(law, [0], [1], 4))
+    assert est.value == pytest.approx(increment, abs=1e-12)
+
+
+def test_rate_charges_the_stationary_law_to_the_budget():
+    model = random_markov_model(4, nodes=3)
+    with pytest.raises(BudgetError) as err:
+        rate("di", model, (0,), (1,), n_max=2, budget=63)
+    assert err.value.required == 64
 
 
 def test_rate_rejects_unknown_measure():
