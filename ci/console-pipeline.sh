@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# End-to-end run of the installed `dirinfo` console script: simulate,
+# estimate, graph, test and decompose, then `check` every result and
+# `replay` every manifest.  Run from anywhere after `pip install .`:
+#   bash ci/console-pipeline.sh
+# It works in a fresh temporary directory and stops at the first failure.
+set -e
+cd "$(mktemp -d)"
+dirinfo simulate nonlinear --T 2000 --seed 7 --out nl
+dirinfo graph --input nl.csv --family var --out g
+dirinfo check g.json
+dirinfo replay nl.manifest.json
+dirinfo estimate --input nl.csv --family var --out m
+dirinfo simulate var --model m.model.json --T 3000 --seed 5 --out sv
+dirinfo graph --input sv.csv --family var --out gv
+dirinfo check gv.json
+dirinfo replay sv.manifest.json
+dirinfo replay gv.manifest.json
+dirinfo decompose --model m.model.json --A x --B y --out d
+dirinfo check d.json
+dirinfo replay d.manifest.json
+dirinfo estimate --input nl.csv --family discrete --bins 2 --out md
+dirinfo decompose --model md.model.json --A x --B y --n 4 --out dd
+dirinfo check dd.json
+dirinfo replay dd.manifest.json
+dirinfo test --input nl.csv --family var --kind causality --A x --B y \
+  --calibration surrogate --seed 3 --out vs
+dirinfo test --input nl.csv --family discrete --bins 3 --kind causality \
+  --A x --B y --calibration surrogate --seed 3 --out ds
+for result in vs ds; do dirinfo check "$result.json"; done
+for run in vs ds; do dirinfo replay "$run.manifest.json"; done

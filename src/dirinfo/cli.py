@@ -9,8 +9,10 @@ bits`` only changes the printed table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, read_json, symbolize, write_panel
 from .discrete import enumerate_joint, fit_plugin, model_from_json, model_to_json
-from .errors import DirinfoError
+from .errors import DirinfoError, SchemaError
 from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_from_json, var_to_json
 from .inference import (
     bonferroni_count,
@@ -188,8 +190,7 @@ def _cmd_decompose(args) -> int:
     if kind == "discrete":
         labels = model.labels or tuple(f"x{i}" for i in range(model.n_nodes))
         part = make_partition(labels, args.A, args.B)
-        budget = {} if args.budget is None else {"budget": args.budget}
-        dist = enumerate_joint(model, args.n, **budget)
+        dist = enumerate_joint(model, args.n, args.budget)
         dec = decompose(dist, part, args.n, mode=mode)
         result = dec.to_json()
         result["exact"] = True
@@ -441,6 +442,14 @@ def _cmd_replay(args) -> int:
     if not isinstance(argv := doc.get("argv"), list) or argv[:1] in (["check"], ["replay"]) \
             or not all(isinstance(a, str) for a in argv):  # a replay of a replay never ends
         return _die(f"{args.manifest}: argv is not the command line of a run with outputs", 1)
+    usage = io.StringIO()
+    try:  # argparse reports a bad argv on stderr and exits 2
+        with contextlib.redirect_stderr(usage):
+            build_parser().parse_args(argv)
+    except SystemExit:
+        reason = usage.getvalue().strip().rpartition("\n")[2]
+        raise SchemaError(f"{args.manifest}: argv is not a dirinfo command line: "
+                          f"{reason}") from None
     changed = _changed(doc["inputs"])
     if changed:
         return _die(f"replay: input changed since the manifest was written: "
@@ -517,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="horizon for discrete models")
     p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
                    default="strict_past")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
                    help="largest array (entries) an exact marginal may allocate "
-                        f"(default {DEFAULT_STATE_BUDGET})")
+                        "(default %(default)s)")
     _add_common_io(p)
     p.set_defaults(func=_cmd_decompose)
 

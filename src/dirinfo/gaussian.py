@@ -12,7 +12,10 @@ model, and none for the full node set, whose innovation covariance is the
 noise covariance.  The equation is solved in numpy by structure-preserving
 doubling (Chu, Fan, Lin & Wang, Int. J. Control 77, 2004), which converges
 quadratically.  The finite-window projection that cross-checks these values
-lives with the test references, not in the package.
+lives with the test references, not in the package.  ``fit_var`` and the
+test layer's VAR regressions share one least-squares routine: the Schur
+complement of a Gram of second moments, through a Cholesky factor with a
+relative pivot floor.
 """
 
 from __future__ import annotations
@@ -262,12 +265,53 @@ def gaussian_mi_rate(model: VarModel, a_nodes, b_nodes,
 # fitting
 # ---------------------------------------------------------------------------
 
+# relative pivot floor of the regressor Cholesky factor (see _cholesky)
+_PIVOT_RTOL = 1e-10
+
+
+def _cholesky(gram):
+    """Lower Cholesky factors of a stack of regressor Gram blocks.
+
+    Raises ``SingularDesign`` when a factorization fails or when a pivot
+    ``L_ii**2`` falls to ``1e-10 * G_ii`` or below.  That pivot is the
+    residual sum of squares of regressor i on the regressors before it, so
+    the test reads 1 - R_i**2 <= 1e-10: the design is rank deficient to
+    working precision (an exactly repeated or constant column).
+    """
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise SingularDesign("rank-deficient regressor matrix") from None
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    if np.any(pivots <= _PIVOT_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
+        raise SingularDesign("rank-deficient regressor matrix")
+    return chol
+
+
+def _residual_covs(grams, p, n):
+    """Per-row residual covariances of the least-squares regressions of the
+    last rows of each Gram in the stack (S, p + q, p + q) on its first
+    ``p`` rows, with the Cholesky factors and the solved cross blocks."""
+    g_yy = grams[:, p:, p:]
+    if p == 0:
+        return g_yy / n, None, None
+    chol = _cholesky(grams[:, :p, :p])
+    # np.linalg.solve on the factor: scipy's triangular solver left
+    # about 0.7 MB more resident memory in a process running these fits
+    w = np.linalg.solve(chol, grams[:, :p, p:])
+    return (g_yy - np.swapaxes(w, 1, 2) @ w) / n, chol, w
+
+
 def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel:
     """Fit a VAR(p) by least squares or multivariate Yule-Walker.
 
-    Columns are mean-centered before fitting.  An unstable fit is returned
-    with a warning rather than rejected; downstream operations that need
-    stationarity raise :class:`UnstableModel` themselves.
+    Columns are mean-centered before fitting.  Both methods regress the
+    present on lags 1..p through one Gram of second moments, lag-major
+    with the present last: ``ols`` sums the lag-slice products over
+    t = p..T-1, ``yule_walker`` is block Toeplitz in the autocovariances.
+    An unstable fit is returned with a warning rather than rejected;
+    downstream operations that need stationarity raise
+    :class:`UnstableModel` themselves.
     """
     p = int(order)
     if p < 1:
@@ -280,35 +324,21 @@ def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel
     x = x - x.mean(axis=0)
 
     if method == "ols":
-        Y = x[p:]
-        Z = np.concatenate([x[p - j:T - j] for j in range(1, p + 1)], axis=1)
-        beta, _, rank, _ = np.linalg.lstsq(Z, Y, rcond=None)
-        if rank < p * d:
-            raise SingularDesign(f"regressor matrix has rank {rank} < {p * d}")
-        coeffs = np.stack([beta[(j - 1) * d:j * d].T for j in range(1, p + 1)])
-        resid = Y - Z @ beta
-        noise = resid.T @ resid / resid.shape[0]
+        blocks = [x[p - j:T - j] for j in range(1, p + 1)] + [x[p:]]
+        gram, n = np.block([[u.T @ v for v in blocks] for u in blocks]), T - p
     elif method == "yule_walker":
-        gam = np.empty((p + 1, d, d))
-        for h in range(p + 1):
-            gam[h] = x[h:].T @ x[:T - h] / T
-        R = np.empty((p * d, p * d))
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                blk = gam[i - j] if i >= j else gam[j - i].T
-                R[(j - 1) * d:j * d, (i - 1) * d:i * d] = blk
-        G = np.concatenate([gam[i] for i in range(1, p + 1)], axis=1)
-        try:
-            A = np.linalg.solve(R.T, G.T).T
-        except np.linalg.LinAlgError:
-            raise SingularDesign("Yule-Walker system is singular") from None
-        coeffs = np.stack([A[:, (j - 1) * d:j * d] for j in range(1, p + 1)])
-        noise = gam[0] - sum(coeffs[j - 1] @ gam[j].T for j in range(1, p + 1))
-        noise = 0.5 * (noise + noise.T)
+        # gam[h] = E x(t + h) x(t)'; lag i against lag j >= i is gam[j - i]
+        gam = [x[h:].T @ x[:T - h] / T for h in range(p + 1)]
+        lags = list(range(1, p + 1)) + [0]
+        gram = np.block([[gam[j - i] if j >= i else gam[i - j].T for j in lags] for i in lags])
+        n = 1
     else:
         raise ParamError(f"unknown method {method!r}")
+    noise, chol, w = _residual_covs(gram[None], p * d, n)
+    beta = np.linalg.solve(chol[0].T, w[0])  # (p * d, d), row (j - 1) * d + c: lag j of node c
+    coeffs = beta.T.reshape(d, p, d).transpose(1, 0, 2)
 
-    model = VarModel(order=p, coeffs=coeffs, noise_cov=noise, labels=panel.labels)
+    model = VarModel(order=p, coeffs=coeffs, noise_cov=noise[0], labels=panel.labels)
     if not model.is_stable:
         warnings.warn(f"fitted VAR is unstable (spectral radius "
                       f"{model.spectral_radius:.4f})", UnstableFitWarning, stacklevel=2)

@@ -8,7 +8,9 @@ they estimate the corresponding information rate.  Calibration refers
 ``2 * T * statistic`` to a chi-square law (Wilks for the discrete family,
 sandwich-weighted for the linear family, which is misspecified under
 nonlinear couplings) or uses circular block-permutation surrogates of the
-source process.
+source process.  The Stein error-exponent diagnostic runs an exact forward
+filter with one step per time: A's factor conditions on the joint past,
+B's marginal on a belief over the model's windows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
 from .discrete import (
     DiscreteMarkovModel,
     draw_symbols,
-    draw_window,
     sample_codes,
     window_codes,
 )
@@ -38,6 +39,7 @@ from .errors import (
     RateNotConverged,
     SingularDesign,
 )
+from .gaussian import _residual_covs
 from .measures import ConditioningMode, _as_mode, rate as measure_rate
 
 DEFAULT_SURROGATES = 200
@@ -48,8 +50,8 @@ MIN_SURROGATES = 20
 # temporaries passed glibc's heap trim threshold: in the infer benchmark job
 # each surrogate test re-faulted 4,000-7,000 pages, against none at 2**16
 _CHUNK_ENTRIES = 2**16
-# relative pivot floor of the regressor Cholesky factor (see _cholesky)
-_PIVOT_RTOL = 1e-10
+# Newton iterations a logistic fit may take before it raises FitError
+GLM_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +116,11 @@ class GlmSpikingFamily:
     """Logistic point-process models on binary panels with ``memory`` lags."""
 
     memory: int = 1
-    max_iter: int = 500
 
     name = "glm_spiking"
 
     def __post_init__(self):
-        _check_at_least_one(memory=self.memory, max_iter=self.max_iter)
+        _check_at_least_one(memory=self.memory)
 
     def _prepare(self, panel):
         values = _discrete_values(panel)
@@ -132,11 +133,11 @@ class GlmSpikingFamily:
         and lags 1..memory of ``cols``."""
         design = np.concatenate([np.ones((data.n, 1)),
                                  _lagged_design(data.values, data.k, cols)], axis=1)
-        return _fit_glm(design, data.values[data.k:, target], self.max_iter)
+        return _fit_glm(design, data.values[data.k:, target])
 
 
 def _check_at_least_one(**params):
-    """Refuse a family parameter (a lag count or an iteration cap) below 1."""
+    """Refuse a family parameter (a lag count) below 1."""
     for name, value in params.items():
         if not value >= 1:
             raise ParamError(f"{name} must be >= 1, got {value!r}")
@@ -374,39 +375,6 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
 
     dof = n_fixed * m_a**k * (m_a - 1) * (m_b - 1)
     return stat_of, dof, n_obs, None
-
-
-def _cholesky(gram):
-    """Lower Cholesky factors of a stack of regressor Gram blocks.
-
-    Raises ``SingularDesign`` when a factorization fails or when a pivot
-    ``L_ii**2`` falls to ``1e-10 * G_ii`` or below.  That pivot is the
-    residual sum of squares of regressor i on the regressors before it, so
-    the test reads 1 - R_i**2 <= 1e-10: the design is rank deficient to
-    working precision (an exactly repeated or constant column).
-    """
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise SingularDesign("rank-deficient regressor matrix") from None
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
-    if np.any(pivots <= _PIVOT_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
-        raise SingularDesign("rank-deficient regressor matrix")
-    return chol
-
-
-def _residual_covs(grams, p, n):
-    """Per-row residual covariances of the least-squares regressions of the
-    last rows of each Gram in the stack (S, p + q, p + q) on its first
-    ``p`` rows, with the Cholesky factors and the solved cross blocks."""
-    g_yy = grams[:, p:, p:]
-    if p == 0:
-        return g_yy / n, None, None
-    chol = _cholesky(grams[:, :p, :p])
-    # np.linalg.solve on the factor: scipy's triangular solver left
-    # about 0.7 MB more resident memory in a process running these fits
-    w = np.linalg.solve(chol, grams[:, :p, p:])
-    return (g_yy - np.swapaxes(w, 1, 2) @ w) / n, chol, w
 
 
 class _LaggedGram:
@@ -938,7 +906,7 @@ def _glm_loglik(theta, design, y):
     return float(y @ z - np.logaddexp(0.0, z).sum())
 
 
-def _fit_glm(design, y, max_iter, tol=1e-9, ridge=1e-8):
+def _fit_glm(design, y, tol=1e-9, ridge=1e-8):
     """Logistic maximum likelihood by damped Newton iterations.
 
     A tiny ridge keeps the Hessian invertible when classes separate; the
@@ -946,7 +914,7 @@ def _fit_glm(design, y, max_iter, tol=1e-9, ridge=1e-8):
     """
     theta = np.zeros(design.shape[1])
     ll = _glm_loglik(theta, design, y)
-    for _ in range(max_iter):
+    for _ in range(GLM_MAX_ITER):
         z = design @ theta
         p = 1.0 / (1.0 + np.exp(-z))
         grad = design.T @ (y - p)
@@ -969,7 +937,7 @@ def _fit_glm(design, y, max_iter, tol=1e-9, ridge=1e-8):
             scale *= 0.5
         else:
             return ll
-    raise FitError(f"logistic fit did not converge in {max_iter} iterations")
+    raise FitError(f"logistic fit did not converge in {GLM_MAX_ITER} iterations")
 
 
 def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
@@ -1024,140 +992,96 @@ class SteinReport:
     rate_converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "di_rate": self.di_rate,
-            "points": [
-                {"T": T, "p_fa": p, "exponent": e, "censored": c, "threshold": tau}
-                for (T, p, e, c, tau) in self.points
-            ],
-            "slope": self.slope,
-            "trials": self.trials,
-            "miss_level": self.miss_level,
-            "rate_gap": self.rate_gap,
-            "rate_converged": self.rate_converged,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["points"] = [dict(zip(("T", "p_fa", "exponent", "censored", "threshold"), point))
+                         for point in self.points]
+        return doc
 
 
 class _BivariateFilter:
-    """Exact forward machinery for a bivariate joint Markov model: joint
-    log-likelihood, causal feedback factor, and the B-marginal predictive
-    law, all vectorized over trials."""
+    """Exact forward machinery for a bivariate joint Markov model, one step
+    per time and vectorized over trials.  A's side conditions on the joint
+    past, a window code built by ``next_window`` from 0: ``kernels[min(t, k)]``
+    is the law of the symbol at time t given it (the initial law's prefix
+    conditional for t < k, then the model kernel), ``a_laws`` A's part of
+    that law.  B's side conditions on B's own past through a belief over the
+    windows (``predict``, ``condition``)."""
 
     def __init__(self, model: DiscreteMarkovModel, a_idx, b_idx):
         if set(a_idx) | set(b_idx) != set(range(model.n_nodes)):
             raise PartitionError("A and B must cover the model's node set")
         if model.kernel.min() <= 0.0 or model.initial.min() <= 0.0:
             raise ParamError("error-exponent check needs a strictly positive model")
-        self.model = model
-        k = model.order
-        M = model.joint_alphabet
+        k, M = model.order, model.joint_alphabet
         states = model.decode_states(np.arange(M))
-        sizes = model.alphabet_sizes
-        self.m_a = int(np.prod([sizes[a] for a in a_idx]))
-        self.m_b = int(np.prod([sizes[b] for b in b_idx]))
-        self.a_of = np.ravel_multi_index(
-            tuple(states[:, a] for a in a_idx), tuple(sizes[a] for a in a_idx))
-        self.b_of = np.ravel_multi_index(
-            tuple(states[:, b] for b in b_idx), tuple(sizes[b] for b in b_idx))
+
+        def part(nodes):
+            """Each joint symbol's part on ``nodes`` as a code, and the number of codes."""
+            shape = tuple(model.alphabet_sizes[v] for v in nodes)
+            codes = np.ravel_multi_index(tuple(states[:, v] for v in nodes), shape)
+            return codes, int(np.prod(shape))
+
+        (self.a_of, self.m_a), (self.b_of, self.m_b) = part(a_idx), part(b_idx)
         # joint symbol with a given a-part and b-part
         self.merge = np.full((self.m_a, self.m_b), -1, dtype=np.int64)
         self.merge[self.a_of, self.b_of] = np.arange(M)
-        self.k = k
-        W = M**k
-        self.W = W
-        # the window chain's transitions split by B's part of the new symbol
-        b_new = self.b_of[np.arange(W) % M] == np.arange(self.m_b)[:, None]
-        self.trans_b = np.where(b_new[:, None, :], model.window_transition(), 0.0)
-        # p(b' = beta | window), one vector per beta
-        self.b_pred = [self.trans_b[beta].sum(axis=1) for beta in range(self.m_b)]
-        # p(a' = alpha | window)
-        self.a_pred = np.zeros((W, self.m_a))
-        for s in range(M):
-            self.a_pred[:, self.a_of[s]] += self.model.kernel[:, s]
-        # the initial law: per window its b-part at each position, the law
-        # of the b-prefix, and prefix[t] = p(history, symbol t) over the
-        # first t+1 symbols with the history as a window code
-        self.init = model.initial
-        self.b_in_window = self.b_of[np.stack(np.unravel_index(np.arange(W), (M,) * k), axis=-1)]
-        self.b_prefix_law = np.zeros(self.m_b**k)
-        np.add.at(self.b_prefix_law, window_codes(self.b_in_window, k, self.m_b)[:, 0], self.init)
-        init_nd = self.init.reshape((M,) * k)
-        self.prefix = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M)
-                       for t in range(k)]
+        self.k, self.model, self.init = k, model, model.initial
+        init_nd = model.initial.reshape((M,) * k)
+        prefixes = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M) for t in range(k)]
+        self.kernels = [p / p.sum(axis=1, keepdims=True) for p in prefixes] + [model.kernel]
+        self.a_laws = [kern @ (self.a_of[:, None] == np.arange(self.m_a)) for kern in self.kernels]
+        # b_masks[min(t, k), beta, w]: 1 where the symbol at time t in window w
+        # (position t, and the newest one from t = k on) has b-part beta
+        b_at = self.b_of[np.stack(np.unravel_index(np.arange(M**k), (M,) * k))]
+        b_at = np.concatenate([b_at, b_at[-1:]])
+        self.b_masks = (b_at[:, None, :] == np.arange(self.m_b)[:, None]).astype(float)
+        self.trans = model.window_transition()
 
-    def observe(self, belief, b_t, t):
-        """Condition the window belief on B's symbols at time ``t`` (a mask
-        inside the initial window, a ``trans_b`` step after it); returns
-        the new belief and the predictive mass of ``b_t``."""
-        if t < self.k:
-            nxt = np.where(self.b_in_window[:, t][None, :] == b_t[:, None], belief, 0.0)
-        else:
-            nxt = np.empty_like(belief)
-            for beta in range(self.m_b):
-                hit = b_t == beta
-                if np.any(hit):
-                    nxt[hit] = belief[hit] @ self.trans_b[beta]
-        mass = nxt.sum(axis=1)
-        return nxt / mass[:, None], mass
+    def predict(self, belief, t):
+        """The belief over the windows ending at time t from the one ending
+        at t - 1; the first window holds times 0..k-1."""
+        return belief if t < self.k else belief @ self.trans
+
+    def condition(self, belief, b_t, t):
+        """The predicted belief given B's symbols ``b_t`` at time ``t``, and
+        their predictive mass p(b_t | b^{t-1})."""
+        belief = belief * self.b_masks[min(t, self.k), b_t]
+        mass = belief.sum(axis=1)
+        belief /= mass[:, None]  # in place: a fresh (trials, W) array per step costs page faults
+        return belief, mass
 
 
 def _stein_llr(flt: _BivariateFilter, codes: np.ndarray) -> np.ndarray:
-    """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial.
-
-    Within the initial window the causal factor is the prefix-conditional
-    of the initial law, afterwards a kernel row sum; the B-marginal comes
-    from the forward filter."""
+    """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial: per
+    step log p(s_t | past) - log p(a_t | past) - log p(b_t | b^{t-1})."""
     n_trials, T = codes.shape
-    ll_joint = np.zeros(n_trials)
-    ll_a = np.zeros(n_trials)
-    ll_b = np.zeros(n_trials)
-    belief = np.broadcast_to(flt.init, (n_trials, flt.W)).copy()
+    log_ratio = [np.log(kern) - np.log(law[:, flt.a_of])
+                 for kern, law in zip(flt.kernels, flt.a_laws)]
+    llr = np.zeros(n_trials)
+    belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
     window = np.zeros(n_trials, dtype=np.int64)
     for t in range(T):
         s = codes[:, t]
-        if t < flt.k:
-            rows = flt.prefix[t][window]
-            same_a = flt.a_of[None, :] == flt.a_of[s][:, None]
-            ll_a += np.log((rows * same_a).sum(axis=1)) - np.log(rows.sum(axis=1))
-        else:
-            ll_joint += np.log(flt.model.kernel[window, s])
-            ll_a += np.log(flt.a_pred[window, flt.a_of[s]])
-        belief, mass = flt.observe(belief, flt.b_of[s], t)
-        ll_b += np.log(mass)
+        belief, mass = flt.condition(flt.predict(belief, t), flt.b_of[s], t)
+        llr += log_ratio[min(t, flt.k)][window, s] - np.log(mass)
         window = flt.model.next_window(window, s)
-        if t == flt.k - 1:  # the initial law of the first k symbols
-            ll_joint = np.log(flt.init[window])
-    return ll_joint - ll_a - ll_b
+    return llr
 
 
 def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> np.ndarray:
-    """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized.
-
-    The whole b-path is drawn before the a-path: q's a-factor conditions
-    on the joint past, not on b's present."""
-    k = flt.k
-    b_path = np.empty((n_trials, T), dtype=np.int64)
-    b_path[:, :k] = draw_window(flt.b_prefix_law, flt.m_b, k, n_trials, rng)
-    belief = np.broadcast_to(flt.init, (n_trials, flt.W)).copy()
-    for t in range(T):
-        if t >= k:
-            pred = np.stack([belief @ col for col in flt.b_pred], axis=1)
-            pred /= pred.sum(axis=1, keepdims=True)
-            b_path[:, t] = draw_symbols(np.cumsum(pred, axis=1), rng)
-        belief, _ = flt.observe(belief, b_path[:, t], t)
-
+    """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized: under q,
+    a_t and b_t are independent given the past, so each step draws b_t from
+    B's belief and a_t from A's law given the joint past."""
+    a_cdfs = [np.cumsum(law, axis=1) for law in flt.a_laws]
     codes = np.empty((n_trials, T), dtype=np.int64)
+    belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
     window = np.zeros(n_trials, dtype=np.int64)
     for t in range(T):
-        if t < k:
-            rows = flt.prefix[t][window]
-            probs = np.stack([(rows * (flt.a_of[None, :] == alpha)).sum(axis=1)
-                              for alpha in range(flt.m_a)], axis=1)
-            probs /= probs.sum(axis=1, keepdims=True)
-        else:
-            probs = flt.a_pred[window]
-        a_t = draw_symbols(np.cumsum(probs, axis=1), rng)
-        codes[:, t] = flt.merge[a_t, b_path[:, t]]
+        j, belief = min(t, flt.k), flt.predict(belief, t)
+        b_t = draw_symbols(np.cumsum(belief @ flt.b_masks[j].T, axis=1), rng)
+        a_t = draw_symbols(a_cdfs[j][window], rng)
+        belief, _ = flt.condition(belief, b_t, t)
+        codes[:, t] = flt.merge[a_t, b_t]
         window = flt.model.next_window(window, codes[:, t])
     return codes
 
@@ -1203,10 +1127,7 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
         points.append((T, p_fa, exponent, False, tau))
         exps.append(-math.log(p_fa))
         Ts.append(T)
-    if len(Ts) >= 2:
-        slope = float(np.polyfit(Ts, exps, 1)[0])
-    else:
-        slope = math.nan
+    slope = float(np.polyfit(Ts, exps, 1)[0]) if len(Ts) >= 2 else math.nan
     return SteinReport(di_rate=stationary_rate.value, points=tuple(points),
                        slope=slope, trials=trials, miss_level=miss_level,
                        rate_gap=stationary_rate.gap, rate_converged=stationary_rate.converged)

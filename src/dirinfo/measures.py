@@ -292,7 +292,7 @@ def kl_directed_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
 
 
 def lautum_transfer_rate(model_or_dist, a_nodes, b_nodes, n=None,
-                         budget=None) -> MeasureValue:
+                         budget: int = DEFAULT_STATE_BUDGET) -> MeasureValue:
     """Lautum transfer entropy rate
     (1/n) D( p(x_A^n || x_B^n) p(x_B^n)  ||  p(x_A^n, x_B^n) ):
     the per-sample loss from wrongly assuming A influences B when the
@@ -300,10 +300,9 @@ def lautum_transfer_rate(model_or_dist, a_nodes, b_nodes, n=None,
     :func:`kl_directed_information`.
     """
     if isinstance(model_or_dist, DiscreteMarkovModel):
-        kwargs = {} if budget is None else {"budget": budget}
         if n is None:
             raise ParamError("horizon n is required when passing a model")
-        dist = enumerate_joint(model_or_dist, n, **kwargs)
+        dist = enumerate_joint(model_or_dist, n, budget)
     else:
         dist = model_or_dist
     n = _check_groups(dist, n, a_nodes, b_nodes)

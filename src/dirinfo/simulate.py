@@ -148,17 +148,15 @@ def gen_nonlinear_example(alpha: float, beta: float, T: int, seed) -> tuple[Time
     return panel, _truth(labels, directed)
 
 
-def gen_glm_spiking(weights: dict, T: int, seed, labels=None, bias=None,
-                    U: str = "logistic") -> tuple[TimeSeriesPanel, GroundTruth]:
-    """Binary spiking network: Pr(x_b(t)=1 | history) = U(bias_b + sum of
-    lagged inputs), sampled sequentially.
+def gen_glm_spiking(weights: dict, T: int, seed, labels=None,
+                    bias=None) -> tuple[TimeSeriesPanel, GroundTruth]:
+    """Binary spiking network: Pr(x_b(t)=1 | history) = logistic(bias_b +
+    sum of lagged inputs), sampled sequentially.
 
     ``weights`` maps (source, target) label pairs to impulse responses
     (entry i applies at lag i+1).  Spikes are conditionally independent
     given the history, so the truth graph has no instantaneous pairs.
     """
-    if U != "logistic":
-        raise ParamError(f"unsupported decision function {U!r}")
     if labels is None:
         labels = sorted({lab for pair in weights for lab in pair})
     labels = tuple(str(x) for x in labels)

@@ -555,6 +555,8 @@ MALFORMED_INPUTS = {
     "replay-argv-number": ('{"inputs": {}, "outputs": {}, "argv": 5}', ("replay", FILE)),
     "replay-of-replay": ('{"inputs": {}, "outputs": {}, "argv": ["replay", "in.json"]}',
                          ("replay", FILE)),
+    "replay-bad-argv": ('{"inputs": {}, "outputs": {}, "argv": ["graph", "--bogus"]}',
+                        ("replay", FILE)),
     "panel-values-number": ('{"labels": ["x", "y"], "values": 7}', _GRAPH),
     "panel-values-flat": ('{"labels": ["x", "y"], "values": [1, 2]}', _GRAPH),
     "simulate-var-list": ("[1]", ("simulate", "var", "--model", FILE, "--T", 10,

@@ -410,6 +410,23 @@ def test_fit_var_white_noise():
     assert np.max(np.abs(fitted.coeffs)) < 3.5 / np.sqrt(20_000)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_fit_var_ols_matches_lstsq(seed, order):
+    model = random_var_model(seed, nodes=3, order=order)
+    panel, _ = gen_var(model, 2000, seed=seed)
+    fitted = fit_var(panel, order=order)
+    x = panel.values - panel.values.mean(axis=0)
+    T = len(x)
+    design = np.concatenate([x[order - j:T - j] for j in range(1, order + 1)], axis=1)
+    beta, *_ = np.linalg.lstsq(design, x[order:], rcond=None)
+    resid = x[order:] - design @ beta
+    want = np.stack(np.split(beta.T, order, axis=1))
+    assert np.max(np.abs(fitted.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
+    noise = resid.T @ resid / len(resid)
+    assert np.max(np.abs(fitted.noise_cov - noise)) <= 1e-10 * np.max(np.abs(noise))
+
+
 def test_fit_var_too_short_is_singular():
     panel = TimeSeriesPanel(values=np.random.default_rng(0).normal(size=(2, 2)),
                             labels=("a", "b"))

@@ -11,7 +11,7 @@ from scipy import special, stats
 import oracle
 import reference
 from conftest import oracle_law
-from dirinfo import inference
+from dirinfo import gaussian, inference
 from dirinfo.core import (
     SequenceDistribution,
     TimeSeriesPanel,
@@ -197,9 +197,8 @@ def test_family_spec_parsing():
     lambda: VarFamily(order=0),
     lambda: DiscreteMarkovFamily(order=0),
     lambda: GlmSpikingFamily(memory=0),
-    lambda: GlmSpikingFamily(max_iter=0),
     lambda: family_from_spec("var", order=0),
-], ids=["var_order", "discrete_order", "glm_memory", "glm_max_iter", "spec_order"])
+], ids=["var_order", "discrete_order", "glm_memory", "spec_order"])
 def test_family_parameters_checked_at_construction(make):
     with pytest.raises(ParamError, match=r"must be >= 1, got"):
         make()
@@ -796,6 +795,7 @@ STEIN_ORACLE_MODELS = {
     "lag2": (lag2_channel(0.2), (0,), (1,)),
     "alphabet3_order2": (random_markov_model(7, nodes=2, alphabet=3, order=2), (0,), (1,)),
     "three_nodes": (random_markov_model(8, nodes=3), (0, 2), (1,)),
+    "order3": (random_markov_model(9, nodes=2, order=3), (0,), (1,)),
 }
 
 
@@ -848,20 +848,6 @@ def test_stein_llr_and_samplers_match_oracle(name):
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("name", sorted(STEIN_ORACLE_MODELS))
-def test_stein_filter_splits_the_window_chain_by_b(name):
-    # the per-symbol loop the filter used before window_transition
-    model, a_nodes, b_nodes = STEIN_ORACLE_MODELS[name]
-    flt = inference._BivariateFilter(model, a_nodes, b_nodes)
-    M, W = model.joint_alphabet, len(model.kernel)
-    tails = (np.arange(W) % M ** (model.order - 1)) * M
-    trans_b = np.zeros((flt.m_b, W, W))
-    for s in range(M):
-        trans_b[flt.b_of[s], np.arange(W), tails + s] += model.kernel[:, s]
-    assert np.array_equal(flt.trans_b, trans_b)
-    assert np.array_equal(flt.trans_b.sum(axis=0), model.window_transition())
-
-
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -906,15 +892,15 @@ def test_graph_solves_each_regression_once(monkeypatch):
     8 projections and 28 coupling fits.  Two threads give the same graph."""
     panel = _var_panel(6, nodes=8, order=2, T=3000)
     factorizations = []
-    cholesky = inference._cholesky
+    cholesky = gaussian._cholesky
 
     def counted(gram):
         factorizations.append(gram.shape)
         return cholesky(gram)
 
-    monkeypatch.setattr(inference, "_cholesky", counted)
+    monkeypatch.setattr(gaussian, "_cholesky", counted)
     serial = infer_graph(panel, VarFamily(order=2), seed=5)
-    assert len(factorizations) <= 100
+    assert 0 < len(factorizations) <= 100
     threaded = infer_graph(panel, VarFamily(order=2), seed=5, threads=2)
     assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(threaded.to_json(),
                                                                       sort_keys=True)

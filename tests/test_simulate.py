@@ -151,11 +151,6 @@ def test_glm_coupled_pair_detected():
     assert res.decision == "reject_H0"
 
 
-def test_glm_rejects_unknown_decision_function():
-    with pytest.raises(ParamError):
-        gen_glm_spiking({("a", "b"): [1.0]}, 100, seed=0, labels=["a", "b"], U="probit")
-
-
 # ---------------------------------------------------------------------------
 # VAR generator
 # ---------------------------------------------------------------------------
