@@ -10,6 +10,12 @@ dirinfo simulate nonlinear --T 2000 --seed 7 --out nl
 dirinfo graph --input nl.csv --family var --out g
 dirinfo check g.json
 dirinfo replay nl.manifest.json
+dirinfo replay g.manifest.json
+dirinfo test --input nl.csv --family var --kind causality --A x --B y --out t
+dirinfo test --input nl.csv --family var --kind coupling --A x --B y \
+  --calibration surrogate --seed 3 --out s
+for result in t s; do dirinfo check "$result.json"; done
+for run in t s; do dirinfo replay "$run.manifest.json"; done
 dirinfo estimate --input nl.csv --family var --out m
 dirinfo simulate var --model m.model.json --T 3000 --seed 5 --out sv
 dirinfo graph --input sv.csv --family var --out gv

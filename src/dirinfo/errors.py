@@ -71,10 +71,5 @@ class DivergenceInfinite(RuntimeWarning):
     """A Kullback divergence is infinite because of a support mismatch."""
 
 
-class RateNotConverged(RuntimeWarning):
-    """A rate's convergence gap (last increment against the Cesaro mean)
-    exceeds its tolerance at the horizon used."""
-
-
 class UnstableFitWarning(RuntimeWarning):
     """A fitted model fails the stationarity (stability) check."""

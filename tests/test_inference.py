@@ -2,7 +2,6 @@ import collections
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from dirinfo.errors import (
     CalibrationError,
     ParamError,
     PartitionError,
-    RateNotConverged,
     SingularDesign,
 )
 from dirinfo.inference import (
@@ -347,6 +345,23 @@ def test_surrogate_level_needs_enough_replicas():
     with pytest.raises(CalibrationError, match="at least 999 surrogates, got 200"):
         llr_causality(iid_panel(500, 2), ["x0"], ["x1"], family=DiscreteMarkovFamily(),
                       alpha=0.001, calibration="surrogate", surrogates=200, seed=0)
+
+
+@pytest.mark.parametrize("level", [0.3, 0.05, 0.01, 0.001, 0.05 / 12, 0.05 / 84,
+                                   0.05 / 112, 1e-4 / 84, 1e-4 / 112])
+def test_surrogate_count_rule_is_the_quantile_rank(level):
+    # a count calibrates a level iff it reaches MIN_SURROGATES and the
+    # (1 - level) quantile of it plus the observed value has a rank within it
+    need = inference.min_surrogates(level)
+    for n in [*range(0, 60), *range(need - 5, need + 6), 2 * need]:
+        fits = (n >= inference.MIN_SURROGATES
+                and inference._quantile_rank(level, n) <= n)
+        if fits:
+            inference._check_surrogates(n, level)
+            continue
+        least = inference.MIN_SURROGATES if n < inference.MIN_SURROGATES else need
+        with pytest.raises(CalibrationError, match=f"at least {least} surrogates, got {n}$"):
+            inference._check_surrogates(n, level)
 
 
 def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
@@ -762,25 +777,19 @@ def test_stein_exponent_monotone_in_coupling():
 
 
 def test_stein_reports_rate_convergence():
-    # the DI increments at n = 1, 2 are 0 and 0.193; from n = 2 on they are constant
-    with pytest.warns(RateNotConverged, match="horizon 2"):
-        rep = stein_exponent_check(delay_channel(0.2), (0,), (1,), T_grid=(20,),
-                                   trials=1000, seed=3, rate_horizon=2)
+    # the DI increments at n = 1, 2 are 0 and 0.193, so the bracket at
+    # horizon 2 is [0, 0.193]; from horizon 3 on it closes on the increment
+    rep = stein_exponent_check(delay_channel(0.2), (0,), (1,), T_grid=(20,),
+                               trials=1000, seed=3, rate_horizon=2)
     want = rate("di", delay_channel(0.2), (0,), (1,), n_max=2)
-    assert not rep.rate_converged and rep.rate_gap == want.gap > 1e-6
+    assert (rep.di_rate, rep.rate_lower, rep.rate_upper) == (want.value, want.lower, want.upper)
+    assert rep.rate_lower < 1e-12 and rep.rate_upper - rep.rate_lower > 0.19
     doc = rep.to_json()
-    assert (doc["rate_gap"], doc["rate_converged"]) == (rep.rate_gap, False)
-    # i.i.d. nodes: every increment is zero, so the rate has converged
-    kernel = np.full((4, 4), 0.25)
-    from dirinfo.discrete import DiscreteMarkovModel
-
-    model = DiscreteMarkovModel(alphabet_sizes=(2, 2), order=1, kernel=kernel,
-                                initial=kernel[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RateNotConverged)
-        rep = stein_exponent_check(model, (0,), (1,), T_grid=(20,), trials=1000,
-                                   seed=3, rate_horizon=3)
-    assert rep.rate_converged and rep.rate_gap < 1e-12
+    assert (doc["rate_lower"], doc["rate_upper"]) == (rep.rate_lower, rep.rate_upper)
+    rep = stein_exponent_check(delay_channel(0.2), (0,), (1,), T_grid=(20,),
+                               trials=1000, seed=3, rate_horizon=3)
+    assert rep.rate_lower - 1e-12 <= rep.di_rate <= rep.rate_upper + 1e-12
+    assert rep.rate_upper - rep.rate_lower <= 1e-12
 
 
 def test_stein_rejects_degenerate_models():

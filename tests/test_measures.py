@@ -488,17 +488,15 @@ def test_causal_mi_reduces_to_mi_without_side_set():
 def test_rate_independent_zero():
     est = rate("di", independent_pair(), (0,), (1,), n_max=5)
     assert abs(est.value) < 1e-12
-    assert abs(est.cesaro) < 1e-12
+    assert abs(est.lower) < 1e-12 and abs(est.upper) < 1e-12
 
 
 def test_rate_delay_channel():
     model = delay_channel()
     di = rate("di", model, (0,), (1,), n_max=5)
     assert di.value == pytest.approx(LN2)
-    assert di.cesaro == pytest.approx(4 * LN2 / 5)
-    # the increments are ln 2 from n = 2 on
-    assert di.gap == pytest.approx(0.0, abs=1e-12)
-    assert di.converged
+    # the increments are ln 2 from n = 2 on, and the bracket is exact
+    assert (di.lower, di.upper) == pytest.approx((LN2, LN2), abs=1e-12)
     assert abs(rate("iie", model, (0,), (1,), n_max=5).value) < 1e-12
 
 
@@ -519,7 +517,6 @@ def test_rate_reads_the_measures_own_terms(measure, summed):
     dist = enumerate_joint(with_stationary_initial(model), 5)
     kwargs = {} if measure == "mi" else {"mode": STRICT}
     total = summed(dist, (0,), (1,), 5, (2,), **kwargs).value
-    assert est.cesaro * 5 == pytest.approx(total, abs=1e-12)
     shorter = summed(dist, (0,), (1,), 4, (2,), **kwargs).value
     assert est.value == pytest.approx(total - shorter, abs=1e-12)
 
@@ -547,5 +544,48 @@ def test_rate_charges_the_stationary_law_to_the_budget():
 def test_rate_rejects_unknown_measure():
     with pytest.raises(ParamError):
         rate("entropy", delay_channel(), (0,), (1,), n_max=4)
-    with pytest.raises(ParamError):
-        rate("di", delay_channel(), (0,), (1,), n_max=1)
+
+
+RATE_SUMS = {"di": directed_information, "te": delayed_directed_information,
+             "iie": instantaneous_exchange, "mi": causal_mutual_information}
+
+
+@pytest.mark.parametrize("order, far", [(1, 9), (2, 7)])
+def test_rate_bracket_holds_the_limit(order, far):
+    # Birch's bracket at n = 4 holds its own increment and the one at n = far,
+    # and the bracket at n = 5 nests inside it
+    from dirinfo.discrete import with_stationary_initial
+
+    for seed in range(1, 21):
+        model = random_markov_model(seed, nodes=3, order=order)
+        dist = enumerate_joint(with_stationary_initial(model), far)
+        for measure, summed in RATE_SUMS.items():
+            for c in ((), (2,)):
+                for mode in ((STRICT,) if measure == "mi" else (STRICT, CONTEMP)):
+                    kwargs = {} if measure == "mi" else {"mode": mode}
+                    ref = (summed(dist, (0,), (1,), far, c, **kwargs).value
+                           - summed(dist, (0,), (1,), far - 1, c, **kwargs).value)
+                    at4, at5 = (rate(measure, model, (0,), (1,), c, mode, n_max=n)
+                                for n in (4, 5))
+                    for value in (at4.value, ref):
+                        assert at4.lower - 1e-12 <= value <= at4.upper + 1e-12
+                    assert at4.lower - 1e-12 <= at5.lower
+                    assert at5.upper <= at4.upper + 1e-12
+
+
+def test_rate_bracket_of_the_delay_channel_is_exact():
+    # DI increments are 0 at n = 1 and ln 2 - h(0.2) from n = 2 on
+    h = -(0.2 * math.log(0.2) + 0.8 * math.log(0.8))
+    at2 = rate("di", delay_channel(0.2), (0,), (1,), n_max=2)
+    assert (at2.lower, at2.upper) == pytest.approx((0.0, LN2 - h), abs=1e-12)
+    at3 = rate("di", delay_channel(0.2), (0,), (1,), n_max=3)
+    assert at3.upper - at3.lower <= 1e-12
+    assert at3.value == pytest.approx(LN2 - h, abs=1e-12)
+
+
+def test_rate_bracket_below_the_model_order():
+    # the initial cells are capped at the horizon: n_max = 1 < order = 2
+    model = random_markov_model(7, nodes=2, alphabet=3, order=2)
+    est = rate("di", model, (0,), (1,), n_max=1)
+    ref = rate("di", model, (0,), (1,), n_max=8).value
+    assert est.lower <= min(est.value, ref) and max(est.value, ref) <= est.upper
