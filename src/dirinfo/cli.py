@@ -21,19 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__
+from .calibration import bonferroni_count, chi_square_threshold, surrogate_count
 from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, read_json, symbolize, write_panel
 from .discrete import enumerate_joint, fit_plugin, model_from_json, model_to_json
 from .errors import DirinfoError, SchemaError
 from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_from_json, var_to_json
-from .inference import (
-    bonferroni_count,
-    chi_square_threshold,
-    family_from_spec,
-    infer_graph,
-    llr_causality,
-    llr_coupling,
-    surrogate_count,
-)
+from .inference import family_from_spec, infer_graph, llr_causality, llr_coupling
 from .measures import EXACT_RESIDUAL_TOL, ConditioningMode, decompose
 from .simulate import gen_chain_example, gen_glm_spiking, gen_nonlinear_example, gen_var
 

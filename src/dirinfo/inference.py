@@ -1,55 +1,48 @@
 """Statistical decision layer: likelihood-ratio tests for Granger causality
-and instantaneous coupling, generalized LLR for parametric families,
-error-exponent diagnostics and mixed causality-graph construction.
+and instantaneous coupling, generalized LLR for parametric families and
+mixed causality-graph construction.
 
 All test statistics are per-sample scaled log likelihood ratios between a
 full and a nested restricted conditional model, so under the alternative
-they estimate the corresponding information rate.  Calibration refers
-``2 * T * statistic`` to a chi-square law (Wilks for the discrete family,
-sandwich-weighted for the linear family, which is misspecified under
-nonlinear couplings) or uses circular block-permutation surrogates of the
-source process.  The Stein error-exponent diagnostic runs an exact forward
-filter with one step per time: A's factor conditions on the joint past,
-B's marginal on a belief over the model's windows.
+they estimate the corresponding information rate.  Their null laws are in
+``calibration``, the Stein error-exponent diagnostic in ``stein``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
+from .calibration import (  # the public names are re-exported
+    DEFAULT_SURROGATES,
+    MIN_SURROGATES,
+    TestResult,
+    _check_calibration,
+    _check_level,
+    _check_surrogates,
+    _chi_square_result,
+    _surrogate_result,
+    bonferroni_count,
+    chi_square_threshold,
+    min_surrogates,
+    surrogate_count,
+)
 from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
-from .discrete import (
-    DiscreteMarkovModel,
-    draw_symbols,
-    sample_codes,
-    window_codes,
-)
-from .errors import (
-    CalibrationError,
-    DirinfoError,
-    FitError,
-    InvalidModel,
-    ParamError,
-    PartitionError,
-    SingularDesign,
-)
+from .discrete import window_codes
+from .errors import DirinfoError, FitError, InvalidModel, ParamError, PartitionError, SingularDesign
 from .gaussian import _residual_covs
-from .measures import ConditioningMode, _as_mode, rate as measure_rate
+from .measures import ConditioningMode, _as_mode
+from .stein import SteinReport, stein_exponent_check  # re-exported
 
-DEFAULT_SURROGATES = 200
-MIN_SURROGATES = 20
-# bound on the (surrogates x T) row orders one chunk of surrogate statistics
-# evaluates, about 13 surrogates at T = 5,000, and on the (rows x regressors)
-# entries one block of a sandwich meat gathers.  At 2**18 a chunk's (S x T)
-# temporaries passed glibc's heap trim threshold: in the infer benchmark job
-# each surrogate test re-faulted 4,000-7,000 pages, against none at 2**16
-_CHUNK_ENTRIES = 2**16
-# Newton iterations a logistic fit may take before it raises FitError
+# Newton iterations a logistic fit may take before it raises FitError, the
+# likelihood-gain bound at which it stops and the ridge on its Hessian
 GLM_MAX_ITER = 500
+GLM_TOL = 1e-9
+GLM_RIDGE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -158,58 +151,6 @@ def family_from_spec(name: str, order: int = 1):
     if name in ("glm", "glm_spiking"):
         return GlmSpikingFamily(memory=order)
     raise ParamError(f"unknown family {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# test results
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TestResult:
-    """Outcome of one likelihood-ratio test.
-
-    ``statistic`` is the per-sample LLR; the decision is reject iff it
-    exceeds ``threshold``.  ``level`` is the (corrected) test level.  Under
-    chi-square calibration ``dof`` is the nominal degrees of freedom and
-    the threshold is ``chi2_scale * chi2.isf(level, chi2_df) / (2 * n_obs)``
-    (the Satterthwaite scale and dof; 1 and ``dof`` for the Wilks law).
-    """
-
-    statistic: float
-    threshold: float
-    decision: str
-    p_value: float | None
-    calibration: str
-    dof: int | None
-    n_obs: int
-    level: float
-    chi2_scale: float | None = None
-    chi2_df: float | None = None
-
-    __test__ = False  # not a pytest class despite the name
-
-    def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "p_value": self.p_value,
-            "calibration": self.calibration,
-            "dof": self.dof,
-            "n_obs": self.n_obs,
-            "level": self.level,
-            "chi2_scale": self.chi2_scale,
-            "chi2_df": self.chi2_df,
-        }
-
-
-def _decide(statistic, threshold, p_value, calibration, dof, n_obs, level,
-            chi2_scale=None, chi2_df=None) -> TestResult:
-    decision = "reject_H0" if statistic > threshold else "keep_H0"
-    return TestResult(statistic=float(statistic), threshold=float(threshold),
-                      decision=decision, p_value=p_value, calibration=calibration,
-                      dof=dof, n_obs=int(n_obs), level=float(level),
-                      chi2_scale=chi2_scale, chi2_df=chi2_df)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +428,7 @@ class _LaggedGram:
         if key not in self._meats:
             idx, coef = list(design) + list(target), self.fit(design, target)[1]
             meats = np.zeros((len(target), len(design), len(design)))
-            step = max(1, _CHUNK_ENTRIES // len(idx))
+            step = max(1, _calibration._CHUNK_ENTRIES // len(idx))
             for start in range(0, self.n, step):
                 z, y = np.split(self.rows(idx, start, start + step), [len(design)], axis=1)
                 for meat, e in zip(meats, (y - z @ coef).T):
@@ -569,235 +510,6 @@ def _var_coupling(g, a_idx, b_idx, c_idx, mode):
         return 0.5 * (_logdet(cov[:, :na, :na]) + _logdet(cov[:, na:, na:]) - _logdet(cov))
 
     return stat_of, na * len(b_idx), g.n, None
-
-
-# ---------------------------------------------------------------------------
-# calibration
-# ---------------------------------------------------------------------------
-
-def _chi_square_result(stat, dof, n_obs, alpha, weights=None) -> TestResult:
-    """Chi-square calibration of ``2 * n_obs * stat``.
-
-    With ``weights`` (sandwich eigenvalues of the tested block) the variate
-    is referred to a Satterthwaite-matched scaled chi-square; all-ones
-    weights recover the classical Wilks law.
-    """
-    if dof <= 0:
-        raise CalibrationError(f"chi-square calibration needs dof > 0, the test has {dof}")
-    if weights:
-        lam = np.asarray(weights, dtype=float)
-        c = float(lam @ lam / lam.sum())
-        f = float(lam.sum() ** 2 / (lam @ lam))
-    else:
-        c, f = 1.0, dof
-    threshold = chi_square_threshold(alpha, c, f, n_obs)
-    p_value = _chi_square_sf(2.0 * n_obs * stat / c, f)
-    return _decide(stat, threshold, p_value, "chi_square", dof, n_obs, alpha,
-                   chi2_scale=float(c), chi2_df=float(f))
-
-
-def chi_square_threshold(level, chi2_scale, chi2_df, n_obs) -> float:
-    """Per-sample LLR threshold of a (scaled) chi-square calibration: ``chi2_scale``
-    times the upper ``level`` quantile of chi-square(``chi2_df``), over ``2 * n_obs``."""
-    return chi2_scale * _chi_square_isf(level, chi2_df) / (2.0 * n_obs)
-
-
-def _chi_square_sf(x, df) -> float:
-    """Upper tail ``Q(df / 2, x / 2)`` of the chi-square law: 1 for x <= 0,
-    0 for x = inf, NaN for NaN and unless 0 < df < inf."""
-    if not 0.0 < df < math.inf or x != x:
-        return math.nan
-    return _gamma_pq(0.5 * df, 0.5 * float(x))[1] if 0.0 < x < math.inf else float(x <= 0.0)
-
-
-# Temme's uniform expansion serves a >= 300 with |x / a - 1| <= 0.2, where the series
-# and the continued fraction need the most terms.  Row k: the exact eta^n coefficients of
-# C_k, cut where they add under 1e-16 there (Temme 1979; DiDonato & Morris, TOMS 12, 1986).
-_TEMME_D = (
-    (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515, -571 / 261273600,
-     -281 / 151559100, 163879 / 197522841600, -5221 / 29554024500, 5246819 / 782190452736000,
-     5459 / 531972441000),
-    (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860, -1 / 2488320, -2743 / 151559100,
-     41969 / 5486745600, -11 / 6823440),
-    (25 / 6048, -139 / 51840, 1 / 1296, 1 / 497664, -6199 / 57736800, 5531 / 104509440,
-     -1219 / 95528160),
-    (101 / 155520, 571 / 2488320, -54179 / 115473600, 41969 / 156764160, -20639 / 272937600),
-    (-3184811 / 3695155200, 163879 / 209018880, -8707 / 29113344),
-    (-2745493 / 8151736320,),
-)
-
-
-def _log1pmx(t) -> float:
-    """``log(1 + t) - t``, near 0 from the series of ``2 atanh(t / (2 + t))``."""
-    if abs(t) > 0.5:
-        return math.log1p(t) - t
-    u = t / (2.0 + t)  # |u| <= 1/3: 18 terms reach 1e-18
-    return 2.0 * u ** 3 * sum(u ** (2 * j) / (2 * j + 3) for j in range(18)) - t * u
-
-
-def _log_gamma_prefactor(a, x) -> float:
-    """``log(x**a exp(-x) / Gamma(a))``; for a >= 30 and x >= a / 2 by ``log1pmx``
-    and Stirling's series, as ``a log(x) - lgamma(a)`` loses eps * a * log(a)."""
-    if a < 30.0 or x < 0.5 * a:
-        return a * math.log(x) - x - math.lgamma(a)
-    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * a * a)) / (a * a)) / (a * a)) / a
-    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
-
-
-def _gamma_pq(a, x) -> tuple[float, float]:
-    """Regularized incomplete gamma functions ``(P(a, x), Q(a, x))`` for
-    finite a, x > 0: the one in the tail is computed, the other is 1 minus it."""
-    mu = (x - a) / a
-    if a >= 300.0 and abs(mu) <= 0.2:  # Temme: Q = erfc(eta sqrt(a / 2)) / 2 + R
-        log_lam, s, is_q = _log1pmx(mu), 0.0, mu >= 0.0
-        eta = math.copysign(math.sqrt(-2.0 * log_lam), mu)
-        for row in reversed(_TEMME_D):
-            s = s / a + sum(d * eta ** n for n, d in enumerate(row))
-        r = math.exp(a * log_lam) / math.sqrt(2.0 * math.pi * a) * s
-        small = 0.5 * math.erfc(abs(eta) * math.sqrt(0.5 * a)) + (r if is_q else -r)
-    else:
-        prefactor, is_q = math.exp(_log_gamma_prefactor(a, x)), x >= a + 1.0
-        if not is_q:  # P = prefactor / a * sum_n x^n / ((a + 1) ... (a + n))
-            term, total, n = 1.0, 1.0, a
-            while term > 2.0 ** -52 * total:
-                n += 1.0
-                term *= x / n
-                total += term
-            small = prefactor * total / a
-        else:  # Legendre's continued fraction for Q, modified Lentz
-            b, c, i, delta = x + 1.0 - a, math.inf, 0.0, 0.0
-            h = d = 1.0 / b
-            while abs(delta - 1.0) > 2.0 ** -52:
-                i, b = i + 1.0, b + 2.0
-                d, c = 1.0 / (b - i * (i - a) * d), b - i * (i - a) / c
-                delta = d * c
-                h *= delta
-            small = prefactor * h
-    return (1.0 - small, small) if is_q else (small, 1.0 - small)
-
-
-def _chi_square_isf(level, df) -> float:
-    """The x with ``_chi_square_sf(x, df) == level`` (inf at 0, 0 at 1, NaN outside [0, 1]
-    or unless 0 < df < inf): bracketed Halley steps on log Q (log P above the median)."""
-    if not (0.0 < df < math.inf and 0.0 <= level <= 1.0):
-        return math.nan
-    if level in (0.0, 1.0):
-        return math.inf if level == 0.0 else 0.0
-    a, upper = 0.5 * float(df), level <= 0.5
-    target = math.log(level if upper else 1.0 - level)
-    t = math.sqrt(-2.0 * target)  # normal quantile, Abramowitz & Stegun 26.2.22
-    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
-    low = math.exp((math.log1p(-level) + math.lgamma(a + 1.0)) / a)  # P < x^a / Gamma(a + 1)
-    if low < 2.0 ** -1022:  # a subnormal quantile, where that bound is exact to rounding
-        return 2.0 * low
-    v = 1.0 / (9.0 * a)
-    x = max(a * max(1.0 - v + (z if upper else -z) * math.sqrt(v), 0.0) ** 3, low)
-    lo, hi = 0.0, math.inf
-    for _ in range(100):
-        tail = _gamma_pq(a, x)[1 if upper else 0]
-        h = math.log(tail) - target if tail > 0.0 else -math.inf
-        lo, hi = (x, hi) if (h > 0.0) == upper else (lo, x)  # h > 0: below the root on Q
-        new = math.nan
-        if tail > 0.0:
-            slope = math.exp(_log_gamma_prefactor(a, x) - math.log(tail)) / x
-            slope = -slope if upper else slope  # d log(tail) / dx
-            step = h / slope
-            step /= max(1.0 - 0.5 * step * ((a - 1.0) / x - 1.0 - slope), 0.5)  # Halley
-            if abs(step) <= 1e-7 * x:  # Halley's error cubes: now far below 1e-16 x
-                return 2.0 * (x - step)
-            new = x - step
-        x = new if lo < new < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-    raise CalibrationError(f"chi-square quantile at level {level!r} and {df!r} "
-                           f"degrees of freedom did not converge")
-
-
-def _block_permutations(T, block_len, rng, count):
-    """``count`` circular block permutations of 0..T-1, one per row.  Each
-    rotates by a random offset, cuts into ``max(1, T // block_len)`` blocks
-    whose first ``T % n_blocks`` are one longer, and concatenates the blocks
-    in a random order; its draws are the offset, then the block order."""
-    n_blocks = max(1, T // block_len)
-    size, extra = divmod(T, n_blocks)
-    offsets = np.empty((count, 1), dtype=np.int64)
-    orders = np.empty((count, n_blocks), dtype=np.int64)
-    for s in range(count):
-        offsets[s] = rng.integers(T)
-        orders[s] = rng.permutation(n_blocks)
-    lengths = size + (orders < extra)
-    starts = orders * size + np.minimum(orders, extra)
-    # each block moves from its start in the rotated index to its place
-    # in the output
-    shifts = starts - (np.cumsum(lengths, axis=1) - lengths) + offsets
-    rotated = np.repeat(shifts.ravel(), lengths.ravel()).reshape(count, T)
-    rotated += np.arange(T)
-    # every entry lies in [0, 2T): wrapping by lookup is cheaper than % T
-    return np.tile(np.arange(T), 2)[rotated]
-
-
-def _quantile_rank(alpha, n_surrogates):
-    """1-based rank of the surrogate (1 - alpha) quantile among n + 1 values."""
-    return math.ceil((1.0 - alpha) * (n_surrogates + 1))
-
-
-def _check_level(level):
-    """Refuse a test level outside (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ParamError(f"alpha must lie in (0, 1), got {level}")
-
-
-def min_surrogates(level: float) -> int:
-    """Fewest surrogates that calibrate a test at ``level``: at least
-    ``MIN_SURROGATES``, and enough that the (1 - level) quantile of the
-    surrogates plus the observed value has a rank at most their count."""
-    _check_level(level)
-    need = max(MIN_SURROGATES, math.ceil(1.0 / level) - 2)
-    while _quantile_rank(level, need) > need:
-        need += 1
-    return need
-
-
-def surrogate_count(surrogates, level) -> int:
-    """The surrogates a test at ``level`` draws: ``surrogates``, or by
-    default the larger of ``DEFAULT_SURROGATES`` and ``min_surrogates``."""
-    return max(DEFAULT_SURROGATES, min_surrogates(level)) if surrogates is None else surrogates
-
-
-def _check_surrogates(n_surrogates, alpha):
-    """Refuse a surrogate count below ``min_surrogates(alpha)``, which
-    cannot calibrate a test at level ``alpha``."""
-    if n_surrogates < MIN_SURROGATES:
-        raise CalibrationError(
-            f"need at least {MIN_SURROGATES} surrogates, got {n_surrogates}")
-    need = min_surrogates(alpha)
-    if n_surrogates < need:
-        raise CalibrationError(
-            f"surrogate calibration at level {alpha:.6g} needs at least {need} "
-            f"surrogates, got {n_surrogates}")
-
-
-def _surrogate_result(stat_of, T, block_len, n_surrogates, alpha, seed, n_obs,
-                      stat) -> TestResult:
-    """Calibrate ``stat`` against ``stat_of`` evaluated with A's rows
-    circularly block-permuted, ``n_surrogates`` times (None: the default
-    count at ``alpha``).  The permutations are drawn and evaluated in
-    chunks of at most ``_CHUNK_ENTRIES`` indices; ``stat_of`` refits only
-    what A enters."""
-    n_surrogates = surrogate_count(n_surrogates, alpha)
-    _check_surrogates(n_surrogates, alpha)
-    rng = np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_ENTRIES // T)
-    surr_stats = np.concatenate([
-        stat_of(_block_permutations(T, block_len, rng, min(chunk, n_surrogates - start)))
-        for start in range(0, n_surrogates, chunk)])
-    rank = _quantile_rank(alpha, n_surrogates)
-    threshold = float(np.sort(surr_stats)[rank - 1])
-    p_value = float((1 + np.sum(surr_stats >= stat)) / (n_surrogates + 1))
-    return _decide(stat, threshold, p_value, "surrogate", None, n_obs, alpha)
-
-
-def _check_calibration(calibration):
-    if calibration not in ("chi_square", "surrogate"):
-        raise ParamError(f"unknown calibration {calibration!r}")
 
 
 def _edge_test(family, build, data, args, alpha, calibration, surrogates,
@@ -903,7 +615,7 @@ def _glm_loglik(theta, design, y):
     return float(y @ z - np.logaddexp(0.0, z).sum())
 
 
-def _fit_glm(design, y, tol=1e-9, ridge=1e-8):
+def _fit_glm(design, y):
     """Logistic maximum likelihood by damped Newton iterations.
 
     A tiny ridge keeps the Hessian invertible when classes separate; the
@@ -916,13 +628,13 @@ def _fit_glm(design, y, tol=1e-9, ridge=1e-8):
         p = 1.0 / (1.0 + np.exp(-z))
         grad = design.T @ (y - p)
         w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) + ridge * np.eye(design.shape[1])
+        hess = design.T @ (design * w[:, None]) + GLM_RIDGE * np.eye(design.shape[1])
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             raise FitError("singular Hessian in logistic fit") from None
         # Newton decrement bounds the remaining likelihood gain
-        if float(grad @ step) < 2.0 * tol:
+        if float(grad @ step) < 2.0 * GLM_TOL:
             return ll
         scale = 1.0
         for _ in range(40):
@@ -969,164 +681,6 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
         ll_res += loglik(data, target, keep_cols)
     stat = (ll_full - ll_res) / data.n
     return _chi_square_result(stat, data.k * len(pairs), data.n, alpha)
-
-
-# ---------------------------------------------------------------------------
-# Stein error-exponent diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SteinReport:
-    """Empirical false-alarm exponents against the model's DI rate, with
-    the bracket ``[rate_lower, rate_upper]`` that holds the limit rate
-    (:class:`~dirinfo.measures.RateEstimate`)."""
-
-    di_rate: float
-    points: tuple  # (T, p_fa, exponent, censored, threshold) per grid entry
-    slope: float
-    trials: int
-    miss_level: float
-    rate_lower: float
-    rate_upper: float
-
-    def to_json(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["points"] = [dict(zip(("T", "p_fa", "exponent", "censored", "threshold"), point))
-                         for point in self.points]
-        return doc
-
-
-class _BivariateFilter:
-    """Exact forward machinery for a bivariate joint Markov model, one step
-    per time and vectorized over trials.  A's side conditions on the joint
-    past, a window code built by ``next_window`` from 0: ``kernels[min(t, k)]``
-    is the law of the symbol at time t given it (the initial law's prefix
-    conditional for t < k, then the model kernel), ``a_laws`` A's part of
-    that law.  B's side conditions on B's own past through a belief over the
-    windows (``predict``, ``condition``)."""
-
-    def __init__(self, model: DiscreteMarkovModel, a_idx, b_idx):
-        if set(a_idx) | set(b_idx) != set(range(model.n_nodes)):
-            raise PartitionError("A and B must cover the model's node set")
-        if model.kernel.min() <= 0.0 or model.initial.min() <= 0.0:
-            raise ParamError("error-exponent check needs a strictly positive model")
-        k, M = model.order, model.joint_alphabet
-        states = model.decode_states(np.arange(M))
-
-        def part(nodes):
-            """Each joint symbol's part on ``nodes`` as a code, and the number of codes."""
-            shape = tuple(model.alphabet_sizes[v] for v in nodes)
-            codes = np.ravel_multi_index(tuple(states[:, v] for v in nodes), shape)
-            return codes, int(np.prod(shape))
-
-        (self.a_of, self.m_a), (self.b_of, self.m_b) = part(a_idx), part(b_idx)
-        # joint symbol with a given a-part and b-part
-        self.merge = np.full((self.m_a, self.m_b), -1, dtype=np.int64)
-        self.merge[self.a_of, self.b_of] = np.arange(M)
-        self.k, self.model, self.init = k, model, model.initial
-        init_nd = model.initial.reshape((M,) * k)
-        prefixes = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M) for t in range(k)]
-        self.kernels = [p / p.sum(axis=1, keepdims=True) for p in prefixes] + [model.kernel]
-        self.a_laws = [kern @ (self.a_of[:, None] == np.arange(self.m_a)) for kern in self.kernels]
-        # b_masks[min(t, k), beta, w]: 1 where the symbol at time t in window w
-        # (position t, and the newest one from t = k on) has b-part beta
-        b_at = self.b_of[np.stack(np.unravel_index(np.arange(M**k), (M,) * k))]
-        b_at = np.concatenate([b_at, b_at[-1:]])
-        self.b_masks = (b_at[:, None, :] == np.arange(self.m_b)[:, None]).astype(float)
-        self.trans = model.window_transition()
-
-    def predict(self, belief, t):
-        """The belief over the windows ending at time t from the one ending
-        at t - 1; the first window holds times 0..k-1."""
-        return belief if t < self.k else belief @ self.trans
-
-    def condition(self, belief, b_t, t):
-        """The predicted belief given B's symbols ``b_t`` at time ``t``, and
-        their predictive mass p(b_t | b^{t-1})."""
-        belief = belief * self.b_masks[min(t, self.k), b_t]
-        mass = belief.sum(axis=1)
-        belief /= mass[:, None]  # in place: a fresh (trials, W) array per step costs page faults
-        return belief, mass
-
-
-def _stein_llr(flt: _BivariateFilter, codes: np.ndarray) -> np.ndarray:
-    """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial: per
-    step log p(s_t | past) - log p(a_t | past) - log p(b_t | b^{t-1})."""
-    n_trials, T = codes.shape
-    log_ratio = [np.log(kern) - np.log(law[:, flt.a_of])
-                 for kern, law in zip(flt.kernels, flt.a_laws)]
-    llr = np.zeros(n_trials)
-    belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
-    window = np.zeros(n_trials, dtype=np.int64)
-    for t in range(T):
-        s = codes[:, t]
-        belief, mass = flt.condition(flt.predict(belief, t), flt.b_of[s], t)
-        llr += log_ratio[min(t, flt.k)][window, s] - np.log(mass)
-        window = flt.model.next_window(window, s)
-    return llr
-
-
-def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> np.ndarray:
-    """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized: under q,
-    a_t and b_t are independent given the past, so each step draws b_t from
-    B's belief and a_t from A's law given the joint past."""
-    a_cdfs = [np.cumsum(law, axis=1) for law in flt.a_laws]
-    codes = np.empty((n_trials, T), dtype=np.int64)
-    belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
-    window = np.zeros(n_trials, dtype=np.int64)
-    for t in range(T):
-        j, belief = min(t, flt.k), flt.predict(belief, t)
-        b_t = draw_symbols(np.cumsum(belief @ flt.b_masks[j].T, axis=1), rng)
-        a_t = draw_symbols(a_cdfs[j][window], rng)
-        belief, _ = flt.condition(belief, b_t, t)
-        codes[:, t] = flt.merge[a_t, b_t]
-        window = flt.model.next_window(window, codes[:, t])
-    return codes
-
-
-def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
-                         trials: int = 5000, miss_level: float = 0.2,
-                         seed=0, rate_horizon: int = 8) -> SteinReport:
-    """Empirical false-alarm exponent of the optimal causality-plus-coupling
-    test against the model's directed information rate.
-
-    For each T the likelihood-ratio threshold is placed at the
-    ``miss_level`` quantile of the alternative's LLR distribution (so the
-    miss probability is about ``miss_level``), and the false-alarm rate is
-    measured on data from the influence-free law
-    ``p(x_A || x_B^{-1}) p(x_B)``.  A zero count is reported as a censored
-    point.  The DI rate is the increment at ``rate_horizon``, reported
-    with its certified bracket (:func:`~dirinfo.measures.rate`).
-    Bivariate strictly positive models only.
-    """
-    if trials < 1000:
-        raise ParamError("use at least 1000 trials")
-    a_idx = tuple(int(a) for a in a_nodes)
-    b_idx = tuple(int(b) for b in b_nodes)
-    stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)
-    flt = _BivariateFilter(model, a_idx, b_idx)
-    rng = np.random.default_rng(seed)
-    points = []
-    exps, Ts = [], []
-    for T in sorted(int(t) for t in T_grid):
-        h1 = sample_codes(model, T, trials, rng)
-        llr_h1 = _stein_llr(flt, h1)
-        tau = float(np.quantile(llr_h1, miss_level))
-        h0 = _sample_h0(flt, T, trials, rng)
-        llr_h0 = _stein_llr(flt, h0)
-        n_fa = int(np.sum(llr_h0 > tau))
-        if n_fa == 0:
-            points.append((T, 0.0, math.inf, True, tau))
-            continue
-        p_fa = n_fa / trials
-        exponent = -math.log(p_fa) / T
-        points.append((T, p_fa, exponent, False, tau))
-        exps.append(-math.log(p_fa))
-        Ts.append(T)
-    slope = float(np.polyfit(Ts, exps, 1)[0]) if len(Ts) >= 2 else math.nan
-    return SteinReport(di_rate=stationary_rate.value, points=tuple(points),
-                       slope=slope, trials=trials, miss_level=miss_level,
-                       rate_lower=stationary_rate.lower, rate_upper=stationary_rate.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,13 +746,6 @@ class CausalityGraph:
             lines.append(f'  "{x}" -- "{y}" [style=dashed];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def bonferroni_count(n_nodes: int) -> int:
-    """Number of tests charged by the correction: n*(n-1) directed tests
-    plus n*(n-1) for the C(n,2) coupling pairs, two per pair although one
-    coupling test runs per pair (112 charged at 8 nodes, for 84 tests run)."""
-    return 2 * (n_nodes * (n_nodes - 1) // 2) + n_nodes * (n_nodes - 1)
 
 
 def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,

@@ -10,7 +10,7 @@ from scipy import special, stats
 import oracle
 import reference
 from conftest import oracle_law
-from dirinfo import gaussian, inference
+from dirinfo import calibration, gaussian, inference, stein
 from dirinfo.core import (
     SequenceDistribution,
     TimeSeriesPanel,
@@ -68,7 +68,7 @@ def test_chi_square_sf_matches_scipy(df):
     integer Wilks and non-integer Satterthwaite dof, and exactly outside
     the support: 1 for x <= 0, 0 for x = inf, NaN for NaN and df = 0."""
     xs = [-1e-17, -1.0, 0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 9.9, 31.4, 250.0, np.inf, np.nan]
-    got = [inference._chi_square_sf(x, df) for x in xs]
+    got = [calibration._chi_square_sf(x, df) for x in xs]
     want = stats.chi2.sf(xs, df)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     edge = [i for i, x in enumerate(xs) if df == 0 or not 0 < x < np.inf]
@@ -93,7 +93,7 @@ def test_chi_square_sf_accuracy_to_1e_300(df):
         want = reference.chi_square_sf(x, df)
         if want < 1e-300:
             continue
-        got = inference._chi_square_sf(x, df)
+        got = calibration._chi_square_sf(x, df)
         assert abs(got - want) <= (1e-12 if want >= 1e-100 else 1e-10) * want, (x, got, want)
         assert abs(special.chdtrc(df, x) - want) <= (1e-11 if want >= 1e-100 else 1e-9) * want
 
@@ -108,7 +108,7 @@ def test_chi_square_threshold_matches_chdtri(df):
     rel = np.abs(got - special.chdtri(df, levels)) / special.chdtri(df, levels)
     assert rel[levels <= 0.5].max() <= 1e-13
     assert rel[levels > 0.5].max() <= 1e-12
-    back = np.array([inference._chi_square_sf(x, df) for x in got])
+    back = np.array([calibration._chi_square_sf(x, df) for x in got])
     bound = np.where(levels >= 1e-100, 1e-12, 1e-10)
     assert np.all(np.abs(back - levels) <= bound * levels)
     assert inference.chi_square_threshold(0.01, 1.3, df, 250) == pytest.approx(
@@ -355,13 +355,13 @@ def test_surrogate_count_rule_is_the_quantile_rank(level):
     need = inference.min_surrogates(level)
     for n in [*range(0, 60), *range(need - 5, need + 6), 2 * need]:
         fits = (n >= inference.MIN_SURROGATES
-                and inference._quantile_rank(level, n) <= n)
+                and calibration._quantile_rank(level, n) <= n)
         if fits:
-            inference._check_surrogates(n, level)
+            calibration._check_surrogates(n, level)
             continue
         least = inference.MIN_SURROGATES if n < inference.MIN_SURROGATES else need
         with pytest.raises(CalibrationError, match=f"at least {least} surrogates, got {n}$"):
-            inference._check_surrogates(n, level)
+            calibration._check_surrogates(n, level)
 
 
 def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
@@ -454,12 +454,12 @@ def test_batched_surrogates_match_per_panel_loop(family, kind, a_idx, c_idx, mod
         return chunks[-1]
 
     rng = np.random.default_rng(seed)
-    res = inference._surrogate_result(recorded, data.values.shape[0], block_len,
-                                      n_surrogates, alpha, rng, 3000 - order, stat)
+    res = calibration._surrogate_result(recorded, data.values.shape[0], block_len,
+                                        n_surrogates, alpha, rng, 3000 - order, stat)
     got = np.concatenate(chunks)
     want, ref_rng = reference.surrogate_stats(ref, data.values, a_idx, block_len,
                                               n_surrogates, seed)
-    assert len(chunks) == math.ceil(n_surrogates / (inference._CHUNK_ENTRIES // 3000))
+    assert len(chunks) == math.ceil(n_surrogates / (calibration._CHUNK_ENTRIES // 3000))
     one_at_a_time = [stat_of(perm[None])[0] for perms in orders for perm in perms]
     np.testing.assert_array_equal(got, one_at_a_time)
     assert rng.random() == ref_rng.random()
@@ -489,7 +489,7 @@ def test_counts_over_state_budget_fall_back_to_unique_contexts(kind, monkeypatch
     also add the zero terms of unseen cells)."""
     mode = ConditioningMode.CONTEMPORANEOUS if kind == "coupling" else None
     stat_of = _surrogate_case("discrete", kind, (0,), (2,), mode, 2)[0]
-    perms = inference._block_permutations(3000, 10, np.random.default_rng(3), 12)
+    perms = calibration._block_permutations(3000, 10, np.random.default_rng(3), 12)
     dense = np.concatenate([stat_of(None), stat_of(perms)])
     counted = []
     real_counts = inference._count_cells
@@ -522,7 +522,7 @@ def test_surrogate_results_do_not_depend_on_chunking(family, discrete, monkeypat
     kwargs = dict(family=family, calibration="surrogate", surrogates=40, seed=5)
     runs = []
     for entries in (T, 7 * T, 2**30):
-        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(calibration, "_CHUNK_ENTRIES", entries)
         results = [llr_causality(panel, ["x"], ["y"], ["z"], **kwargs),
                    llr_causality(panel, ["x", "z"], ["y"], **kwargs),
                    llr_coupling(panel, ["z", "x"], ["y"], **kwargs)]
@@ -551,7 +551,7 @@ def test_var_surrogate_chunk_memory():
     T, S = 5000, 52
     g = VarFamily(order=2)._prepare(_var_panel(6, nodes=8, order=2, T=T))
     stat_of = inference._var_causality(g, (0,), (1,), tuple(range(2, 8)))[0]
-    perms = inference._block_permutations(T, 10, np.random.default_rng(0), S)
+    perms = calibration._block_permutations(T, 10, np.random.default_rng(0), S)
     stat_of(perms)
     assert _traced_peak(lambda: stat_of(perms)) <= 4 * S * T * 8
 
@@ -576,7 +576,7 @@ def test_panel_loops_take_fixed_block_memory(T, tmp_path):
 def test_block_permutation_matches_array_split_reference(T, block_len):
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = inference._block_permutations(T, block_len, rng, 3)
+        got = calibration._block_permutations(T, block_len, rng, 3)
         want = [reference.block_permutation(T, block_len, ref_rng) for _ in range(3)]
         np.testing.assert_array_equal(got, want)
         assert rng.random() == ref_rng.random()  # same draws consumed
@@ -610,7 +610,7 @@ def test_gram_engine_matches_lstsq_reference(nodes, order, T, seed):
         c_idx = tuple(idx[x] for x in c)
         stat, dof, n_obs, weights = reference.var_causality_stat(
             panel.values, a_idx, b_idx, c_idx, order)
-        want = inference._chi_square_result(stat, dof, n_obs, 0.05, weights=weights)
+        want = calibration._chi_square_result(stat, dof, n_obs, 0.05, weights=weights)
         got = llr_causality(panel, a, b, c, family=family)
         assert (got.dof, got.n_obs) == (dof, n_obs)
         for field in ("statistic", "threshold", "p_value"):
@@ -657,7 +657,7 @@ def test_sandwich_weights_match_lstsq_reference():
 def test_sandwich_weights_match_lstsq_reference_in_small_blocks(monkeypatch):
     """The same with blocks of 1,000 gathered entries: each meat sums many
     blocks (58 rows each at 17 regressors) and a ragged last one."""
-    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 1000)
+    monkeypatch.setattr(calibration, "_CHUNK_ENTRIES", 1000)
     test_sandwich_weights_match_lstsq_reference()
 
 
@@ -837,8 +837,8 @@ def _stein_oracle(model, a_nodes, b_nodes):
 def test_stein_llr_and_samplers_match_oracle(name):
     model, a_nodes, b_nodes = STEIN_ORACLE_MODELS[name]
     codes, log_p, log_q = _stein_oracle(model, a_nodes, b_nodes)
-    flt = inference._BivariateFilter(model, a_nodes, b_nodes)
-    assert np.max(np.abs(inference._stein_llr(flt, codes) - (log_p - log_q))) < 1e-12
+    flt = stein._BivariateFilter(model, a_nodes, b_nodes)
+    assert np.max(np.abs(stein._stein_llr(flt, codes) - (log_p - log_q))) < 1e-12
     # sampled trajectory frequencies against p and q: chi-square goodness
     # of fit, pooling the cells expected fewer than 5 times
     T = codes.shape[1]
@@ -846,7 +846,7 @@ def test_stein_llr_and_samplers_match_oracle(name):
     n = 30_000
     rng = np.random.default_rng(2024)
     for draws, log_law in ((sample_codes(model, T, n, rng), log_p),
-                           (inference._sample_h0(flt, T, n, rng), log_q)):
+                           (stein._sample_h0(flt, T, n, rng), log_q)):
         observed = np.bincount([index[tuple(c)] for c in draws.tolist()],
                                minlength=len(codes))
         expected = n * np.exp(log_law)
