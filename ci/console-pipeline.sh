@@ -17,6 +17,7 @@ dirinfo test --input nl.csv --family var --kind coupling --A x --B y \
 for result in t s; do dirinfo check "$result.json"; done
 for run in t s; do dirinfo replay "$run.manifest.json"; done
 dirinfo estimate --input nl.csv --family var --out m
+dirinfo replay m.manifest.json
 dirinfo simulate var --model m.model.json --T 3000 --seed 5 --out sv
 dirinfo graph --input sv.csv --family var --out gv
 dirinfo check gv.json
@@ -25,7 +26,13 @@ dirinfo replay gv.manifest.json
 dirinfo decompose --model m.model.json --A x --B y --out d
 dirinfo check d.json
 dirinfo replay d.manifest.json
+dirinfo estimate --input nl.csv --family var --method yule_walker --out myw
+dirinfo replay myw.manifest.json
+dirinfo decompose --model myw.model.json --A x --B y --out dyw
+dirinfo check dyw.json
+dirinfo replay dyw.manifest.json
 dirinfo estimate --input nl.csv --family discrete --bins 2 --out md
+dirinfo replay md.manifest.json
 dirinfo decompose --model md.model.json --A x --B y --n 4 --out dd
 dirinfo check dd.json
 dirinfo replay dd.manifest.json

@@ -55,15 +55,12 @@ class TimeSeriesPanel:
         integer for symbolized data.
     labels : tuple of str
         Distinct node names; column order equals label order.
-    time_origin : int
-        Index of the first row (convention: 1).
     meta : dict
         Free-form provenance (e.g. bin edges recorded by :func:`symbolize`).
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
-    time_origin: int = 1
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,9 +91,6 @@ class TimeSeriesPanel:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[1]
-
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.index_of(label)]
 
     def index_of(self, label: str) -> int:
         try:
@@ -347,7 +341,7 @@ def symbolize(panel: TimeSeriesPanel, bins: int, scheme: str = "equal_width") ->
     meta = dict(panel.meta)
     meta["bin_edges"] = edges_by_label
     meta["symbolize_scheme"] = scheme
-    return TimeSeriesPanel(values=out, labels=panel.labels, time_origin=panel.time_origin, meta=meta)
+    return TimeSeriesPanel(values=out, labels=panel.labels, meta=meta)
 
 
 # ---------------------------------------------------------------------------

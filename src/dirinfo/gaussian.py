@@ -12,20 +12,23 @@ model, and none for the full node set, whose innovation covariance is the
 noise covariance.  The equation is solved in numpy by structure-preserving
 doubling (Chu, Fan, Lin & Wang, Int. J. Control 77, 2004), which converges
 quadratically.  The finite-window projection that cross-checks these values
-lives with the test references, not in the package.  ``fit_var`` and the
-test layer's VAR regressions share one least-squares routine: the Schur
-complement of a Gram of second moments, through a Cholesky factor with a
-relative pivot floor.
+lives with the test references, not in the package.  One lagged Gram
+(``_LaggedGram``) serves ``fit_var``, the test layer's VAR regressions and
+the GLM family's designs.  Every least-squares fit is the Schur complement
+of a Gram of second moments, through a Cholesky factor with a relative
+pivot floor.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
 from .core import MeasureValue, TimeSeriesPanel, read_json
 from .errors import (
     InvalidModel,
@@ -302,13 +305,134 @@ def _residual_covs(grams, p, n):
     return (g_yy - np.swapaxes(w, 1, 2) @ w) / n, chol, w
 
 
+class _LaggedGram:
+    """Gram matrix of a panel's lags 1..k and present, summed over
+    t = k..T-1: the one source of every regression on lagged panel rows (as
+    in MVGC, Barnett & Seth, J. Neurosci. Methods 223, 2014).  It serves
+    ``fit_var``'s least squares, the VAR tests on the centred panel and,
+    through ``rows``, the GLM family's logistic designs.
+
+    Row and column ``(j - 1) * d + c`` is lag j of node c, ``k * d + c`` the
+    present of node c.  Each d x d block is one product of two lag-slice
+    views of the panel, so no least-squares fit stacks a lagged design.  Every
+    residual covariance is a Schur complement of a sub-block (``fit``);
+    reordering A's rows changes only A's rows and columns (``covs``).
+    """
+
+    def __init__(self, x, k):
+        T, d = x.shape
+        if T <= k:
+            raise SingularDesign(f"T={T} too short for order {k}")
+        self.values, self.k, self.d, self.n = x, k, d, T - k
+        # first panel row of the slice behind each d x d block
+        self.starts = [k - j for j in range(1, k + 1)] + [k]
+        # one product of two lag-slice views per block on or above the
+        # diagonal, mirrored below it
+        blocks = [x[s:s + self.n] for s in self.starts]
+        gram = np.empty((k + 1, d) * 2)
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                gram[i, :, j] = blocks[i].T @ blocks[j]
+                gram[j, :, i] = gram[i, :, j].T
+        self.gram = gram.reshape((k + 1) * d, -1)
+        self._fits = {}
+        self._meats = {}
+
+    def lags(self, cols):
+        """Indices of lags 1..k of ``cols``, lag-major."""
+        return [j * self.d + c for j in range(self.k) for c in cols]
+
+    def present(self, cols):
+        return [self.k * self.d + c for c in cols]
+
+    def fit(self, design, target):
+        """Per-row residual covariance of the least-squares regression of
+        ``target`` on ``design`` (index lists), and its coefficients.  Each
+        regression is solved once per Gram; the arrays returned are shared
+        and read-only."""
+        key = (tuple(design), tuple(target))
+        fitted = self._fits.get(key)
+        if fitted is None:
+            if design and self.n <= len(design):
+                raise SingularDesign("not enough rows for the regression")
+            idx = list(design) + list(target)
+            covs, chol, w = _residual_covs(self.gram[np.ix_(idx, idx)][None],
+                                           len(design), self.n)
+            coef = (np.empty((0, len(target))) if chol is None
+                    else np.linalg.solve(chol[0].T, w[0]))
+            fitted = covs[0], coef
+            for array in fitted:
+                array.setflags(write=False)
+            self._fits[key] = fitted
+        return fitted
+
+    def covs(self, design, target, a_idx):
+        """The function from row orders (S, T) of A's columns (None: the panel
+        alone, ``fit``) to the residual covariances of ``target`` on ``design``.
+        A's rows and columns of each Gram are A's lag windows times the other
+        regressors' rows, gathered on the first reordered call, and times each
+        other: one product per panel, so no result depends on the stack."""
+        idx = np.array(list(design) + list(target))
+
+        @functools.cache
+        def plan():
+            is_a = np.isin(idx % self.d, a_idx)
+            moved, kept = np.flatnonzero(is_a), np.flatnonzero(~is_a)
+            a_cols, node = np.unique(idx[moved] % self.d, return_inverse=True)
+            start = np.array(self.starts)[idx[moved] // self.d]
+            return moved, kept, self.rows(idx[kept]), a_cols, node, start
+
+        def of(perms):
+            if perms is None:
+                return self.fit(design, target)[0][None]
+            moved, kept, kept_rows, a_cols, node, start = plan()
+            # A's columns gathered once, then the (S, moved, n) lag windows
+            windows = np.lib.stride_tricks.sliding_window_view(
+                self.values.T[a_cols][:, perms], self.n, axis=2)
+            w = windows[node, np.arange(perms.shape[0])[:, None], start]
+            cross = w @ kept_rows
+            gram = np.repeat(self.gram[np.ix_(idx, idx)][None], perms.shape[0], axis=0)
+            gram[:, moved[:, None], kept] = cross
+            gram[:, kept[:, None], moved] = np.swapaxes(cross, 1, 2)
+            gram[:, moved[:, None], moved] = w @ np.swapaxes(w, 1, 2)
+            return _residual_covs(gram, len(design), self.n)[0]
+
+        return of
+
+    def rows(self, idx, start=0, stop=None):
+        """Rows t = k + start..k + stop - 1 (default: k..T-1) of the panel's lags and
+        present at the Gram indices ``idx``, gathered from windows of k + 1 panel rows."""
+        windows = np.lib.stride_tricks.sliding_window_view(self.values, self.k + 1, axis=0)
+        return windows[start:stop, [i % self.d for i in idx],
+                       [self.starts[i // self.d] for i in idx]]
+
+    def meats(self, design, target):
+        """Sandwich meats of the full fit of ``target`` on ``design``: per
+        target column i, sum_t e_i(t)^2 z(t) z(t)' over the design rows z and
+        full-fit residuals e, from one pass over the panel in blocks of at
+        most ``_CHUNK_ENTRIES`` gathered entries.  Memoized like ``fit``; the
+        stack returned is shared and read-only."""
+        key = (tuple(design), tuple(target))
+        if key not in self._meats:
+            idx, coef = list(design) + list(target), self.fit(design, target)[1]
+            meats = np.zeros((len(target), len(design), len(design)))
+            step = max(1, _calibration._CHUNK_ENTRIES // len(idx))
+            for start in range(0, self.n, step):
+                z, y = np.split(self.rows(idx, start, start + step), [len(design)], axis=1)
+                for meat, e in zip(meats, (y - z @ coef).T):
+                    meat += z.T @ (z * e[:, None] ** 2)
+            meats.setflags(write=False)
+            self._meats[key] = meats
+        return self._meats[key]
+
+
 def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel:
     """Fit a VAR(p) by least squares or multivariate Yule-Walker.
 
     Columns are mean-centered before fitting.  Both methods regress the
     present on lags 1..p through one Gram of second moments, lag-major
-    with the present last: ``ols`` sums the lag-slice products over
-    t = p..T-1, ``yule_walker`` is block Toeplitz in the autocovariances.
+    with the present last: ``ols`` is the panel's ``_LaggedGram``,
+    ``yule_walker`` is block Toeplitz in the autocovariances.
     An unstable fit is returned with a warning rather than rejected;
     downstream operations that need stationarity raise
     :class:`UnstableModel` themselves.
@@ -324,21 +448,21 @@ def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel
     x = x - x.mean(axis=0)
 
     if method == "ols":
-        blocks = [x[p - j:T - j] for j in range(1, p + 1)] + [x[p:]]
-        gram, n = np.block([[u.T @ v for v in blocks] for u in blocks]), T - p
+        g = _LaggedGram(x, p)
+        noise, beta = g.fit(g.lags(range(d)), g.present(range(d)))
     elif method == "yule_walker":
         # gam[h] = E x(t + h) x(t)'; lag i against lag j >= i is gam[j - i]
         gam = [x[h:].T @ x[:T - h] / T for h in range(p + 1)]
         lags = list(range(1, p + 1)) + [0]
         gram = np.block([[gam[j - i] if j >= i else gam[i - j].T for j in lags] for i in lags])
-        n = 1
+        noise, chol, w = _residual_covs(gram[None], p * d, 1)
+        noise, beta = noise[0], np.linalg.solve(chol[0].T, w[0])
     else:
         raise ParamError(f"unknown method {method!r}")
-    noise, chol, w = _residual_covs(gram[None], p * d, n)
-    beta = np.linalg.solve(chol[0].T, w[0])  # (p * d, d), row (j - 1) * d + c: lag j of node c
+    # beta is (p * d, d), row (j - 1) * d + c: lag j of node c
     coeffs = beta.T.reshape(d, p, d).transpose(1, 0, 2)
 
-    model = VarModel(order=p, coeffs=coeffs, noise_cov=noise[0], labels=panel.labels)
+    model = VarModel(order=p, coeffs=coeffs, noise_cov=noise, labels=panel.labels)
     if not model.is_stable:
         warnings.warn(f"fitted VAR is unstable (spectral radius "
                       f"{model.spectral_radius:.4f})", UnstableFitWarning, stacklevel=2)

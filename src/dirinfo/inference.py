@@ -10,13 +10,11 @@ they estimate the corresponding information rate.  Their null laws are in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
 from .calibration import (  # the public names are re-exported
     DEFAULT_SURROGATES,
     MIN_SURROGATES,
@@ -34,7 +32,7 @@ from .calibration import (  # the public names are re-exported
 from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
 from .discrete import window_codes
 from .errors import DirinfoError, FitError, InvalidModel, ParamError, PartitionError, SingularDesign
-from .gaussian import _residual_covs
+from .gaussian import _LaggedGram
 from .measures import ConditioningMode, _as_mode
 from .stein import SteinReport, stein_exponent_check  # re-exported
 
@@ -117,13 +115,12 @@ class GlmSpikingFamily:
         values = _discrete_values(panel)
         if values.max() > 1:
             raise InvalidModel("GLM spiking family needs a binary panel")
-        return _Spikes(values.astype(float), self.memory, len(values) - self.memory)
+        return _LaggedGram(values.astype(float), self.memory)
 
     def _loglik(self, data, target, cols):
         """Maximized logistic log likelihood of ``target`` on an intercept
         and lags 1..memory of ``cols``."""
-        design = np.concatenate([np.ones((data.n, 1)),
-                                 _lagged_design(data.values, data.k, cols)], axis=1)
+        design = np.concatenate([np.ones((data.n, 1)), data.rows(data.lags(cols))], axis=1)
         return _fit_glm(design, data.values[data.k:, target])
 
 
@@ -316,128 +313,6 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
     return stat_of, dof, n_obs, None
 
 
-class _LaggedGram:
-    """Gram matrix of the centred panel's lags 1..k and present, summed over
-    t = k..T-1: the one source of every VAR regression on the panel (as in
-    MVGC, Barnett & Seth, J. Neurosci. Methods 223, 2014).
-
-    Row and column ``(j - 1) * d + c`` is lag j of node c, ``k * d + c`` the
-    present of node c.  Each d x d block is one product of two lag-slice
-    views of the panel, so no lagged design matrix is ever stacked.  Every
-    residual covariance is a Schur complement of a sub-block (``fit``);
-    reordering A's rows changes only A's rows and columns (``covs``).
-    """
-
-    def __init__(self, x, k):
-        T, d = x.shape
-        if T <= k:
-            raise SingularDesign(f"T={T} too short for order {k}")
-        self.values, self.k, self.d, self.n = x, k, d, T - k
-        # first panel row of the slice behind each d x d block
-        self.starts = [k - j for j in range(1, k + 1)] + [k]
-        self.gram = self._gram_of(x)
-        self._fits = {}
-        self._meats = {}
-
-    def _gram_of(self, x):
-        """Gram of the panel ``x`` (T, d): one product of two lag-slice views
-        per block on or above the diagonal, mirrored below it."""
-        blocks = [x[s:s + self.n] for s in self.starts]
-        gram = np.empty((len(blocks), self.d) * 2)
-        for i in range(len(blocks)):
-            for j in range(i, len(blocks)):
-                gram[i, :, j] = blocks[i].T @ blocks[j]
-                gram[j, :, i] = gram[i, :, j].T
-        return gram.reshape(len(blocks) * self.d, -1)
-
-    def lags(self, cols):
-        """Indices of lags 1..k of ``cols``, lag-major."""
-        return [j * self.d + c for j in range(self.k) for c in cols]
-
-    def present(self, cols):
-        return [self.k * self.d + c for c in cols]
-
-    def fit(self, design, target):
-        """Per-row residual covariance of the least-squares regression of
-        ``target`` on ``design`` (index lists), and its coefficients.  Each
-        regression is solved once per Gram; the arrays returned are shared
-        and read-only."""
-        key = (tuple(design), tuple(target))
-        fitted = self._fits.get(key)
-        if fitted is None:
-            if design and self.n <= len(design):
-                raise SingularDesign("not enough rows for the regression")
-            idx = list(design) + list(target)
-            covs, chol, w = _residual_covs(self.gram[np.ix_(idx, idx)][None],
-                                           len(design), self.n)
-            coef = (np.empty((0, len(target))) if chol is None
-                    else np.linalg.solve(chol[0].T, w[0]))
-            fitted = covs[0], coef
-            for array in fitted:
-                array.setflags(write=False)
-            self._fits[key] = fitted
-        return fitted
-
-    def covs(self, design, target, a_idx):
-        """The function from row orders (S, T) of A's columns (None: the panel
-        alone, ``fit``) to the residual covariances of ``target`` on ``design``.
-        A's rows and columns of each Gram are A's lag windows times the other
-        regressors' rows, gathered on the first reordered call, and times each
-        other: one product per panel, so no result depends on the stack."""
-        idx = np.array(list(design) + list(target))
-
-        @functools.cache
-        def plan():
-            is_a = np.isin(idx % self.d, a_idx)
-            moved, kept = np.flatnonzero(is_a), np.flatnonzero(~is_a)
-            a_cols, node = np.unique(idx[moved] % self.d, return_inverse=True)
-            start = np.array(self.starts)[idx[moved] // self.d]
-            return moved, kept, self.rows(idx[kept]), a_cols, node, start
-
-        def of(perms):
-            if perms is None:
-                return self.fit(design, target)[0][None]
-            moved, kept, kept_rows, a_cols, node, start = plan()
-            # A's columns gathered once, then the (S, moved, n) lag windows
-            windows = np.lib.stride_tricks.sliding_window_view(
-                self.values.T[a_cols][:, perms], self.n, axis=2)
-            w = windows[node, np.arange(perms.shape[0])[:, None], start]
-            cross = w @ kept_rows
-            gram = np.repeat(self.gram[np.ix_(idx, idx)][None], perms.shape[0], axis=0)
-            gram[:, moved[:, None], kept] = cross
-            gram[:, kept[:, None], moved] = np.swapaxes(cross, 1, 2)
-            gram[:, moved[:, None], moved] = w @ np.swapaxes(w, 1, 2)
-            return _residual_covs(gram, len(design), self.n)[0]
-
-        return of
-
-    def rows(self, idx, start=0, stop=None):
-        """Rows t = k + start..k + stop - 1 (default: k..T-1) of the panel's lags and
-        present at the Gram indices ``idx``, gathered from windows of k + 1 panel rows."""
-        windows = np.lib.stride_tricks.sliding_window_view(self.values, self.k + 1, axis=0)
-        return windows[start:stop, [i % self.d for i in idx],
-                       [self.starts[i // self.d] for i in idx]]
-
-    def meats(self, design, target):
-        """Sandwich meats of the full fit of ``target`` on ``design``: per
-        target column i, sum_t e_i(t)^2 z(t) z(t)' over the design rows z and
-        full-fit residuals e, from one pass over the panel in blocks of at
-        most ``_CHUNK_ENTRIES`` gathered entries.  Memoized like ``fit``; the
-        stack returned is shared and read-only."""
-        key = (tuple(design), tuple(target))
-        if key not in self._meats:
-            idx, coef = list(design) + list(target), self.fit(design, target)[1]
-            meats = np.zeros((len(target), len(design), len(design)))
-            step = max(1, _calibration._CHUNK_ENTRIES // len(idx))
-            for start in range(0, self.n, step):
-                z, y = np.split(self.rows(idx, start, start + step), [len(design)], axis=1)
-                for meat, e in zip(meats, (y - z @ coef).T):
-                    meat += z.T @ (z * e[:, None] ** 2)
-            meats.setflags(write=False)
-            self._meats[key] = meats
-        return self._meats[key]
-
-
 def _logdet(cov):
     """log det of a covariance matrix, or of each in a stack."""
     sign, val = np.linalg.slogdet(np.atleast_2d(cov))
@@ -592,23 +467,6 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
 # ---------------------------------------------------------------------------
 # generalized LLR over parameter restrictions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Spikes:
-    """The GLM family's panel data: the binary panel as floats, its memory
-    ``k`` and the ``n`` rows t = k..T-1 each regression fits."""
-
-    values: np.ndarray
-    k: int
-    n: int
-
-
-def _lagged_design(x, k, cols):
-    """Regressor block [x(t-1) .. x(t-k)] restricted to ``cols``."""
-    T = x.shape[0]
-    parts = [x[k - j:T - j][:, cols] for j in range(1, k + 1)]
-    return np.concatenate(parts, axis=1) if parts else np.empty((T - k, 0))
-
 
 def _glm_loglik(theta, design, y):
     z = design @ theta

@@ -11,8 +11,9 @@ permuted panel at a time, discrete likelihoods count the contexts found by
 its initial law and kernels, the nonlinear example's AR(1) filter is
 ``scipy.signal.lfilter``, and a VAR's one-step prediction risk is a
 finite-window projection on its Lyapunov autocovariances rather than a
-Riccati solve, and the chi-square upper tail is summed in 50-digit decimal
-arithmetic.  They share nothing with the package's implementations.
+Riccati solve, a logistic likelihood is maximized by scipy's BFGS on a
+stacked lagged design, and the chi-square upper tail is summed in 50-digit
+decimal arithmetic.  They share nothing with the package's implementations.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import signal
+from scipy import optimize, signal, special
 
 from dirinfo.errors import ParamError, SingularDesign, UnstableModel
 
@@ -234,6 +235,34 @@ def var_generalized_llr_stat(values, k, masked_by_target):
         ll_full += -0.5 * n_obs * _logdet(cov_f)
         ll_res += -0.5 * n_obs * _logdet(cov_r)
     return (ll_full - ll_res) / n_obs
+
+
+def _logistic_max_loglik(design, y):
+    """Maximized logistic log likelihood: BFGS on the negative log
+    likelihood with its analytic gradient."""
+    def negative(theta):
+        z = design @ theta
+        return np.logaddexp(0.0, z).sum() - y @ z, design.T @ (special.expit(z) - y)
+
+    fit = optimize.minimize(negative, np.zeros(design.shape[1]), jac=True,
+                            method="BFGS", options={"gtol": 1e-10})
+    return -fit.fun
+
+
+def glm_generalized_llr_stat(values, k, masked_by_target):
+    """Per-sample generalized LLR of the logistic point-process model with
+    the links ``{target: [sources]}`` (column indices) pinned to zero; each
+    design is an intercept and the stacked lags 1..k."""
+    x = values.astype(float)
+    n_obs = x.shape[0] - k
+    all_cols = list(range(x.shape[1]))
+    llr = 0.0
+    for target, masked in sorted(masked_by_target.items()):
+        keep_cols = [c for c in all_cols if c not in masked]
+        for cols, sign in ((all_cols, 1.0), (keep_cols, -1.0)):
+            design = np.concatenate([np.ones((n_obs, 1)), _lagged_design(x, k, cols)], axis=1)
+            llr += sign * _logistic_max_loglik(design, x[k:, target])
+    return llr / n_obs
 
 
 def autocovariance(model, max_lag):

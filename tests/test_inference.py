@@ -736,6 +736,25 @@ def test_glm_power_on_coupled_network():
     assert rejections >= 48
 
 
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_glm_generalized_llr_matches_bfgs_reference(memory):
+    """The logistic statistic against BFGS fits of stacked lag designs with
+    an intercept (``tests/reference.py``): six seeded three-node networks,
+    two masked links."""
+    weights = {("a", "b"): [1.5, -0.5], ("b", "c"): [1.0], ("c", "a"): [-0.8, 0.4, 0.3]}
+    for seed in range(6):
+        panel, _ = gen_glm_spiking(weights, 2000, seed, bias={"a": -0.5, "b": -0.3, "c": 0.2})
+        got = generalized_llr(panel, GlmSpikingFamily(memory), [("b", "a"), ("a", "c")])
+        want = reference.glm_generalized_llr_stat(panel.values, memory, {1: [0], 0: [2]})
+        assert abs(got.statistic - want) <= 1e-9, (seed, got.statistic, want)
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_glm_panel_not_longer_than_memory_is_singular_design(T):
+    with pytest.raises(SingularDesign, match=f"T={T} too short for order 2"):
+        generalized_llr(iid_panel(T, 0), GlmSpikingFamily(2), [("x1", "x0")])
+
+
 # ---------------------------------------------------------------------------
 # Stein exponent
 # ---------------------------------------------------------------------------

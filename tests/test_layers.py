@@ -1,6 +1,7 @@
-"""Module layering: the null laws (``calibration``) and the Stein diagnostic
-(``stein``) stand below the test layer (``inference``), which re-exports
-their public names."""
+"""Module layering: the null laws (``calibration``), the Stein diagnostic
+(``stein``) and the Gaussian engine with its lagged Gram (``gaussian``)
+stand below the test layer (``inference``), which re-exports the public
+names of the first two."""
 
 import ast
 import inspect
@@ -32,6 +33,12 @@ def test_calibration_and_stein_load_without_the_test_layer():
     after_stein = _loaded_after("import dirinfo.stein")
     assert "dirinfo.stein" in after_stein
     assert "dirinfo.inference" not in after_stein
+
+
+def test_gaussian_loads_without_the_test_layer():
+    after_gaussian = _loaded_after("import dirinfo.gaussian")
+    assert "dirinfo.gaussian" in after_gaussian
+    assert not after_gaussian & {"dirinfo.inference", "dirinfo.stein"}
 
 
 def _public_names(module):
