@@ -42,3 +42,8 @@ dirinfo test --input nl.csv --family discrete --bins 3 --kind causality \
   --A x --B y --calibration surrogate --seed 3 --out ds
 for result in vs ds; do dirinfo check "$result.json"; done
 for run in vs ds; do dirinfo replay "$run.manifest.json"; done
+dirinfo simulate chain --T 3000 --seed 11 --out ch
+dirinfo estimate --input ch.csv --family var --out mch
+dirinfo decompose --model mch.model.json --mode contemporaneous --A x --B y --out dch
+dirinfo check dch.json
+for run in ch mch dch; do dirinfo replay "$run.manifest.json"; done

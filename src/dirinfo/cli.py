@@ -2,8 +2,8 @@
 
 Every run writes its results as JSON next to a manifest that echoes the
 resolved configuration and tool version; replaying a manifest reproduces
-the artifacts bit-exactly.  Values are always stored in nats; ``--units
-bits`` only changes the printed table.
+the artifacts bit-exactly.  Values are always stored in nats, for discrete
+and VAR models alike; ``--units bits`` only changes the printed table.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from .calibration import bonferroni_count, chi_square_threshold, surrogate_count
 from .core import DEFAULT_STATE_BUDGET, load_panel, make_partition, read_json, symbolize, write_panel
 from .discrete import enumerate_joint, fit_plugin, model_from_json, model_to_json
 from .errors import DirinfoError, SchemaError
-from .gaussian import fit_var, geweke_index, gaussian_mi_rate, load_var, var_from_json, var_to_json
+from .gaussian import fit_var, load_var, var_from_json, var_to_json
 from .inference import family_from_spec, infer_graph, llr_causality, llr_coupling
-from .measures import EXACT_RESIDUAL_TOL, ConditioningMode, decompose
+from .measures import EXACT_RESIDUAL_TOL, decompose
 from .simulate import gen_chain_example, gen_glm_spiking, gen_nonlinear_example, gen_var
 
 SCHEMA_VERSION = 1
-# bound on the Geweke identity te_ab + te_ba + iie - mi of a Gaussian
-# decomposition (acceptance criterion 4)
-GEWEKE_RESIDUAL_TOL = 1e-6
 
 
 def _die(message: str, code: int = 2) -> int:
@@ -179,37 +176,13 @@ def _any_model(doc):
 
 def _cmd_decompose(args) -> int:
     kind, model = read_json(args.model, _any_model)
-    mode = ConditioningMode(args.mode)
-    if kind == "discrete":
-        labels = model.labels or tuple(f"x{i}" for i in range(model.n_nodes))
-        part = make_partition(labels, args.A, args.B)
-        dist = enumerate_joint(model, args.n, args.budget)
-        dec = decompose(dist, part, args.n, mode=mode)
-        result = dec.to_json()
-        result["exact"] = True
-        rows = [(k, _scaled(v, args.units)) for k, v in result.items()
-                if isinstance(v, float)]
-        rows += [(f"residual {k}", v) for k, v in sorted(result["residuals"].items())]
-    else:
-        part = make_partition(model.labels, args.A, args.B)
-        part_ba = make_partition(model.labels, args.B, args.A)
-        side_past = mode is ConditioningMode.STRICT_PAST
-        f_ab = geweke_index(model, part, "directed_conditional", side_past_only=side_past).value
-        f_ba = geweke_index(model, part_ba, "directed_conditional", side_past_only=side_past).value
-        f_inst = geweke_index(model, part, "instantaneous_conditional",
-                              side_past_only=side_past).value
-        mi = gaussian_mi_rate(model, part.a, part.b, conditional_on_past_c=bool(part.c)).value
-        result = {
-            "di_ab": f_ab + f_inst, "di_ba": f_ba + f_inst,
-            "te_ab": f_ab, "te_ba": f_ba, "iie": f_inst, "mi": mi,
-            "delta_cb": 0.0,
-            "residuals": {"geweke": f_ab + f_ba + f_inst - mi},
-            "horizon": 0, "mode": mode.value, "exact": False,
-            "convention": "geweke-log-variance-ratio",
-        }
-        rows = [(k, _scaled(result[k], args.units))
-                for k in ("te_ab", "te_ba", "iie", "mi")]
-        rows.append(("geweke residual", result["residuals"]["geweke"]))
+    labels = model.labels or tuple(f"x{i}" for i in range(model.n_nodes))
+    part = make_partition(labels, args.A, args.B)
+    law = model if kind == "var" else enumerate_joint(model, args.n, args.budget)
+    result = decompose(law, part, mode=args.mode).to_json()
+    result["exact"] = True
+    rows = [(k, _scaled(v, args.units)) for k, v in result.items() if isinstance(v, float)]
+    rows += [(f"residual {k}", v) for k, v in sorted(result["residuals"].items())]
     path = f"{args.out}.json"
     _write_json(path, result)
     _write_manifest(args.out, "decompose", args, [path])
@@ -291,32 +264,23 @@ _MEASURES = ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi")
 
 
 def _decomposition_problems(doc) -> list[str]:
-    """An exact decomposition holds every residual to ``EXACT_RESIDUAL_TOL``;
-    a Gaussian one holds its Geweke residual to ``GEWEKE_RESIDUAL_TOL``, and
-    that residual to the terms it was built from.  Either convention's
-    decomposition splits each DI into its TE and IIE terms (the chain rule
-    holds to rounding in both), and every reported measure but ``delta_cb``
-    is nonnegative.  Missing, non-numeric and non-finite fields are problems."""
+    """A decomposition, of either family, holds every residual to
+    ``EXACT_RESIDUAL_TOL`` and splits each DI into its TE and IIE terms,
+    and every reported measure but ``delta_cb`` is nonnegative.  Missing,
+    non-numeric and non-finite fields are problems.  A Gaussian file in
+    Geweke's convention, which older versions wrote, is refused by name."""
+    if doc.get("convention") == "geweke-log-variance-ratio":
+        return ["written in Geweke's convention by an older dirinfo; re-run decompose"]
     problems = []
     try:
         numbers = [(f"residual {name}", value) for name, value in doc["residuals"].items()]
-        numbers += [(name, doc[name]) for name in _MEASURES]
+        problems += [f"{name} is missing" for name in _MEASURES + ("delta_cb",) if name not in doc]
+        numbers += [(name, doc[name]) for name in _MEASURES + ("delta_cb",) if name in doc]
         problems += [f"{what} = {value!r} is not finite"
                      for what, value in numbers if not math.isfinite(value)]
-        if doc.get("exact"):
-            for name, value in doc["residuals"].items():
-                if abs(value) > EXACT_RESIDUAL_TOL:
-                    problems.append(f"residual {name} = {value:.3e} exceeds "
-                                    f"{EXACT_RESIDUAL_TOL}")
-        elif doc.get("convention") == "geweke-log-variance-ratio":
-            residual = doc["residuals"]["geweke"]
-            if abs(residual) > GEWEKE_RESIDUAL_TOL:
-                problems.append(f"residual geweke = {residual:.3e} exceeds "
-                                f"{GEWEKE_RESIDUAL_TOL}")
-            value = doc["te_ab"] + doc["te_ba"] + doc["iie"] - doc["mi"]
-            if abs(residual - value) > EXACT_RESIDUAL_TOL:
-                problems.append(f"residual geweke = {residual!r} differs from its "
-                                f"terms' sum {value!r}")
+        for name, value in doc["residuals"].items():
+            if abs(value) > EXACT_RESIDUAL_TOL:
+                problems.append(f"residual {name} = {value:.3e} exceeds {EXACT_RESIDUAL_TOL}")
         te_ab, te_ba, iie = doc["te_ab"], doc["te_ba"], doc["iie"]
         for name, recorded, value in (("di_ab", doc["di_ab"], te_ab + iie),
                                       ("di_ba", doc["di_ba"], te_ba + iie)):

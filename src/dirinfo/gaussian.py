@@ -1,22 +1,21 @@
-"""Stationary Gaussian VAR engine: fitting, analytic one-step prediction
-risks, Geweke indices and Gaussian information rates.
+"""Stationary Gaussian VAR engine: fitting, exact innovation covariances
+and the rate law through which ``measures`` reads a model's exact rates.
 
-Risks are generalized variances ``log det`` of the one-step prediction
-error covariance, so every index below is a log variance ratio in Geweke's
-classical convention (twice the corresponding Shannon rate in nats).  A
-subprocess of a VAR is a state-space model: its innovation covariance given
-its entire past solves one discrete algebraic Riccati equation (Barnett &
-Seth, Phys. Rev. E 91, 040101(R), 2015), so indices and rates are exact
-infinite-horizon values.  One equation is solved per distinct past set and
-model, and none for the full node set, whose innovation covariance is the
-noise covariance.  The equation is solved in numpy by structure-preserving
-doubling (Chu, Fan, Lin & Wang, Int. J. Control 77, 2004), which converges
-quadratically.  The finite-window projection that cross-checks these values
-lives with the test references, not in the package.  One lagged Gram
-(``_LaggedGram``) serves ``fit_var``, the test layer's VAR regressions and
-the GLM family's designs.  Every least-squares fit is the Schur complement
-of a Gram of second moments, through a Cholesky factor with a relative
-pivot floor.
+A subprocess of a VAR is a state-space model: its innovation covariance
+given its entire past solves one discrete algebraic Riccati equation
+(Barnett & Seth, Phys. Rev. E 91, 040101(R), 2015), so every measure of
+``measures`` is an exact infinite-horizon rate in nats on ``rate_law``.
+``geweke_index`` and ``gaussian_mi_rate`` are twice those rates: Geweke's
+classical log variance ratios.  One equation is solved per distinct past
+set and model, and none for the full node set, whose innovation
+covariance is the noise covariance.  The equation is solved in numpy by
+structure-preserving doubling (Chu, Fan, Lin & Wang, Int. J. Control 77,
+2004), which converges quadratically.  The finite-window projection that
+cross-checks these values lives with the test references, not in the
+package.  One lagged Gram (``_LaggedGram``) serves ``fit_var``, the test
+layer's VAR regressions and the GLM family's designs.  Every least-squares
+fit is the Schur complement of a Gram of second moments, through a
+Cholesky factor with a relative pivot floor.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .errors import (
     UnstableFitWarning,
     UnstableModel,
 )
+from .measures import ConditioningMode, rate
 
 @dataclass(frozen=True)
 class VarModel:
@@ -46,8 +46,9 @@ class VarModel:
     coeffs: np.ndarray  # (p, d, d)
     noise_cov: np.ndarray  # (d, d)
     labels: tuple[str, ...]
-    # memo of innovation covariances; fresh per instance, so a model made
-    # by dataclasses.replace recomputes them
+    # memo of innovation covariances; fresh per instance, as are the cached
+    # spectral radius and rate law, so a model made by dataclasses.replace
+    # recomputes them
     _innovations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,13 +98,18 @@ class VarModel:
             F[d:, :-d] = np.eye((p - 1) * d)
         return F
 
-    @property
+    @functools.cached_property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
 
     @property
     def is_stable(self) -> bool:
         return self.spectral_radius < 1.0
+
+    @functools.cached_property
+    def rate_law(self) -> _RateLaw:
+        """The model as the law ``measures`` reads its exact rates from."""
+        return _RateLaw(self)
 
 
 def innovation_cov(model: VarModel, nodes) -> np.ndarray:
@@ -118,7 +124,8 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
     returns ``noise_cov`` without a solve.
 
     Each node set is solved once per model: the result is kept on the model
-    under the sorted set, and a call in another node order permutes it.
+    under the sorted set and returned, read-only, for the sorted set; a
+    call in another node order permutes it.
     """
     nodes = [int(a) for a in nodes]
     d = model.n_nodes
@@ -132,6 +139,8 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
                 f"spectral radius {model.spectral_radius:.6f} >= 1; no stationary law")
         cov = model.noise_cov if len(key) == d else _riccati_innovation_cov(model, list(key))
         model._innovations[key] = cov
+    if list(key) == nodes:
+        return cov
     order = np.searchsorted(key, nodes)
     return cov[np.ix_(order, order)]
 
@@ -195,73 +204,78 @@ def _solve_riccati(A, G, H) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Geweke indices and Gaussian rates
+# exact rates, and the Geweke indices
 # ---------------------------------------------------------------------------
 
 GEWEKE_KINDS = ("directed", "instantaneous", "directed_conditional",
                 "instantaneous_conditional")
 
 
-def _risk(model, target, past, present=()):
-    """log det error covariance of ``target`` given the entire past of the
-    ``past`` nodes and the present of ``present``, a subset of ``past``.  The
-    Schur complement of a positive definite covariance is never singular."""
-    if not set(target) <= set(past):
-        raise ParamError(f"information set lacks the past of target {target}")
-    cov = innovation_cov(model, past)
-    t = [past.index(b) for b in target]
-    q = [past.index(a) for a in present]
-    err = cov[np.ix_(t, t)]
-    if q:
-        err = err - cov[np.ix_(t, q)] @ np.linalg.solve(cov[np.ix_(q, q)], cov[np.ix_(q, t)])
-    return float(np.linalg.slogdet(err)[1])
+class _RateLaw:
+    """A VAR model as a law of two times: mask bits 0..d-1 are the nodes'
+    entire pasts and bits d..2d-1 their presents, so a measure's time-2 term
+    (``measures._terms``) is its exact rate and each time-1 term is zero.
+    An entropy is 1/2 log det(2 pi e S) of the presents given the pasts, S
+    their block of ``innovation_cov(model, past)``: the pasts' own entropy
+    cancels from every term, one side of which is a present only.  Memoized
+    by mask, and per model (``VarModel.rate_law``)."""
+
+    horizon = 2
+
+    def __init__(self, model):
+        self.model, self.n_nodes, self._entropies = model, model.n_nodes, {}
+
+    def entropy_of_cells(self, mask) -> float:
+        h = self._entropies.get(mask)
+        if h is None:
+            d = self.n_nodes
+            past, now = mask & (1 << d) - 1, mask >> d
+            if now & ~past:
+                raise ParamError(f"cell mask {mask:#x} is not a set of pasts and presents "
+                                 f"of {d} nodes, each present with its past")
+            nodes = [a for a in range(d) if past >> a & 1]
+            idx = [i for i, a in enumerate(nodes) if now >> a & 1]
+            h = 0.0
+            if idx:
+                cov = innovation_cov(self.model, nodes)
+                if len(idx) < len(nodes):
+                    cov = cov[idx][:, idx]
+                h = 0.5 * float(len(idx) * np.log(2 * np.pi * np.e) + np.linalg.slogdet(cov)[1])
+            self._entropies[mask] = h
+        return h
 
 
 def geweke_index(model: VarModel, partition, kind: str,
                  side_past_only: bool = True) -> MeasureValue:
-    """Geweke log variance-ratio index for the partition's (A, B) pair.
-
-    ``directed``: how much A's past improves the one-step prediction of B
-    beyond B's own past.  ``instantaneous``: the further gain from A's
-    present.  The ``*_conditional`` kinds add the side set C, through its
-    past only when ``side_past_only`` (the convention under which the
-    conditional decomposition closes); with ``side_past_only=False`` C's
-    present is conditioned on as well.  Every risk conditions on the entire
-    past, so the index is the exact infinite-horizon rate: ``horizon`` is 0.
+    """Geweke log variance-ratio index for the partition's (A, B) pair:
+    twice the exact rate (``measures.rate``) of the transfer entropy
+    (``directed``: how much A's past improves the one-step prediction of B
+    beyond B's own past) or of the instantaneous exchange
+    (``instantaneous``: the further gain from A's present).  The
+    ``*_conditional`` kinds add the side set C, through its past only when
+    ``side_past_only`` (the convention under which the conditional
+    decomposition closes) and through its present as well otherwise.
+    ``horizon`` is 0, which marks an exact infinite-horizon rate.
     """
-    a, b, c = tuple(partition.a), tuple(partition.b), tuple(partition.c)
-    c_now = () if side_past_only else c
-    # (past, present) nodes of the numerator and the denominator risk
-    information_sets = {
-        "directed": ((b, ()), (b + a, ())),
-        "instantaneous": ((b + a, ()), (b + a, a)),
-        "directed_conditional": ((b + c, c_now), (b + a + c, c_now)),
-        "instantaneous_conditional": ((b + a + c, c_now), (b + a + c, a + c_now)),
-    }
-    if kind not in information_sets:
+    if kind not in GEWEKE_KINDS:
         raise ParamError(f"kind must be one of {GEWEKE_KINDS}, got {kind!r}")
-    num, den = information_sets[kind]
-    return MeasureValue(value=_risk(model, b, *num) - _risk(model, b, *den),
-                        horizon=0, kind="rate")
+    mode = ConditioningMode.STRICT_PAST if side_past_only else ConditioningMode.CONTEMPORANEOUS
+    value = rate("te" if kind.startswith("directed") else "iie", model, partition.a,
+                 partition.b, partition.c if kind.endswith("conditional") else (), mode).value
+    return MeasureValue(value=2 * value, horizon=0, kind="rate")
 
 
 def gaussian_mi_rate(model: VarModel, a_nodes, b_nodes,
                      conditional_on_past_c: bool = False) -> MeasureValue:
     """Mutual information rate between node groups, in the same log
-    variance-ratio convention as the Geweke indices.
-
-    Assembled from the marginal and joint one-step prediction problems:
-    ``risk(A | own past) + risk(B | own past) - risk(A,B | both pasts)``,
-    optionally with the strict past of the remaining nodes C in every
-    information set (``conditional_on_past_c``).  Exact; ``horizon`` is 0.
+    variance-ratio convention as the Geweke indices: twice
+    ``measures.rate("mi", ...)``, optionally given the strict past of the
+    remaining nodes C (``conditional_on_past_c``).  Exact; ``horizon`` is 0.
     """
     a = tuple(int(x) for x in a_nodes)
     b = tuple(int(x) for x in b_nodes)
-    if set(a) & set(b):
-        raise ParamError("node groups overlap")
     c = tuple(i for i in range(model.n_nodes) if i not in a + b) if conditional_on_past_c else ()
-    value = _risk(model, a, a + c) + _risk(model, b, b + c) - _risk(model, a + b, a + b + c)
-    return MeasureValue(value=value, horizon=0, kind="rate")
+    return MeasureValue(value=2 * rate("mi", model, a, b, c).value, horizon=0, kind="rate")
 
 
 # ---------------------------------------------------------------------------

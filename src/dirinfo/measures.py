@@ -1,5 +1,6 @@
 """Directed-information measures and their decomposition identities,
-computed exactly from a :class:`~dirinfo.core.SequenceDistribution`.
+computed exactly from a :class:`~dirinfo.core.SequenceDistribution`, and
+as exact infinite-horizon rates from a :class:`~dirinfo.gaussian.VarModel`.
 
 For a partition V = A + B + C and horizon ``n`` (time origin 1):
 
@@ -13,8 +14,9 @@ at ``i = 1`` and simply drop out of the conditioning (wild-card rule).
 
 Each measure is defined once, as its time-``i`` term (:func:`_terms`);
 sums, rates and the decomposition add those terms up.  Every conditional
-mutual information reduces to entropies of marginals of one exact
-distribution, cached per distribution by cell mask.
+mutual information reduces to entropies of marginals of one exact law,
+cached per law by cell mask.  A VAR model is read through its ``rate_law``,
+whose time 1 is every node's entire past: its time-2 terms are its rates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -373,9 +375,14 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
 
     On an exact table every residual is zero to numerical precision; the
     bundle from an estimated distribution inherits the estimation error.
+    A VAR model takes no ``n``: its measures are exact rates, ``horizon`` 0.
     """
     mode = _as_mode(mode)
     a, b, c = tuple(partition.a), tuple(partition.b), tuple(partition.c)
+    exact = getattr(dist, "rate_law", None)
+    if exact is not None and n is not None:
+        raise ParamError("a VAR model's measures are exact rates: it takes no horizon n")
+    dist = exact or dist
     n = _check_groups(dist, n, a, b, c)
     strict = ConditioningMode.STRICT_PAST
     contemp = ConditioningMode.CONTEMPORANEOUS
@@ -406,7 +413,7 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
                              te_ab=total("te", a, b, c, mode), te_ba=total("te", b, a, c, mode),
                              iie=total("iie", a, b, c, mode),
                              mi=causal_mi if c else biv_mi, delta_cb=delta,
-                             residuals=residuals, horizon=n, mode=mode)
+                             residuals=residuals, horizon=0 if exact else n, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +433,15 @@ class RateEstimate(MeasureValue):
 _RATE_MEASURES = ("di", "te", "iie", "mi")
 
 
-def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
-         mode=DEFAULT_MODE, n_max: int = 6, budget: int = DEFAULT_STATE_BUDGET) -> RateEstimate:
-    """Information rate of ``measure`` for the stationary version of ``model``.
-
-    The model is restarted from its exact stationary window law and
-    enumerated up to ``n_max``; the rate is read off as the increment at
-    ``n_max`` and bracketed by Birch's bounds (Ann. Math. Statist. 33, 1962).
-    For each term I(X; Y | Z) of the increment, Y the side at time ``n_max``,
-    the cells S of the first ``min(order, n_max)`` times bound the limit by
-    ``term - I(S; Y | Z)`` from below and ``term + I(S; Y | X, Z)`` from
-    above; by stationarity the bounds tighten monotonically with ``n_max``.
-    """
-    if measure not in _RATE_MEASURES:
-        raise ParamError(f"measure must be one of {_RATE_MEASURES}, got {measure!r}")
-    mode = _as_mode(mode)
-    dist = enumerate_joint(with_stationary_initial(model, budget), n_max, budget)
-    n = _check_groups(dist, n_max, a_nodes, b_nodes, c_nodes)
+def _birch(dist, measure, a_nodes, b_nodes, c_nodes, mode, n, order) -> RateEstimate:
+    """The increment of ``measure`` at time ``n`` of a stationary law of
+    memory ``order``, and Birch's bracket of its limit (see :func:`rate`);
+    with ``order`` 0 nothing is hidden and the bracket is the increment."""
+    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
     d = dist.n_nodes
     terms = _terms(measure, _node_mask(a_nodes), _node_mask(b_nodes), _node_mask(c_nodes),
                    mode, n, d)
-    start = (1 << min(model.order, n) * d) - 1
+    start = (1 << min(order, n) * d) - 1
     value = sum(_cmi(dist, *t) for t in terms)
     lower = upper = value
     for xs, ys, zs in terms:
@@ -455,3 +450,28 @@ def rate(measure: str, model: DiscreteMarkovModel, a_nodes, b_nodes, c_nodes=(),
         lower -= _cmi(dist, start, ys, zs)
         upper += _cmi(dist, start, ys, xs | zs)
     return RateEstimate(value=value, horizon=n, kind="rate", lower=lower, upper=upper)
+
+
+def rate(measure: str, model, a_nodes, b_nodes, c_nodes=(),
+         mode=DEFAULT_MODE, n_max: int = 6, budget: int = DEFAULT_STATE_BUDGET) -> RateEstimate:
+    """Information rate of ``measure`` for the stationary version of ``model``.
+
+    A :class:`~dirinfo.gaussian.VarModel` gives its exact rate: the term of
+    its ``rate_law``, with ``lower == upper`` and ``horizon`` 0; ``n_max``
+    and ``budget`` are not used.  A discrete model is restarted from its
+    exact stationary window law and enumerated up to ``n_max``; the rate is
+    read off as the increment at ``n_max`` and bracketed by Birch's bounds
+    (Ann. Math. Statist. 33, 1962).  For each term I(X; Y | Z) of the
+    increment, Y the side at time ``n_max``, the cells S of the first
+    ``min(order, n_max)`` times bound the limit by ``term - I(S; Y | Z)``
+    from below and ``term + I(S; Y | X, Z)`` from above; by stationarity
+    the bounds tighten monotonically with ``n_max``.
+    """
+    if measure not in _RATE_MEASURES:
+        raise ParamError(f"measure must be one of {_RATE_MEASURES}, got {measure!r}")
+    mode = _as_mode(mode)
+    exact = getattr(model, "rate_law", None)
+    if exact is not None:  # its time 1 is every node's entire past: nothing is hidden
+        return replace(_birch(exact, measure, a_nodes, b_nodes, c_nodes, mode, 2, 0), horizon=0)
+    dist = enumerate_joint(with_stationary_initial(model, budget), n_max, budget)
+    return _birch(dist, measure, a_nodes, b_nodes, c_nodes, mode, n_max, model.order)

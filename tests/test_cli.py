@@ -336,10 +336,15 @@ def test_check_flags_tampered_results(tmp_path):
         "--n", 3, "--out", tmp_path / "dec")
     assert run("check", tmp_path / "dec.json") == 0
     clean = json.loads((tmp_path / "dec.json").read_text())
-    # a residual, two values whose sums no residual records, a value erased
-    for tamper in ({"residuals": {**clean["residuals"], "id3": 0.5}},
-                   {"di_ab": 7.0, "te_ab": -3.0}, {"te_ab": None}):
-        (tmp_path / "dec.json").write_text(json.dumps({**clean, **tamper}))
+    # a residual, two values whose sums no residual records, a value erased,
+    # and delta_cb, which enters no sign check, not finite, mistyped or missing
+    tampered = [{**clean, **tamper} for tamper in (
+        {"residuals": {**clean["residuals"], "id3": 0.5}},
+        {"di_ab": 7.0, "te_ab": -3.0}, {"te_ab": None},
+        {"delta_cb": float("nan")}, {"delta_cb": "abc"}, {"delta_cb": None})]
+    tampered.append({k: v for k, v in clean.items() if k != "delta_cb"})
+    for doc in tampered:
+        (tmp_path / "dec.json").write_text(json.dumps(doc))
         assert run("check", tmp_path / "dec.json") == 1
 
 
@@ -411,7 +416,7 @@ def test_graph_surrogate_default_count_exits_0(tmp_path):
     assert run("check", tmp_path / "g.json") == 0
 
 
-@pytest.mark.parametrize("field, value", [("geweke", 0.5), ("te_ab", 7.0)])
+@pytest.mark.parametrize("field, value", [("id5", 0.5), ("te_ab", 7.0)])
 def test_check_flags_tampered_gaussian_decomposition(tmp_path, field, value):
     save_var(random_var_model(3, nodes=2, order=1, noise_corr=0.3),
              tmp_path / "var.json")
@@ -419,23 +424,64 @@ def test_check_flags_tampered_gaussian_decomposition(tmp_path, field, value):
         "--out", tmp_path / "gw")
     assert run("check", tmp_path / "gw.json") == 0
     doc = json.loads((tmp_path / "gw.json").read_text())
-    if field == "geweke":
-        doc["residuals"]["geweke"] = value
+    if field in doc["residuals"]:
+        doc["residuals"][field] = value
     else:
         doc[field] = value
     (tmp_path / "gw.json").write_text(json.dumps(doc))
     assert run("check", tmp_path / "gw.json") == 1
 
 
-def test_decompose_var_model_emits_geweke_bundle(tmp_path):
+def test_decompose_var_model_emits_exact_bundle(tmp_path):
     save_var(random_var_model(3, nodes=2, order=1, noise_corr=0.3),
              tmp_path / "var.json")
     assert run("decompose", "--model", tmp_path / "var.json", "--A", "x0",
                "--B", "x1", "--out", tmp_path / "gw") == 0
     doc = json.loads((tmp_path / "gw.json").read_text())
-    assert doc["exact"] is False
-    assert abs(doc["residuals"]["geweke"]) < 1e-6
-    assert doc["te_ab"] >= -1e-8 and doc["iie"] > 0.01
+    assert doc["exact"] is True and doc["horizon"] == 0 and "convention" not in doc
+    assert sorted(doc["residuals"]) == [f"id{i}" for i in range(1, 7)]
+    assert max(abs(v) for v in doc["residuals"].values()) < 1e-12
+    # no side set: no coupling correction
+    assert doc["delta_cb"] == 0.0
+    assert doc["te_ab"] >= -1e-12 and doc["iie"] > 0.005
+
+
+# random_var_model(3, nodes=3, order=2, noise_corr=0.25): older versions
+# wrote a Geweke residual of -5.70e-02 in contemporaneous mode, which check
+# refused, and a delta_cb of 0.0
+@pytest.mark.parametrize("mode", ["strict_past", "contemporaneous"])
+def test_var_decompose_checks_in_both_modes(tmp_path, mode):
+    save_var(random_var_model(3, nodes=3, order=2, noise_corr=0.25), tmp_path / "var.json")
+    assert run("decompose", "--model", tmp_path / "var.json", "--A", "x0", "--B", "x1",
+               "--mode", mode, "--out", tmp_path / "gw") == 0
+    assert run("check", tmp_path / "gw.json") == 0
+    doc = json.loads((tmp_path / "gw.json").read_text())
+    assert doc["mode"] == mode
+    assert abs(doc["delta_cb"] - (-0.0176775)) < 1e-6
+
+
+def test_var_decompose_prints_bits(tmp_path, capsys):
+    save_var(random_var_model(3, nodes=3, order=2, noise_corr=0.25), tmp_path / "var.json")
+    assert run("decompose", "--model", tmp_path / "var.json", "--A", "x0", "--B", "x1",
+               "--units", "bits", "--out", tmp_path / "gw") == 0
+    printed = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(("di_", "te_", "iie", "mi ", "delta_cb")))
+    doc = json.loads((tmp_path / "gw.json").read_text())
+    assert len(printed) == 7
+    for key, text in printed.items():
+        assert float(text) == pytest.approx(doc[key.strip()] / math.log(2), rel=1e-8)
+
+
+def test_check_refuses_geweke_convention_by_name(tmp_path, capsys):
+    # a Gaussian decomposition as older versions wrote it: log variance
+    # ratios, one residual, no delta_cb
+    doc = {"di_ab": 0.1, "di_ba": 0.2, "te_ab": 0.05, "te_ba": 0.15, "iie": 0.05,
+           "mi": 0.25, "delta_cb": 0.0, "residuals": {"geweke": 0.0}, "horizon": 0,
+           "mode": "strict_past", "exact": False, "convention": "geweke-log-variance-ratio"}
+    (tmp_path / "gw.json").write_text(json.dumps(doc))
+    assert run("check", tmp_path / "gw.json") == 1
+    assert capsys.readouterr().err == ("check failed: written in Geweke's convention by an "
+                                       "older dirinfo; re-run decompose\n")
 
 
 def test_estimate_then_decompose_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -21,9 +22,22 @@ from dirinfo.gaussian import (
     var_from_json,
     var_to_json,
 )
-from dirinfo.measures import delayed_directed_information, instantaneous_exchange
+from dirinfo.measures import (
+    EXACT_RESIDUAL_TOL,
+    ConditioningMode,
+    _birch,
+    decompose,
+    delayed_directed_information,
+    instantaneous_exchange,
+    rate,
+)
 from dirinfo.simulate import gen_var, random_var_model
-from reference import autocovariance, prediction_variance, riccati_innovation_cov
+from reference import (
+    GaussianSequenceLaw,
+    autocovariance,
+    prediction_variance,
+    riccati_innovation_cov,
+)
 
 
 def bivariate_var1(a_to_b=0.4, corr=0.0):
@@ -111,12 +125,13 @@ def test_innovation_cov_any_order_is_the_sorted_solve_permuted(monkeypatch):
 
 
 def test_decompose_solves_each_past_set_once(tmp_path, monkeypatch):
-    # past sets {A, C}, {B, C} and the full set, which needs no solve
+    # past sets {A}, {B} and {A, B} of the bivariate identities, {A, C} and
+    # {B, C}, and the full set, which needs no solve
     save_var(random_var_model(8, nodes=3, order=2, noise_corr=0.25), tmp_path / "var.json")
     calls = count_riccati_solves(monkeypatch)
     assert main(["decompose", "--model", str(tmp_path / "var.json"), "--A", "x0",
                  "--B", "x1", "--out", str(tmp_path / "gw")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 5
 
 
 def test_models_start_with_empty_memos(tmp_path):
@@ -332,9 +347,10 @@ def test_riccati_solver_refuses_bad_equations(A, match):
         gaussian._solve_riccati(A, np.zeros((2, 2)), np.eye(2))
 
 
-def test_risk_requires_target_past():
-    with pytest.raises(ParamError):
-        gaussian._risk(bivariate_var1(), (1,), (0,), (0,))
+def test_rate_law_refuses_a_present_without_its_past():
+    # bit 0: the past of node 0; bit 3: the present of node 1
+    with pytest.raises(ParamError, match="each present with its past"):
+        bivariate_var1().rate_law.entropy_of_cells(0b1001)
 
 
 def test_bivariate_geweke_decomposition():
@@ -386,6 +402,87 @@ def test_sign_pattern_agrees_with_discrete_measures():
         iie = instantaneous_exchange(dist, (0,), (1,), 4).value / 4
         assert (te > te_threshold) == (f_dir > 1e-6), f"seed {seed}: TE sign mismatch"
         assert (iie > iie_threshold) == (f_inst > 1e-6), f"seed {seed}: IIE sign mismatch"
+
+
+# ---------------------------------------------------------------------------
+# exact rates through the measures' own terms
+# ---------------------------------------------------------------------------
+
+def _scipy_risk(model, target, past, present=()):
+    """log det of the error of ``target`` given the entire past of ``past``
+    and the present of ``present``: a Schur complement of scipy's Riccati
+    innovation covariance, or of the noise covariance for every node."""
+    past = sorted(past)
+    cov = (model.noise_cov if len(past) == model.n_nodes
+           else riccati_innovation_cov(model, past))
+    t = [past.index(b) for b in target]
+    q = [past.index(a) for a in present]
+    err = cov[np.ix_(t, t)]
+    if q:
+        err = err - cov[np.ix_(t, q)] @ np.linalg.solve(cov[np.ix_(q, q)], cov[np.ix_(q, t)])
+    return np.linalg.slogdet(err)[1]
+
+
+@pytest.mark.parametrize("mode", ["strict_past", "contemporaneous"])
+def test_var_decomposition_is_half_the_scipy_geweke_values(mode):
+    # ORACLE: Geweke's log variance ratios from scipy's Riccati solve, shared
+    # with nothing in the package; the bundle's rates are half of them
+    for seed in range(20):
+        model = random_var_model(100 + seed, nodes=3, order=1 + seed % 3, noise_corr=0.25)
+        part = make_partition(model.labels, ["x0"], ["x1"])
+        dec = decompose(model, part, mode=mode)
+        assert dec.horizon == 0 and dec.max_residual() <= EXACT_RESIDUAL_TOL
+        a, b, c = part.a, part.b, part.c
+        c_now = c if mode == "contemporaneous" else ()
+        risk = functools.partial(_scipy_risk, model)
+        want = {
+            "te_ab": risk(b, b + c, c_now) - risk(b, a + b + c, c_now),
+            "te_ba": risk(a, a + c, c_now) - risk(a, a + b + c, c_now),
+            "iie": risk(b, a + b + c, c_now) - risk(b, a + b + c, a + c_now),
+            "mi": risk(a, a + c) + risk(b, b + c) - risk(a + b, a + b + c),
+        }
+        for name, geweke in want.items():
+            assert abs(getattr(dec, name) - geweke / 2) <= 1e-10, (seed, name)
+
+
+def test_var_rate_is_exact():
+    model = random_var_model(5, nodes=3, order=2, noise_corr=0.3)
+    for measure in ("di", "te", "iie", "mi"):
+        got = rate(measure, model, (0,), (1,), (2,))
+        assert got.horizon == 0 and got.lower == got.value == got.upper
+    with pytest.raises(ParamError, match="no horizon"):
+        decompose(model, make_partition(model.labels, ["x0"], ["x1"]), n=4)
+
+
+def test_finite_horizon_law_closes_the_identities():
+    # ORACLE: block-Toeplitz entropies of x(1..6), read by decompose unchanged
+    for seed in range(4):
+        model = random_var_model(200 + seed, nodes=3, order=2, noise_corr=0.25)
+        law = GaussianSequenceLaw(model, 6)
+        for mode in ("strict_past", "contemporaneous"):
+            dec = decompose(law, make_partition(model.labels, ["x0"], ["x1"]), mode=mode)
+            assert dec.horizon == 6 and dec.max_residual() <= EXACT_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("seed", [300, 301])
+def test_birch_bracket_of_the_finite_law_holds_the_exact_rate(seed):
+    # ORACLE: Birch's bracket of the increment at time n, from the same terms
+    # on the finite-horizon law, holds every exact rate and narrows with n
+    model = random_var_model(seed, nodes=3, order=2, noise_corr=0.25)
+    law = GaussianSequenceLaw(model, 12)
+    cases = [(m, c, mode) for m in ("di", "te", "iie") for c in ((), (2,))
+             for mode in ("strict_past", "contemporaneous")]
+    cases += [("mi", c, "strict_past") for c in ((), (2,))]
+    for measure, c, mode in cases:
+        exact = rate(measure, model, (0,), (1,), c, mode).value
+        widths = []
+        for n in range(3, 13):
+            bracket = _birch(law, measure, (0,), (1,), c, ConditioningMode(mode), n,
+                             model.order)
+            assert bracket.lower - 1e-12 <= exact <= bracket.upper + 1e-12, (measure, c, mode, n)
+            widths.append(bracket.upper - bracket.lower)
+        assert all(w1 <= w0 + 1e-12 for w0, w1 in zip(widths, widths[1:])), (measure, c, mode)
+        assert widths[-1] < widths[0] or widths[0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
