@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `dirinfo` console script: simulate,
-# estimate, graph, test and decompose, then `check` every result and
+# estimate, graph (both families, under chi-square and surrogate
+# calibration), test and decompose, then `check` every result and
 # `replay` every manifest.  Run from anywhere after `pip install .`:
 #   bash ci/console-pipeline.sh
 # It works in a fresh temporary directory and stops at the first failure.
@@ -47,3 +48,7 @@ dirinfo estimate --input ch.csv --family var --out mch
 dirinfo decompose --model mch.model.json --mode contemporaneous --A x --B y --out dch
 dirinfo check dch.json
 for run in ch mch dch; do dirinfo replay "$run.manifest.json"; done
+dirinfo graph --input ch.csv --family discrete --bins 3 --out gd
+dirinfo graph --input ch.csv --family var --calibration surrogate --seed 11 --out gs
+for result in gd gs; do dirinfo check "$result.json"; done
+for run in gd gs; do dirinfo replay "$run.manifest.json"; done

@@ -261,19 +261,22 @@ def _cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 
 _MEASURES = ("di_ab", "di_ba", "te_ab", "te_ba", "iie", "mi")
+_IDENTITIES = ("id1", "id2", "id3", "id4", "id5", "id6")
 
 
 def _decomposition_problems(doc) -> list[str]:
-    """A decomposition, of either family, holds every residual to
-    ``EXACT_RESIDUAL_TOL`` and splits each DI into its TE and IIE terms,
-    and every reported measure but ``delta_cb`` is nonnegative.  Missing,
-    non-numeric and non-finite fields are problems.  A Gaussian file in
-    Geweke's convention, which older versions wrote, is refused by name."""
+    """A decomposition, of either family, holds all six identities'
+    residuals to ``EXACT_RESIDUAL_TOL`` and splits each DI into its TE and
+    IIE terms, and every reported measure but ``delta_cb`` is nonnegative.
+    Missing, non-numeric and non-finite fields are problems.  A Gaussian
+    file in Geweke's convention, which older versions wrote, is refused by name."""
     if doc.get("convention") == "geweke-log-variance-ratio":
         return ["written in Geweke's convention by an older dirinfo; re-run decompose"]
     problems = []
     try:
         numbers = [(f"residual {name}", value) for name, value in doc["residuals"].items()]
+        problems += [f"residual {name} is missing" for name in _IDENTITIES
+                     if name not in doc["residuals"]]
         problems += [f"{name} is missing" for name in _MEASURES + ("delta_cb",) if name not in doc]
         numbers += [(name, doc[name]) for name in _MEASURES + ("delta_cb",) if name in doc]
         problems += [f"{what} = {value!r} is not finite"

@@ -228,6 +228,17 @@ def _loglik(counts):
             - (n * np.log(n + 0.5 * m))[ctx_tot].sum(axis=1))
 
 
+def _check_cell_count(data, k, past, present):
+    """Refuse a table whose (context, target) cells, ``k``-sample windows of
+    the columns ``past`` times the symbols of the columns ``present``, are
+    more than int64 cell codes can index."""
+    cells = (math.prod(data.sizes[a] for a in past) ** k
+             * math.prod(data.sizes[a] for a in present))
+    if cells > np.iinfo(np.int64).max:
+        raise ParamError(f"order {k} needs {cells} (context, target) cells, "
+                         f"past the int64 range of cell codes")
+
+
 def _discrete_values(panel):
     if not panel.is_integer():
         raise InvalidModel("discrete family needs an integer (symbolized) panel")
@@ -258,6 +269,7 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k):
     T = data.values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
+    _check_cell_count(data, k, a_idx + b_idx + c_idx, b_idx)
     res_codes, m_res = _encode(data, tuple(sorted(b_idx + c_idx)))
     a_codes, m_a = _encode(data, a_idx)
     tgt_codes, m_tgt = _encode(data, b_idx)
@@ -285,6 +297,8 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
     T = data.values.shape[0]
     if T <= k:
         raise SingularDesign(f"T={T} too short for order {k}")
+    present = a_idx + b_idx + (c_idx if mode is ConditioningMode.CONTEMPORANEOUS else ())
+    _check_cell_count(data, k, a_idx + b_idx + c_idx, present)
     fixed_codes, m_fixed = _encode(data, tuple(sorted(b_idx + c_idx)))
     fixed_ctx = window_codes(fixed_codes[:-1], k, m_fixed)
     n_fixed = m_fixed**k
@@ -407,6 +421,8 @@ def _resolve(panel, family, builder, caller, groups, alpha, calibration):
     the index tuples of the label groups A, B, C, once the groups, the
     family, ``alpha`` and ``calibration`` pass their checks."""
     a_idx, b_idx, c_idx = (_group_indices(panel, g) for g in groups)
+    if not a_idx or not b_idx:
+        raise PartitionError("A and B must be nonempty")
     _check_disjoint(a_idx, b_idx, c_idx)
     build = _family_method(family, builder, caller)
     _check_level(alpha)

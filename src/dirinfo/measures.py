@@ -55,7 +55,18 @@ def _as_mode(mode) -> ConditioningMode:
         raise ParamError(f"unknown mode {mode!r}: expected one of {allowed}") from None
 
 
+def _check_law(dist):
+    """Refuse a VAR model: it has exact rates only, no finite-horizon law."""
+    if hasattr(dist, "rate_law"):
+        raise ParamError("a VAR model has exact rates only: use rate or decompose")
+
+
 def _check_groups(dist, n, *groups):
+    """The horizon ``n`` (default the law's) once the groups, A and B first,
+    pass their checks."""
+    _check_law(dist)
+    if not groups[0] or not groups[1]:
+        raise PartitionError("A and B must be nonempty")
     seen = set()
     for g in groups:
         for a in g:
@@ -140,6 +151,7 @@ def _summed(dist, measure, a, b, c, mode, n) -> MeasureValue:
 
 def entropy(dist: SequenceDistribution, nodes, times) -> MeasureValue:
     """Shannon entropy (nats) of the marginal on ``nodes`` x ``times``."""
+    _check_law(dist)
     cells = cells_of(nodes, times)
     if not cells:
         raise SelectionError("empty selection")

@@ -212,15 +212,9 @@ def random_feedback_free_model(seed, alphabet: int = 2) -> DiscreteMarkovModel:
     m = alphabet
     p_a = rng.dirichlet(np.ones(m), size=m)                # p(a' | a)
     p_b = rng.dirichlet(np.ones(m), size=(m, m, m))        # p(b' | a', a, b)
-    kernel = np.zeros((m * m, m * m))
-    for a in range(m):
-        for b in range(m):
-            for a2 in range(m):
-                for b2 in range(m):
-                    kernel[a * m + b, a2 * m + b2] = p_a[a, a2] * p_b[a2, a, b, b2]
-    initial = np.kron(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)))
-    return DiscreteMarkovModel(alphabet_sizes=(m, m), order=1, kernel=kernel,
-                               initial=initial, labels=("a", "b"))
+    u, v = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))  # p(a), p(b) at time 1
+    return _from_laws((m, m), 1, ("a", "b"), lambda a, b, a2, b2: p_a[a, a2] * p_b[a2, a, b, b2],
+                      lambda a, b: u[a] * v[b])
 
 
 def random_var_model(seed, nodes: int = 2, order: int = 1, radius: float = 0.8,
@@ -250,47 +244,47 @@ def random_var_model(seed, nodes: int = 2, order: int = 1, radius: float = 0.8,
 
 
 # ---------------------------------------------------------------------------
-# canonical discrete channels (enumerable reductions of the generators)
+# canonical discrete channels (enumerable reductions of the generators): the
+# nodes' conditional laws broadcast over one index grid per (time, node) cell
 # ---------------------------------------------------------------------------
 
-def _binary_channel(cond_b, cond_a=None, initial=None) -> DiscreteMarkovModel:
-    """Bivariate binary order-1 kernel from per-step conditionals.
+def _from_laws(sizes, order, labels, kernel_law, initial_law=None) -> DiscreteMarkovModel:
+    """Model from laws of open index grids, one per (time, node) cell in the
+    window layout of :class:`DiscreteMarkovModel`: ``kernel_law`` takes those
+    of the ``order`` past samples and the next one, ``initial_law`` (default
+    uniform) those of the first ``order``."""
+    M = math.prod(sizes)
+    laws = ((kernel_law, order + 1), (initial_law or (lambda *cells: 1 / M ** order), order))
+    kernel, initial = (np.broadcast_to(law(*np.indices(sizes * n, sparse=True)), sizes * n)
+                       for law, n in laws)
+    return DiscreteMarkovModel(alphabet_sizes=sizes, order=order, labels=labels,
+                               kernel=kernel.reshape(M ** order, M), initial=initial.ravel())
 
-    ``cond_a(a_prev, b_prev)`` and ``cond_b(a_now, a_prev, b_prev)`` return
-    the firing probabilities of the next symbols; defaults to a fresh fair
-    coin for the source and a joint-uniform first sample.
-    """
-    if cond_a is None:
-        cond_a = lambda a, b: 0.5
-    kernel = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            pa1 = cond_a(a, b)
-            for a2 in range(2):
-                pa = pa1 if a2 == 1 else 1.0 - pa1
-                pb1 = cond_b(a2, a, b)
-                for b2 in range(2):
-                    pb = pb1 if b2 == 1 else 1.0 - pb1
-                    kernel[a * 2 + b, a2 * 2 + b2] = pa * pb
-    if initial is None:
-        initial = np.full(4, 0.25)
-    return DiscreteMarkovModel(alphabet_sizes=(2, 2), order=1, kernel=kernel,
-                               initial=np.asarray(initial, dtype=float), labels=("x", "y"))
+
+def _flip(p):
+    """Law of a bit copied through a flip: entry [x, y] is 1 - p if y == x, else p."""
+    return np.array([[1 - p, p], [p, 1 - p]], dtype=float)
+
+
+def _bernoulli(p):
+    """Laws of bits that are 1 with probabilities ``p``, on a new last axis;
+    the zero outcome is 1 - p, which can differ from ``_flip``'s in the last bit."""
+    return np.stack([1.0 - p, p], axis=-1)
 
 
 def delay_channel(flip: float = 0.0) -> DiscreteMarkovModel:
     """y(i) = x(i-1) xor noise(flip); x i.i.d. fair, y(1) an independent
     fair coin (it has no parent)."""
-    return _binary_channel(lambda a2, a, b: (1 - flip) if a == 1 else flip)
+    fire = _bernoulli(_flip(flip)[:, 1])
+    return _from_laws((2, 2), 1, ("x", "y"), lambda x, y, x2, y2: 0.5 * fire[x, y2])
 
 
 def copy_channel(flip: float = 0.0) -> DiscreteMarkovModel:
     """y(i) = x(i) xor noise(flip); x i.i.d. fair: purely instantaneous
     coupling, wired into the first sample as well."""
-    initial = [0.5 * ((1 - flip) if y == x else flip)
-               for x in range(2) for y in range(2)]
-    return _binary_channel(lambda a2, a, b: (1 - flip) if a2 == 1 else flip,
-                           initial=initial)
+    fire = _bernoulli(_flip(flip)[:, 1])
+    return _from_laws((2, 2), 1, ("x", "y"), lambda x, y, x2, y2: 0.5 * fire[x2, y2],
+                      lambda x, y: 0.5 * _flip(flip)[x, y])
 
 
 def common_driver_model(flip: float = 0.1, persistence: float = 0.2) -> DiscreteMarkovModel:
@@ -303,56 +297,21 @@ def common_driver_model(flip: float = 0.1, persistence: float = 0.2) -> Discrete
     The persistence makes the coupling-correction term nonzero when the
     driver's past is the extra conditioning.
     """
-    def emission(w):
-        out = np.zeros(8)
-        for a in range(2):
-            for b in range(2):
-                x, y = w ^ a, w ^ b
-                pa = flip if a == 1 else 1 - flip
-                pb = flip if b == 1 else 1 - flip
-                out[x * 4 + y * 2 + w] += pa * pb
-        return out
-
-    kernel = np.zeros((8, 8))
-    for past in range(8):
-        w_prev = past & 1
-        for w in range(2):
-            pw = persistence if w != w_prev else 1 - persistence
-            kernel[past] += pw * emission(w)
-    initial = 0.5 * (emission(0) + emission(1))
-    return DiscreteMarkovModel(alphabet_sizes=(2, 2, 2), order=1, kernel=kernel,
-                               initial=initial, labels=("x", "y", "w"))
+    noise, stay = _flip(flip), _flip(persistence)
+    return _from_laws((2, 2, 2), 1, ("x", "y", "w"),
+                      lambda x0, y0, w0, x, y, w: stay[w0, w] * (noise[w, x] * noise[w, y]),
+                      lambda x, y, w: 0.5 * (noise[w, x] * noise[w, y]))
 
 
 def chain_markov_model(flip: float = 0.1) -> DiscreteMarkovModel:
     """Binary chain x -> y -> z: y(i) = x(i-1) xor noise, z(i) = y(i-1) xor
     noise; the enumerable reduction of :func:`gen_chain_example`."""
-    kernel = np.zeros((8, 8))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                row = x * 4 + y * 2 + z
-                for x2 in range(2):
-                    for y2 in range(2):
-                        for z2 in range(2):
-                            py = (1 - flip) if y2 == x else flip
-                            pz = (1 - flip) if z2 == y else flip
-                            kernel[row, x2 * 4 + y2 * 2 + z2] = 0.5 * py * pz
-    return DiscreteMarkovModel(alphabet_sizes=(2, 2, 2), order=1, kernel=kernel,
-                               initial=np.full(8, 1 / 8), labels=("x", "y", "z"))
+    step = _flip(flip)
+    return _from_laws((2, 2, 2), 1, ("x", "y", "z"),
+                      lambda x, y, z, x2, y2, z2: 0.5 * step[x, y2] * step[y, z2])
 
 
 def lag2_channel(flip: float = 0.1) -> DiscreteMarkovModel:
     """Bivariate order-2 model where y(i) depends on x(i-2) only."""
-    M = 4
-    kernel = np.zeros((M * M, M))
-    for past1 in range(M):      # joint symbol at t-2
-        x_lag2 = past1 >> 1
-        for past2 in range(M):  # joint symbol at t-1
-            row = past1 * M + past2
-            for nxt in range(M):
-                x2, y2 = nxt >> 1, nxt & 1
-                py = (1 - flip) if y2 == x_lag2 else flip
-                kernel[row, nxt] = 0.5 * py
-    return DiscreteMarkovModel(alphabet_sizes=(2, 2), order=2, kernel=kernel,
-                               initial=np.full(M * M, 1 / (M * M)), labels=("x", "y"))
+    step = _flip(flip)
+    return _from_laws((2, 2), 2, ("x", "y"), lambda x1, y1, x2, y2, x3, y3: 0.5 * step[x1, y3])

@@ -2,13 +2,15 @@
 
 These are the straightforward forms the package used before its VAR
 statistics moved to one lagged Gram matrix per panel, its block
-permutation to index arithmetic, its surrogates to chunks and its exact
-laws to chain contractions: every regression is a separate ``lstsq`` fit on
+permutation to index arithmetic, its surrogates to chunks, its exact
+laws to chain contractions and its canonical discrete models to
+broadcasts of per-node laws: every regression is a separate ``lstsq`` fit on
 an explicitly stacked lagged design, the permutation cuts the rotated index
 vector with ``np.array_split``, surrogate statistics are computed one
 permuted panel at a time, discrete likelihoods count the contexts found by
 ``np.unique``, the joint law of a Markov model is the dense product of
-its initial law and kernels, the nonlinear example's AR(1) filter is
+its initial law and kernels, the canonical discrete models fill their
+kernels entry by entry in nested loops, the nonlinear example's AR(1) filter is
 ``scipy.signal.lfilter``, and a VAR's one-step prediction risk is a
 finite-window projection on its Lyapunov autocovariances rather than a
 Riccati solve, its information rates are bracketed on a finite-horizon law
@@ -24,6 +26,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import optimize, signal, special
 
+from dirinfo.discrete import DiscreteMarkovModel
 from dirinfo.errors import ParamError, SingularDesign, UnstableModel
 
 
@@ -128,6 +131,108 @@ def chained_table(model, n):
         lead = t - 1 - k
         table = table[..., None] * kernel_nd.reshape((1,) * lead + (M,) * (k + 1))
     return table.reshape(model.alphabet_sizes * n)
+
+
+def _binary_channel(cond_b, cond_a=None, initial=None):
+    """Bivariate binary order-1 kernel from per-step conditionals:
+    ``cond_a(a_prev, b_prev)`` and ``cond_b(a_now, a_prev, b_prev)`` fire
+    the next symbols; by default a fair source and a uniform first sample."""
+    if cond_a is None:
+        cond_a = lambda a, b: 0.5
+    kernel = np.zeros((4, 4))
+    for a in range(2):
+        for b in range(2):
+            pa1 = cond_a(a, b)
+            for a2 in range(2):
+                pa = pa1 if a2 == 1 else 1.0 - pa1
+                pb1 = cond_b(a2, a, b)
+                for b2 in range(2):
+                    pb = pb1 if b2 == 1 else 1.0 - pb1
+                    kernel[a * 2 + b, a2 * 2 + b2] = pa * pb
+    if initial is None:
+        initial = np.full(4, 0.25)
+    return DiscreteMarkovModel(alphabet_sizes=(2, 2), order=1, kernel=kernel,
+                               initial=np.asarray(initial, dtype=float), labels=("x", "y"))
+
+
+def delay_channel(flip):
+    return _binary_channel(lambda a2, a, b: (1 - flip) if a == 1 else flip)
+
+
+def copy_channel(flip):
+    initial = [0.5 * ((1 - flip) if y == x else flip)
+               for x in range(2) for y in range(2)]
+    return _binary_channel(lambda a2, a, b: (1 - flip) if a2 == 1 else flip,
+                           initial=initial)
+
+
+def common_driver_model(flip, persistence):
+    def emission(w):
+        out = np.zeros(8)
+        for a in range(2):
+            for b in range(2):
+                x, y = w ^ a, w ^ b
+                pa = flip if a == 1 else 1 - flip
+                pb = flip if b == 1 else 1 - flip
+                out[x * 4 + y * 2 + w] += pa * pb
+        return out
+
+    kernel = np.zeros((8, 8))
+    for past in range(8):
+        w_prev = past & 1
+        for w in range(2):
+            pw = persistence if w != w_prev else 1 - persistence
+            kernel[past] += pw * emission(w)
+    initial = 0.5 * (emission(0) + emission(1))
+    return DiscreteMarkovModel(alphabet_sizes=(2, 2, 2), order=1, kernel=kernel,
+                               initial=initial, labels=("x", "y", "w"))
+
+
+def chain_markov_model(flip):
+    kernel = np.zeros((8, 8))
+    for x in range(2):
+        for y in range(2):
+            for z in range(2):
+                row = x * 4 + y * 2 + z
+                for x2 in range(2):
+                    for y2 in range(2):
+                        for z2 in range(2):
+                            py = (1 - flip) if y2 == x else flip
+                            pz = (1 - flip) if z2 == y else flip
+                            kernel[row, x2 * 4 + y2 * 2 + z2] = 0.5 * py * pz
+    return DiscreteMarkovModel(alphabet_sizes=(2, 2, 2), order=1, kernel=kernel,
+                               initial=np.full(8, 1 / 8), labels=("x", "y", "z"))
+
+
+def lag2_channel(flip):
+    M = 4
+    kernel = np.zeros((M * M, M))
+    for past1 in range(M):      # joint symbol at t-2
+        x_lag2 = past1 >> 1
+        for past2 in range(M):  # joint symbol at t-1
+            row = past1 * M + past2
+            for nxt in range(M):
+                x2, y2 = nxt >> 1, nxt & 1
+                py = (1 - flip) if y2 == x_lag2 else flip
+                kernel[row, nxt] = 0.5 * py
+    return DiscreteMarkovModel(alphabet_sizes=(2, 2), order=2, kernel=kernel,
+                               initial=np.full(M * M, 1 / (M * M)), labels=("x", "y"))
+
+
+def random_feedback_free_model(seed, alphabet):
+    rng = np.random.default_rng(seed)
+    m = alphabet
+    p_a = rng.dirichlet(np.ones(m), size=m)                # p(a' | a)
+    p_b = rng.dirichlet(np.ones(m), size=(m, m, m))        # p(b' | a', a, b)
+    kernel = np.zeros((m * m, m * m))
+    for a in range(m):
+        for b in range(m):
+            for a2 in range(m):
+                for b2 in range(m):
+                    kernel[a * m + b, a2 * m + b2] = p_a[a, a2] * p_b[a2, a, b, b2]
+    initial = np.kron(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)))
+    return DiscreteMarkovModel(alphabet_sizes=(m, m), order=1, kernel=kernel,
+                               initial=initial, labels=("a", "b"))
 
 
 def nonlinear_example_values(alpha, beta, T, seed, burn_in):

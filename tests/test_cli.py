@@ -330,7 +330,7 @@ def test_replay_of_gaussian_decompose_is_byte_identical(tmp_path):
     assert (tmp_path / "gw.json").read_bytes() == first
 
 
-def test_check_flags_tampered_results(tmp_path):
+def test_check_flags_tampered_results(tmp_path, capsys):
     save_model(chain_markov_model(0.1), tmp_path / "model.json")
     run("decompose", "--model", tmp_path / "model.json", "--A", "x", "--B", "y",
         "--n", 3, "--out", tmp_path / "dec")
@@ -346,6 +346,12 @@ def test_check_flags_tampered_results(tmp_path):
     for doc in tampered:
         (tmp_path / "dec.json").write_text(json.dumps(doc))
         assert run("check", tmp_path / "dec.json") == 1
+    # identities left out: each of the six is required
+    for residuals in ({}, {"id1": 0.0}):
+        (tmp_path / "dec.json").write_text(json.dumps({**clean, "residuals": residuals}))
+        capsys.readouterr()
+        assert run("check", tmp_path / "dec.json") == 1
+        assert "residual id2 is missing" in capsys.readouterr().err
 
 
 def test_graph_json_decisions_are_checked(tmp_path):

@@ -36,7 +36,13 @@ from dirinfo.inference import (
     llr_coupling,
     stein_exponent_check,
 )
-from dirinfo.measures import ConditioningMode, decompose, rate
+from dirinfo.measures import (
+    ConditioningMode,
+    decompose,
+    directed_information,
+    mutual_information,
+    rate,
+)
 from dirinfo.simulate import (
     chain_markov_model,
     copy_channel,
@@ -220,6 +226,50 @@ def test_chi_square_level_outside_unit_interval_is_param_error(call, alpha):
 def test_groups_must_be_disjoint():
     with pytest.raises(PartitionError):
         llr_causality(iid_panel(500, 1), ["x0"], ["x0"], family=VarFamily())
+
+
+def _chain_panel(bins=None):
+    panel, _ = gen_chain_example(500, seed=4)
+    return panel if bins is None else symbolize(panel, bins, "equal_frequency")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: directed_information(enumerate_joint(delay_channel(0.1), 4), (), (1,)),
+    lambda: mutual_information(enumerate_joint(delay_channel(0.1), 4), (0,), ()),
+    lambda: rate("te", delay_channel(0.1), (), (1,)),
+    lambda: llr_causality(_chain_panel(2), [], ["y"], calibration="surrogate", seed=1),
+    lambda: llr_causality(_chain_panel(), [], ["y"], family=VarFamily(),
+                          calibration="surrogate", seed=1),
+    lambda: llr_causality(_chain_panel(2), [], ["y"]),
+    lambda: llr_coupling(_chain_panel(), ["x"], [], family=VarFamily()),
+], ids=["di", "mi", "rate", "discrete_surrogate", "var_surrogate", "discrete_chi_square",
+        "var_coupling"])
+def test_empty_a_or_b_is_a_partition_error(call):
+    # nothing is tested without a source or a target, whatever the calibration
+    with pytest.raises(PartitionError, match="A and B must be nonempty"):
+        call()
+
+
+def test_discrete_table_past_int64_cell_codes_is_refused():
+    # 16 symbols per column at order 5 give 2**84 (context, target) cells:
+    # int64 cell codes would wrap and merge distinct cells
+    rng = np.random.default_rng(1)
+    T = 20_000
+    values = rng.integers(0, 2, (T, 4))
+    flips = rng.random(T) < 0.05
+    for t in range(5, T):
+        values[t, 1] = values[t - 5, 1] ^ flips[t]
+    values[0] = 15
+    panel = TimeSeriesPanel(values=values, labels=("a", "b", "c", "d"))
+    family = DiscreteMarkovFamily(5)
+    with pytest.raises(ParamError, match=f"order 5 needs {2**84} "):
+        llr_causality(panel, ["a"], ["b"], ["c", "d"], family=family)
+    with pytest.raises(ParamError, match="int64"):
+        llr_coupling(panel, ["a"], ["b"], ["c", "d"], family=family)
+    # the graph records each edge as failed, so no edge is decided
+    graph = infer_graph(panel, family)
+    assert graph.errors[("a", "b")].startswith("ParamError: order 5 needs")
+    assert not graph.directed and not graph.undirected
 
 
 @pytest.mark.parametrize("family", [GlmSpikingFamily(), "var"], ids=["glm", "string"])

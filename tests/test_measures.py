@@ -37,6 +37,7 @@ from dirinfo.simulate import (
     lag2_channel,
     random_feedback_free_model,
     random_markov_model,
+    random_var_model,
 )
 
 LN2 = math.log(2.0)
@@ -97,6 +98,25 @@ def test_mutual_information_rejects_overlap():
     dist = enumerate_joint(independent_pair(), 2)
     with pytest.raises(PartitionError):
         mutual_information(dist, (0,), (0,), 2)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda m: entropy(m, [0], [1]),
+    lambda m: mutual_information(m, (0,), (1,), 3),
+    lambda m: directed_information(m, (0,), (1,), 3),
+    lambda m: delayed_directed_information(m, (0,), (1,), 3),
+    lambda m: instantaneous_exchange(m, (0,), (1,), 3),
+    lambda m: delta_instantaneous(m, (0,), (1,), (2,), 3),
+    lambda m: causal_mutual_information(m, (0,), (1,), 3),
+    lambda m: schreiber_transfer_entropy(m, (0,), (1,), 1, 1, 3),
+    lambda m: kl_directed_information(m, (0,), (1,), 3),
+    lambda m: lautum_transfer_rate(m, (0,), (1,), 3),
+], ids=["entropy", "mi", "di", "te", "iie", "delta", "causal_mi", "schreiber", "kl_di",
+        "lautum"])
+def test_finite_horizon_measures_refuse_a_var_model(measure):
+    # a VAR model has exact rates only: rate and decompose take it
+    with pytest.raises(ParamError, match="rate or decompose"):
+        measure(random_var_model(3, nodes=3, order=2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from dirinfo import simulate
 from dirinfo.discrete import DiscreteMarkovModel, enumerate_joint
 from dirinfo.errors import ParamError, UnstableModel
 from dirinfo.gaussian import VarModel
@@ -67,6 +68,33 @@ def test_chain_relative_to_pair_x_causes_z():
 def test_chain_noise_scales_validated():
     with pytest.raises(ParamError):
         gen_chain_example(100, seed=1, noise_scales=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# canonical discrete models
+# ---------------------------------------------------------------------------
+
+FLIPS = (0, 0.05, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 1)
+FACTORY_GRID = {
+    "delay_channel": [(f,) for f in FLIPS],
+    "copy_channel": [(f,) for f in FLIPS],
+    "chain_markov_model": [(f,) for f in FLIPS],
+    "lag2_channel": [(f,) for f in FLIPS],
+    "common_driver_model": [(f, p) for f in FLIPS for p in (0, 0.1, 0.2, 0.45, 1)],
+    "random_feedback_free_model": [(s, m) for s in range(30) for m in (2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORY_GRID))
+def test_factories_match_entrywise_loops(name):
+    # each broadcast law fills every kernel and initial entry with the same
+    # arithmetic as the reference's per-entry loops, so the bytes agree
+    for args in FACTORY_GRID[name]:
+        got, want = getattr(simulate, name)(*args), getattr(reference, name)(*args)
+        assert (got.alphabet_sizes, got.order, got.labels) == \
+            (want.alphabet_sizes, want.order, want.labels)
+        assert got.kernel.tobytes() == want.kernel.tobytes(), (name, args)
+        assert got.initial.tobytes() == want.initial.tobytes(), (name, args)
 
 
 # ---------------------------------------------------------------------------
