@@ -52,3 +52,7 @@ dirinfo graph --input ch.csv --family discrete --bins 3 --out gd
 dirinfo graph --input ch.csv --family var --calibration surrogate --seed 11 --out gs
 for result in gd gs; do dirinfo check "$result.json"; done
 for run in gd gs; do dirinfo replay "$run.manifest.json"; done
+dirinfo estimate --input ch.csv --family discrete --order 2 --bins 3 --out md2
+dirinfo decompose --model md2.model.json --A x --B y --n 4 --out dd2
+dirinfo check dd2.json
+for run in md2 dd2; do dirinfo replay "$run.manifest.json"; done

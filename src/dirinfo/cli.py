@@ -126,7 +126,9 @@ def _cmd_simulate(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _maybe_symbolize(panel, args):
+def _input_panel(args):
+    """The --input panel, symbolized with --bins for the discrete family."""
+    panel = load_panel(args.input, format=args.format)
     if args.family == "discrete" and not panel.is_integer():
         if not args.bins:
             raise DirinfoError("continuous panel: the discrete family needs --bins")
@@ -135,10 +137,9 @@ def _maybe_symbolize(panel, args):
 
 
 def _cmd_estimate(args) -> int:
-    panel = load_panel(args.input, format=args.format)
+    panel = _input_panel(args)
     outputs = []
     if args.family == "discrete":
-        panel = _maybe_symbolize(panel, args)
         model = fit_plugin(panel, order=args.order, smoothing=args.smoothing)
         doc = model_to_json(model)
         rows = [("family", "discrete_markov"), ("order", args.order),
@@ -192,15 +193,22 @@ def _cmd_decompose(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# test
+# test and graph
 # ---------------------------------------------------------------------------
 
-def _cmd_test(args) -> int:
-    if args.calibration == "surrogate" and args.seed is None:
-        return _die("surrogate calibration is stochastic: --seed is required")
-    panel = load_panel(args.input, format=args.format)
-    panel = _maybe_symbolize(panel, args)
-    family = family_from_spec(args.family, order=args.order)
+def _on_panel(command):
+    """``test`` or ``graph``: once a surrogate run has its seed, ``command``
+    runs on the (symbolized) input panel and the family."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        if args.calibration == "surrogate" and args.seed is None:
+            return _die("surrogate calibration is stochastic: --seed is required")
+        return command(args, _input_panel(args), family_from_spec(args.family, order=args.order))
+    return run
+
+
+@_on_panel
+def _cmd_test(args, panel, family) -> int:
     if args.calibration == "surrogate":  # the manifest records the count drawn
         args.surrogates = surrogate_count(args.surrogates, args.alpha)
     common = dict(family=family, alpha=args.alpha, calibration=args.calibration,
@@ -226,16 +234,8 @@ def _cmd_test(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# graph
-# ---------------------------------------------------------------------------
-
-def _cmd_graph(args) -> int:
-    if args.calibration == "surrogate" and args.seed is None:
-        return _die("surrogate calibration is stochastic: --seed is required")
-    panel = load_panel(args.input, format=args.format)
-    panel = _maybe_symbolize(panel, args)
-    family = family_from_spec(args.family, order=args.order)
+@_on_panel
+def _cmd_graph(args, panel, family) -> int:
     graph = infer_graph(panel, family, alpha=args.alpha,
                         mode=args.mode, correction=args.correction,
                         calibration=args.calibration, surrogates=args.surrogates,
@@ -434,7 +434,10 @@ def _add_common_io(p, units=True):
                        help="display units for the printed table (files stay in nats)")
 
 
-def _add_family_options(p):
+def _add_panel_options(p):
+    """The input panel and the family that reads it."""
+    p.add_argument("--input", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--family", choices=("discrete", "var"), default="discrete",
                    help="discrete tests read every log likelihood from one count table "
                         "of (context, target) cells, pseudo-count 1/2 per cell")
@@ -442,6 +445,22 @@ def _add_family_options(p):
     p.add_argument("--bins", type=int, help="symbolization bins for continuous input")
     p.add_argument("--scheme", choices=("equal_width", "equal_frequency"),
                    default="equal_frequency")
+
+
+def _add_test_options(p):
+    """The options ``test`` and ``graph`` share: the panel, the family, the
+    level and its calibration, and the conditioning mode."""
+    _add_panel_options(p)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--calibration", choices=("chi_square", "surrogate"),
+                   default="chi_square")
+    p.add_argument("--surrogates", type=int,
+                   help="surrogates per test (default: 200, or the fewest that "
+                        "calibrate the per-test level when that is more)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
+                   default="contemporaneous")
+    _add_common_io(p)
 
 
 @functools.cache
@@ -469,9 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit a model from a panel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_family_options(p)
+    _add_panel_options(p)
     p.add_argument("--smoothing", type=float, default=0.5,
                    help="additive smoothing of the discrete plug-in kernel (estimate only)")
     p.add_argument("--method", choices=("ols", "yule_walker"), default="ols",
@@ -493,40 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("test", help="single causality or coupling test")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_test_options(p)
     p.add_argument("--kind", choices=("causality", "coupling"), required=True)
     p.add_argument("--A", nargs="+", required=True)
     p.add_argument("--B", nargs="+", required=True)
     p.add_argument("--C", nargs="*", default=[])
-    _add_family_options(p)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--calibration", choices=("chi_square", "surrogate"),
-                   default="chi_square")
-    p.add_argument("--surrogates", type=int,
-                   help="default: 200, or the fewest that calibrate --alpha if more")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
-                   default="contemporaneous")
-    _add_common_io(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("graph", help="infer the mixed causality graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_family_options(p)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_test_options(p)
     p.add_argument("--correction", choices=("bonferroni", "none"), default="bonferroni")
-    p.add_argument("--calibration", choices=("chi_square", "surrogate"),
-                   default="chi_square")
-    p.add_argument("--surrogates", type=int,
-                   help="surrogates per test (default: 200, or the fewest that "
-                        "calibrate the corrected level when that is more)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("contemporaneous", "strict_past"),
-                   default="contemporaneous")
     p.add_argument("--threads", type=int, default=1)
-    _add_common_io(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("check", help="re-verify a result JSON")

@@ -16,6 +16,7 @@ Serialized layout (also used by the JSON format):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,9 +92,7 @@ class DiscreteMarkovModel:
 
     def encode_states(self, rows: np.ndarray) -> np.ndarray:
         """Map (T, |V|) integer samples to joint symbols."""
-        rows = np.asarray(rows)
-        return np.ravel_multi_index(tuple(rows[:, a] for a in range(self.n_nodes)),
-                                    self.alphabet_sizes)
+        return _Symbols(np.asarray(rows), self.alphabet_sizes).codes(range(self.n_nodes))[0]
 
     def decode_states(self, codes: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`encode_states`; returns (T, |V|)."""
@@ -160,8 +159,45 @@ def marginal(dist: SequenceDistribution, nodes, times) -> SequenceDistribution:
 
 
 # ---------------------------------------------------------------------------
-# plug-in estimation
+# symbol panels and plug-in estimation
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Symbols:
+    """Symbols (T, |V|) of an integer panel with the alphabet size of each
+    column; permuting a column keeps its alphabet."""
+
+    values: np.ndarray
+    sizes: tuple
+
+    @classmethod
+    def of(cls, panel: TimeSeriesPanel, sizes=None) -> _Symbols:
+        """The panel's symbols, with the given alphabet ``sizes`` or, by
+        default, each column's largest symbol plus one."""
+        if not panel.is_integer():
+            raise InvalidModel("discrete models need an integer (symbolized) panel")
+        values = panel.values
+        if values.min() < 0:
+            raise InvalidModel("symbol values must be nonnegative")
+        if sizes is None:
+            return cls(values, tuple(int(m) + 1 for m in values.max(axis=0)))
+        sizes = tuple(int(m) for m in sizes)
+        if len(sizes) != panel.n_nodes:
+            raise InvalidModel(f"{len(sizes)} alphabet sizes for {panel.n_nodes} columns")
+        for label, top, m in zip(panel.labels, values.max(axis=0), sizes):
+            if top >= m:
+                raise InvalidModel(f"column {label!r} exceeds alphabet size {m}")
+        return cls(values, sizes)
+
+    def codes(self, cols):
+        """Joint symbol per row of the columns ``cols``, the first most
+        significant, and the number of joint symbols (no columns: 0 of 1)."""
+        if not cols:
+            return np.zeros(self.values.shape[0], dtype=np.int64), 1
+        sizes = tuple(self.sizes[a] for a in cols)
+        codes = np.ravel_multi_index(tuple(self.values[:, a] for a in cols), sizes)
+        return codes.astype(np.int64), math.prod(sizes)
+
 
 def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
                alphabet_sizes=None) -> DiscreteMarkovModel:
@@ -171,9 +207,10 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     windows; the initial law is the empirical law of the first ``order``
     samples.  ``smoothing=0`` keeps raw maximum-likelihood counts (rows that
     were never visited fall back to uniform so the kernel stays stochastic).
+    The ``M**(order + 1)`` kernel entries are charged to the state budget
+    first.  At ``smoothing=0.5`` this is the law the discrete tests fit.
     """
-    if not panel.is_integer():
-        raise InvalidModel("plug-in fitting needs an integer (symbolized) panel")
+    symbols = _Symbols.of(panel, alphabet_sizes)
     if not 0 <= smoothing < np.inf:
         raise InvalidModel(f"smoothing must be finite and >= 0, got {smoothing!r}")
     k = int(order)
@@ -182,18 +219,10 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     T = panel.n_samples
     if T <= k:
         raise InsufficientData(f"need more than order={k} samples, got T={T}")
-    values = panel.values
-    if values.min() < 0:
-        raise InvalidModel("symbol values must be nonnegative")
-    if alphabet_sizes is None:
-        sizes = tuple(int(values[:, a].max()) + 1 for a in range(panel.n_nodes))
-    else:
-        sizes = tuple(int(m) for m in alphabet_sizes)
-        for a in range(panel.n_nodes):
-            if values[:, a].max() >= sizes[a]:
-                raise InvalidModel(f"column {a} exceeds alphabet size {sizes[a]}")
-    M = int(np.prod(sizes))
-    codes = np.ravel_multi_index(tuple(values[:, a] for a in range(panel.n_nodes)), sizes)
+    entries = math.prod(symbols.sizes) ** (k + 1)
+    if entries > DEFAULT_STATE_BUDGET:
+        raise BudgetError(entries, DEFAULT_STATE_BUDGET)
+    codes, M = symbols.codes(range(panel.n_nodes))
 
     windows = window_codes(codes[:-1], k, M)
     nxt = codes[k:]
@@ -208,7 +237,7 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
                           counts / np.where(row_tot == 0, 1.0, row_tot))
     initial = np.zeros(M**k)
     initial[windows[0]] = 1.0
-    return DiscreteMarkovModel(alphabet_sizes=sizes, order=k, kernel=kernel,
+    return DiscreteMarkovModel(alphabet_sizes=symbols.sizes, order=k, kernel=kernel,
                                initial=initial, labels=panel.labels)
 
 

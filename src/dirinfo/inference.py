@@ -30,7 +30,7 @@ from .calibration import (  # the public names are re-exported
     surrogate_count,
 )
 from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
-from .discrete import window_codes
+from .discrete import _Symbols, window_codes
 from .errors import DirinfoError, FitError, InvalidModel, ParamError, PartitionError, SingularDesign
 from .gaussian import _LaggedGram
 from .measures import ConditioningMode, _as_mode
@@ -64,8 +64,7 @@ class DiscreteMarkovFamily:
         _check_at_least_one(order=self.order)
 
     def _prepare(self, panel):
-        values = _discrete_values(panel)
-        return _Symbols(values, tuple(int(m) + 1 for m in values.max(axis=0)))
+        return _Symbols.of(panel)
 
     def _causality(self, data, a_idx, b_idx, c_idx):
         return _discrete_causality(data, a_idx, b_idx, c_idx, self.order)
@@ -112,10 +111,10 @@ class GlmSpikingFamily:
         _check_at_least_one(memory=self.memory)
 
     def _prepare(self, panel):
-        values = _discrete_values(panel)
-        if values.max() > 1:
+        symbols = _Symbols.of(panel)
+        if max(symbols.sizes) > 2:
             raise InvalidModel("GLM spiking family needs a binary panel")
-        return _LaggedGram(values.astype(float), self.memory)
+        return _LaggedGram(symbols.values.astype(float), self.memory)
 
     def _loglik(self, data, target, cols):
         """Maximized logistic log likelihood of ``target`` on an intercept
@@ -169,16 +168,6 @@ def _check_disjoint(*groups):
         seen |= set(g)
 
 
-def _encode(data, idx):
-    """Joint symbol per row of the columns ``idx`` of a symbol panel, and
-    the number of joint symbols; no columns give symbol 0 of 1."""
-    if not idx:
-        return np.zeros(data.values.shape[0], dtype=np.int64), 1
-    sizes = tuple(data.sizes[a] for a in idx)
-    codes = np.ravel_multi_index(tuple(data.values[:, a] for a in idx), sizes)
-    return codes.astype(np.int64), math.prod(sizes)
-
-
 def _count_cells(cells, n_ctx, n_tgt):
     """(rows, n_ctx, n_tgt) table counting each row of ``cells`` (S, n) in
     one ``bincount``, after adding each row's offset to it in place."""
@@ -228,32 +217,20 @@ def _loglik(counts):
             - (n * np.log(n + 0.5 * m))[ctx_tot].sum(axis=1))
 
 
-def _check_cell_count(data, k, past, present):
-    """Refuse a table whose (context, target) cells, ``k``-sample windows of
-    the columns ``past`` times the symbols of the columns ``present``, are
-    more than int64 cell codes can index."""
+def _table_rows(data, k, past, present):
+    """The T - k rows of a table whose (context, target) cells are
+    ``k``-sample windows of the columns ``past`` times the symbols of the
+    columns ``present``; T must exceed k, and int64 cell codes must index
+    the cells."""
+    T = data.values.shape[0]
+    if T <= k:
+        raise SingularDesign(f"T={T} too short for order {k}")
     cells = (math.prod(data.sizes[a] for a in past) ** k
              * math.prod(data.sizes[a] for a in present))
     if cells > np.iinfo(np.int64).max:
         raise ParamError(f"order {k} needs {cells} (context, target) cells, "
                          f"past the int64 range of cell codes")
-
-
-def _discrete_values(panel):
-    if not panel.is_integer():
-        raise InvalidModel("discrete family needs an integer (symbolized) panel")
-    if panel.values.min() < 0:
-        raise InvalidModel("symbol values must be nonnegative")
-    return panel.values
-
-
-@dataclass(frozen=True)
-class _Symbols:
-    """Symbol panel of the discrete family, with the alphabet sizes of the
-    observed data; permuting a column keeps its alphabet."""
-
-    values: np.ndarray
-    sizes: tuple
+    return T - k
 
 
 def _discrete_causality(data, a_idx, b_idx, c_idx, k):
@@ -266,14 +243,10 @@ def _discrete_causality(data, a_idx, b_idx, c_idx, k):
     orders of A's columns (None: the observed panel) and counts the full
     model of each.
     """
-    T = data.values.shape[0]
-    if T <= k:
-        raise SingularDesign(f"T={T} too short for order {k}")
-    _check_cell_count(data, k, a_idx + b_idx + c_idx, b_idx)
-    res_codes, m_res = _encode(data, tuple(sorted(b_idx + c_idx)))
-    a_codes, m_a = _encode(data, a_idx)
-    tgt_codes, m_tgt = _encode(data, b_idx)
-    n_obs = T - k
+    n_obs = _table_rows(data, k, a_idx + b_idx + c_idx, b_idx)
+    res_codes, m_res = data.codes(sorted(b_idx + c_idx))
+    a_codes, m_a = data.codes(a_idx)
+    tgt_codes, m_tgt = data.codes(b_idx)
     res_ctx = window_codes(res_codes[:-1], k, m_res)
     ll_res = _read_cells(_loglik, (res_ctx * m_tgt + tgt_codes[k:])[None], m_res**k, m_tgt)
     fixed = res_ctx * m_a**k * m_tgt + tgt_codes[k:]
@@ -294,21 +267,17 @@ def _discrete_coupling(data, a_idx, b_idx, c_idx, k, mode):
     the joint present of A and B in context (past of B and C, C's present
     under contemporaneous conditioning, past of A) and reads the fits of A
     and of B from the table's two marginal sums."""
-    T = data.values.shape[0]
-    if T <= k:
-        raise SingularDesign(f"T={T} too short for order {k}")
     present = a_idx + b_idx + (c_idx if mode is ConditioningMode.CONTEMPORANEOUS else ())
-    _check_cell_count(data, k, a_idx + b_idx + c_idx, present)
-    fixed_codes, m_fixed = _encode(data, tuple(sorted(b_idx + c_idx)))
+    n_obs = _table_rows(data, k, a_idx + b_idx + c_idx, present)
+    fixed_codes, m_fixed = data.codes(sorted(b_idx + c_idx))
     fixed_ctx = window_codes(fixed_codes[:-1], k, m_fixed)
     n_fixed = m_fixed**k
     if mode is ConditioningMode.CONTEMPORANEOUS and c_idx:
-        c_codes, m_c = _encode(data, tuple(sorted(c_idx)))
+        c_codes, m_c = data.codes(sorted(c_idx))
         fixed_ctx = fixed_ctx * m_c + c_codes[k:]
         n_fixed *= m_c
-    a_codes, m_a = _encode(data, a_idx)
-    b_codes, m_b = _encode(data, b_idx)
-    n_obs = T - k
+    a_codes, m_a = data.codes(a_idx)
+    b_codes, m_b = data.codes(b_idx)
     n_tgt = m_a * m_b
     fixed = fixed_ctx * m_a**k * n_tgt + b_codes[k:]
     # A's past window in the context, then A's present in the target

@@ -270,6 +270,18 @@ def _conditional_factor(view, head, given):
     return out
 
 
+def _influence_free(dist, a_nodes, b_nodes, n, lag):
+    """The bivariate view of A and B over times 1..n, and on it the law
+    p(x_B^n) prod_i p(x_A(i) | x_A^{i-1}, x_B^{i-lag}), ``lag`` 1 or 0."""
+    view, a, b = _bivariate_view(dist, a_nodes, b_nodes, n)
+    d = view.n_nodes
+    factorized = _expand(view, _upto(b, n, d))
+    for i in range(1, n + 1):
+        factorized = factorized * _conditional_factor(
+            view, a << (i - 1) * d, _upto(a, i - 1, d) | _upto(b, i - lag, d))
+    return view, factorized
+
+
 def _kl_linear(p: np.ndarray, q: np.ndarray, context: str) -> float:
     """sum p log(p/q) over the support of p; infinite on support mismatch."""
     p = np.broadcast_to(p, np.broadcast_shapes(p.shape, q.shape))
@@ -295,12 +307,7 @@ def kl_directed_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
     :func:`directed_information` on exact tables.
     """
     n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, a, b = _bivariate_view(dist, a_nodes, b_nodes, n)
-    d = view.n_nodes
-    factorized = _expand(view, _upto(b, n, d))
-    for i in range(1, n + 1):
-        factorized = factorized * _conditional_factor(
-            view, a << (i - 1) * d, _upto(a, i - 1, d) | _upto(b, i - 1, d))
+    view, factorized = _influence_free(dist, a_nodes, b_nodes, n, 1)
     value = _kl_linear(view.pmf, factorized, "directed information")
     return MeasureValue(value=value, horizon=n, kind="di")
 
@@ -320,12 +327,7 @@ def lautum_transfer_rate(model_or_dist, a_nodes, b_nodes, n=None,
     else:
         dist = model_or_dist
     n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, a, b = _bivariate_view(dist, a_nodes, b_nodes, n)
-    d = view.n_nodes
-    factorized = _expand(view, _upto(b, n, d))
-    for i in range(1, n + 1):
-        factorized = factorized * _conditional_factor(
-            view, a << (i - 1) * d, _upto(a, i - 1, d) | _upto(b, i, d))
+    view, factorized = _influence_free(dist, a_nodes, b_nodes, n, 0)
     factorized = np.broadcast_to(factorized, view.pmf.shape)
     # mass lost at contexts the true law never reaches would flow onto
     # zero-probability trajectories: the divergence is infinite
@@ -410,7 +412,7 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
 
     te_c_past = total("te", a, b, c)
     causal_mi = total("mi", a, b, c)
-    delta = total("iie", c, b, a) - total("iie", c, b) if c else 0.0
+    delta = delta_instantaneous(dist, a, b, c, n).value if c else 0.0
 
     residuals = {
         "id1": biv_di_ab + biv_te_ba - biv_mi,

@@ -55,6 +55,13 @@ def _truth(labels, directed, instantaneous=()) -> GroundTruth:
     )
 
 
+def _samples(T, burn_in):
+    """Samples to draw for ``T`` kept rows after ``burn_in`` discarded ones."""
+    if not T >= 1:
+        raise ParamError(f"T must be >= 1, got {T!r}")
+    return T + burn_in
+
+
 # ---------------------------------------------------------------------------
 # linear Gaussian
 # ---------------------------------------------------------------------------
@@ -76,7 +83,7 @@ def gen_var(model: VarModel, T: int, seed) -> tuple[TimeSeriesPanel, GroundTruth
     rng = np.random.default_rng(seed)
     p, d = model.order, model.n_nodes
     burn = max(p, 10 * _mixing_length(model.spectral_radius))
-    total = T + burn
+    total = _samples(T, burn)
     chol = np.linalg.cholesky(model.noise_cov)
     # each innovation row becomes x(t) in place
     x = rng.standard_normal((total, d)) @ chol.T
@@ -106,7 +113,7 @@ def gen_chain_example(T: int, seed, noise_scales=(1.0, 1.0)) -> tuple[TimeSeries
     if se <= 0 or sh <= 0:
         raise ParamError("noise scales must be positive")
     rng = np.random.default_rng(seed)
-    total = T + 2
+    total = _samples(T, 2)
     x = rng.standard_normal(total)
     eps = rng.standard_normal(total) * se
     eta = rng.standard_normal(total) * sh
@@ -131,7 +138,7 @@ def gen_nonlinear_example(alpha: float, beta: float, T: int, seed) -> tuple[Time
     if not abs(alpha) < 1:
         raise ParamError("|alpha| < 1 required for stationarity")
     rng = np.random.default_rng(seed)
-    total = T + NONLINEAR_BURN_IN
+    total = _samples(T, NONLINEAR_BURN_IN)
     y = rng.standard_normal(total)
     eps = rng.standard_normal(total)
     drive = np.zeros(total)
@@ -171,7 +178,7 @@ def gen_glm_spiking(weights: dict, T: int, seed, labels=None,
 
     rng = np.random.default_rng(seed)
     d = len(labels)
-    total = T + NONLINEAR_BURN_IN
+    total = _samples(T, NONLINEAR_BURN_IN)
     x = np.zeros((total, d), dtype=np.int64)
     bias_vec = np.array([bias.get(lab, 0.0) for lab in labels])
     uniforms = rng.random((total, d))

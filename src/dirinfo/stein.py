@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .discrete import DiscreteMarkovModel, draw_symbols, sample_codes
+from .discrete import DiscreteMarkovModel, _Symbols, draw_symbols, sample_codes
 from .errors import ParamError, PartitionError
 from .measures import rate as measure_rate
 
@@ -42,8 +42,9 @@ class _BivariateFilter:
     past, a window code built by ``next_window`` from 0: ``kernels[min(t, k)]``
     is the law of the symbol at time t given it (the initial law's prefix
     conditional for t < k, then the model kernel), ``a_laws`` A's part of
-    that law.  B's side conditions on B's own past through a belief over the
-    windows (``predict``, ``condition``)."""
+    that law, and ``log_ratio`` the per-step log p(s_t | past) - log
+    p(a_t | past).  B's side conditions on B's own past through a belief
+    over the windows (``predict``, ``condition``)."""
 
     def __init__(self, model: DiscreteMarkovModel, a_idx, b_idx):
         if set(a_idx) | set(b_idx) != set(range(model.n_nodes)):
@@ -51,15 +52,9 @@ class _BivariateFilter:
         if model.kernel.min() <= 0.0 or model.initial.min() <= 0.0:
             raise ParamError("error-exponent check needs a strictly positive model")
         k, M = model.order, model.joint_alphabet
-        states = model.decode_states(np.arange(M))
-
-        def part(nodes):
-            """Each joint symbol's part on ``nodes`` as a code, and the number of codes."""
-            shape = tuple(model.alphabet_sizes[v] for v in nodes)
-            codes = np.ravel_multi_index(tuple(states[:, v] for v in nodes), shape)
-            return codes, int(np.prod(shape))
-
-        (self.a_of, self.m_a), (self.b_of, self.m_b) = part(a_idx), part(b_idx)
+        # each joint symbol's part on A and on B as a code, and the number of codes
+        states = _Symbols(model.decode_states(np.arange(M)), model.alphabet_sizes)
+        (self.a_of, self.m_a), (self.b_of, self.m_b) = states.codes(a_idx), states.codes(b_idx)
         # joint symbol with a given a-part and b-part
         self.merge = np.full((self.m_a, self.m_b), -1, dtype=np.int64)
         self.merge[self.a_of, self.b_of] = np.arange(M)
@@ -68,6 +63,8 @@ class _BivariateFilter:
         prefixes = [init_nd.sum(axis=tuple(range(t + 1, k))).reshape(-1, M) for t in range(k)]
         self.kernels = [p / p.sum(axis=1, keepdims=True) for p in prefixes] + [model.kernel]
         self.a_laws = [kern @ (self.a_of[:, None] == np.arange(self.m_a)) for kern in self.kernels]
+        self.log_ratio = [np.log(kern) - np.log(law[:, self.a_of])
+                          for kern, law in zip(self.kernels, self.a_laws)]
         # b_masks[min(t, k), beta, w]: 1 where the symbol at time t in window w
         # (position t, and the newest one from t = k on) has b-part beta
         b_at = self.b_of[np.stack(np.unravel_index(np.arange(M**k), (M,) * k))]
@@ -93,35 +90,36 @@ def _stein_llr(flt: _BivariateFilter, codes: np.ndarray) -> np.ndarray:
     """log p(a^T, b^T) - log p(a^T || b^{T-1}) - log p(b^T), per trial: per
     step log p(s_t | past) - log p(a_t | past) - log p(b_t | b^{t-1})."""
     n_trials, T = codes.shape
-    log_ratio = [np.log(kern) - np.log(law[:, flt.a_of])
-                 for kern, law in zip(flt.kernels, flt.a_laws)]
     llr = np.zeros(n_trials)
     belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
     window = np.zeros(n_trials, dtype=np.int64)
     for t in range(T):
         s = codes[:, t]
         belief, mass = flt.condition(flt.predict(belief, t), flt.b_of[s], t)
-        llr += log_ratio[min(t, flt.k)][window, s] - np.log(mass)
+        llr += flt.log_ratio[min(t, flt.k)][window, s] - np.log(mass)
         window = flt.model.next_window(window, s)
     return llr
 
 
-def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> np.ndarray:
+def _sample_h0(flt: _BivariateFilter, T, n_trials, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sample from q = p(x_A^T || x_B^{T-1}) p(x_B^T), vectorized: under q,
     a_t and b_t are independent given the past, so each step draws b_t from
-    B's belief and a_t from A's law given the joint past."""
+    B's belief and a_t from A's law given the joint past.  Returns the
+    codes and their ``_stein_llr``, accumulated on the same filter pass."""
     a_cdfs = [np.cumsum(law, axis=1) for law in flt.a_laws]
     codes = np.empty((n_trials, T), dtype=np.int64)
+    llr = np.zeros(n_trials)
     belief = np.broadcast_to(flt.init, (n_trials, len(flt.init)))
     window = np.zeros(n_trials, dtype=np.int64)
     for t in range(T):
         j, belief = min(t, flt.k), flt.predict(belief, t)
         b_t = draw_symbols(np.cumsum(belief @ flt.b_masks[j].T, axis=1), rng)
         a_t = draw_symbols(a_cdfs[j][window], rng)
-        belief, _ = flt.condition(belief, b_t, t)
-        codes[:, t] = flt.merge[a_t, b_t]
-        window = flt.model.next_window(window, codes[:, t])
-    return codes
+        belief, mass = flt.condition(belief, b_t, t)
+        s = codes[:, t] = flt.merge[a_t, b_t]
+        llr += flt.log_ratio[j][window, s] - np.log(mass)
+        window = flt.model.next_window(window, s)
+    return codes, llr
 
 
 def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
@@ -152,8 +150,7 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
         h1 = sample_codes(model, T, trials, rng)
         llr_h1 = _stein_llr(flt, h1)
         tau = float(np.quantile(llr_h1, miss_level))
-        h0 = _sample_h0(flt, T, trials, rng)
-        llr_h0 = _stein_llr(flt, h0)
+        _, llr_h0 = _sample_h0(flt, T, trials, rng)
         n_fa = int(np.sum(llr_h0 > tau))
         if n_fa == 0:
             points.append((T, 0.0, math.inf, True, tau))

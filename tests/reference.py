@@ -8,8 +8,9 @@ broadcasts of per-node laws: every regression is a separate ``lstsq`` fit on
 an explicitly stacked lagged design, the permutation cuts the rotated index
 vector with ``np.array_split``, surrogate statistics are computed one
 permuted panel at a time, discrete likelihoods count the contexts found by
-``np.unique``, the joint law of a Markov model is the dense product of
-its initial law and kernels, the canonical discrete models fill their
+``np.unique`` and the plug-in kernel is tallied in dictionaries, the joint
+law of a Markov model is the dense product of its initial law and
+kernels, the canonical discrete models fill their
 kernels entry by entry in nested loops, the nonlinear example's AR(1) filter is
 ``scipy.signal.lfilter``, and a VAR's one-step prediction risk is a
 finite-window projection on its Lyapunov autocovariances rather than a
@@ -117,6 +118,52 @@ def discrete_coupling_stat(values, sizes, a_idx, b_idx, c_idx, k, alpha, contemp
     return (_cond_loglik(ctx, a_t * m_b + b_t, m_a * m_b, alpha)
             - _cond_loglik(ctx, a_t, m_a, alpha)
             - _cond_loglik(ctx, b_t, m_b, alpha)) / n_obs
+
+
+def plugin_counts(values, sizes, k):
+    """Dictionary tally of (window, next) joint-symbol pairs of an integer
+    panel, and the code of its first window: symbols coded row by row with
+    the first column most significant, windows oldest first."""
+    M = int(np.prod(sizes))
+    symbols = []
+    for row in values.tolist():
+        code = 0
+        for v, m in zip(row, sizes):
+            code = code * m + v
+        symbols.append(code)
+    windows = []
+    for t in range(len(symbols) - k + 1):
+        code = 0
+        for s in symbols[t:t + k]:
+            code = code * M + s
+        windows.append(code)
+    counts = {}
+    for w, s in zip(windows, symbols[k:]):
+        counts[w, s] = counts.get((w, s), 0) + 1
+    return counts, windows[0]
+
+
+def plugin_kernel(values, sizes, k, smoothing):
+    """Plug-in kernel ``(count + a) / (row + a * M)`` and initial law of an
+    integer panel, entry by entry from :func:`plugin_counts`; without
+    smoothing an unvisited row is uniform."""
+    M = int(np.prod(sizes))
+    counts, first = plugin_counts(values, sizes, k)
+    rows = {}
+    for (w, _), n in counts.items():
+        rows[w] = rows.get(w, 0) + n
+
+    def entry(n, row):
+        if smoothing > 0:
+            return (n + smoothing) / (row + smoothing * M)
+        return n / row if row else 1.0 / M
+
+    unvisited = [entry(0.0, 0.0)] * M
+    kernel = [[entry(float(counts.get((w, s), 0)), float(rows[w])) for s in range(M)]
+              if w in rows else unvisited for w in range(M**k)]
+    initial = np.zeros(M**k)
+    initial[first] = 1.0
+    return np.array(kernel), initial
 
 
 def chained_table(model, n):

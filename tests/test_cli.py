@@ -48,6 +48,25 @@ def test_simulate_requires_seed(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_simulate_refuses_a_negative_length(tmp_path, capsys):
+    assert run("simulate", "chain", "--T", -5, "--seed", 1, "--out", tmp_path / "x") == 1
+    assert "ParamError: T must be >= 1, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_estimate_refuses_a_kernel_past_the_state_budget(tmp_path, capsys):
+    """Four columns of 16 symbols: the order-1 kernel has 65,536**2 entries."""
+    values = np.random.default_rng(1).integers(0, 2, (2000, 4))
+    values[0] = 15
+    write_panel(TimeSeriesPanel(values=values, labels=("a", "b", "c", "d")),
+                tmp_path / "p.csv")
+    assert run("estimate", "--input", tmp_path / "p.csv", "--family", "discrete",
+               "--out", tmp_path / "m") == 1
+    assert f"BudgetError: exact marginal needs an array of {65536 ** 2} entries" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "m.model.json").exists()
+
+
 def test_graph_end_to_end(tmp_path):
     out = tmp_path / "chain"
     run("simulate", "chain", "--T", 8000, "--seed", 7, "--out", out)

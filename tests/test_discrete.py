@@ -1,10 +1,13 @@
 
+import math
+
 import numpy as np
 import pytest
 
 import oracle
 import reference
 from conftest import oracle_law, sticky_chain
+from dirinfo import inference
 from dirinfo.core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, cells_of
 from dirinfo.discrete import (
     DiscreteMarkovModel,
@@ -324,6 +327,68 @@ def test_fit_plugin_rejects_float_panel():
     panel = TimeSeriesPanel(values=np.zeros((10, 2)), labels=("a", "b"))
     with pytest.raises(InvalidModel):
         fit_plugin(panel, order=1)
+
+
+@pytest.mark.parametrize("nodes, m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_fit_plugin_matches_dictionary_tally(nodes, m):
+    """Every kernel and initial law equals the dictionary tally's bytes,
+    with the observed alphabets and with a larger one for the last column.
+    The tests' log likelihood of the (window, next) table is the count-
+    weighted log of the kernel at the pseudo-count 1/2, so the discrete
+    tests fit ``fit_plugin``'s law.  A kernel past the state budget is
+    refused."""
+    labels = ("a", "b", "c")[:nodes]
+    for seed in range(2):
+        values = np.random.default_rng(seed).integers(0, m, (300, nodes))
+        values[0] = m - 1  # every symbol of every column is in the alphabet
+        panel = TimeSeriesPanel(values=values, labels=labels)
+        for given in (None, (m,) * (nodes - 1) + (m + 1,)):
+            sizes = given or (m,) * nodes
+            M = int(np.prod(sizes))
+            for k in (1, 2, 3):
+                if M ** (k + 1) > DEFAULT_STATE_BUDGET:
+                    with pytest.raises(BudgetError) as err:
+                        fit_plugin(panel, order=k, alphabet_sizes=given)
+                    assert err.value.required == M ** (k + 1)
+                    continue
+                fits = {}
+                for smoothing in (0.0, 0.5, 1.0):
+                    fits[smoothing] = fit_plugin(panel, order=k, smoothing=smoothing,
+                                                 alphabet_sizes=given)
+                    kernel, initial = reference.plugin_kernel(values, sizes, k, smoothing)
+                    assert fits[smoothing].kernel.tobytes() == kernel.tobytes()
+                    assert fits[smoothing].initial.tobytes() == initial.tobytes()
+                counts, _ = reference.plugin_counts(values, sizes, k)
+                table = np.zeros((1, M**k, M), dtype=np.int64)
+                for (w, s), n in counts.items():
+                    table[0, w, s] = n
+                kernel = fits[0.5].kernel
+                expected = math.fsum(n * math.log(kernel[key]) for key, n in counts.items())
+                assert inference._loglik(table)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_plugin_refuses_a_too_small_alphabet():
+    panel = TimeSeriesPanel(values=np.array([[0, 1], [1, 2], [1, 0]]), labels=("a", "b"))
+    with pytest.raises(InvalidModel, match="column 'b' exceeds alphabet size 2"):
+        fit_plugin(panel, order=1, alphabet_sizes=(2, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fit_plugin_refuses_a_kernel_past_the_state_budget(k, monkeypatch):
+    """Four columns of 16 symbols make M = 65,536; the kernel is refused by
+    name before any joint symbol is coded or counted."""
+    values = np.random.default_rng(1).integers(0, 2, (2000, 4))
+    values[0] = 15
+    panel = TimeSeriesPanel(values=values, labels=("a", "b", "c", "d"))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the table was coded or counted")
+
+    monkeypatch.setattr(np, "ravel_multi_index", never)
+    monkeypatch.setattr(np, "bincount", never)
+    with pytest.raises(BudgetError) as err:
+        fit_plugin(panel, order=k)
+    assert err.value.required == 65536 ** (k + 1)
 
 
 # ---------------------------------------------------------------------------

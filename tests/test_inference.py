@@ -914,8 +914,11 @@ def test_stein_llr_and_samplers_match_oracle(name):
     index = {tuple(c): i for i, c in enumerate(codes.tolist())}
     n = 30_000
     rng = np.random.default_rng(2024)
-    for draws, log_law in ((sample_codes(model, T, n, rng), log_p),
-                           (stein._sample_h0(flt, T, n, rng), log_q)):
+    h1 = sample_codes(model, T, n, rng)
+    h0, llr_h0 = stein._sample_h0(flt, T, n, rng)
+    # the sampler's own LLR is the filter's, bit for bit
+    assert np.array_equal(llr_h0, stein._stein_llr(flt, h0))
+    for draws, log_law in ((h1, log_p), (h0, log_q)):
         observed = np.bincount([index[tuple(c)] for c in draws.tolist()],
                                minlength=len(codes))
         expected = n * np.exp(log_law)

@@ -42,6 +42,18 @@ def test_generators_deterministic():
         assert t1 == t2
 
 
+@pytest.mark.parametrize("T", [0, -5, -5000])
+@pytest.mark.parametrize("gen", [
+    lambda T: gen_chain_example(T, seed=1),
+    lambda T: gen_nonlinear_example(0.5, 1.0, T, seed=1),
+    lambda T: gen_var(random_var_model(3, nodes=2), T, seed=1),
+    lambda T: gen_glm_spiking({("a", "b"): [1.0]}, T, seed=1),
+], ids=["chain", "nonlinear", "var", "glm"])
+def test_generators_refuse_a_length_below_1(gen, T):
+    with pytest.raises(ParamError, match=f"T must be >= 1, got {T}"):
+        gen(T)
+
+
 # ---------------------------------------------------------------------------
 # chain
 # ---------------------------------------------------------------------------
