@@ -8,7 +8,7 @@ block-permutation surrogates of the source process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,18 +49,7 @@ class TestResult:
     __test__ = False  # not a pytest class despite the name
 
     def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "p_value": self.p_value,
-            "calibration": self.calibration,
-            "dof": self.dof,
-            "n_obs": self.n_obs,
-            "level": self.level,
-            "chi2_scale": self.chi2_scale,
-            "chi2_df": self.chi2_df,
-        }
+        return asdict(self)
 
 
 def _decide(statistic, threshold, p_value, calibration, dof, n_obs, level,

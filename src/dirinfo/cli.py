@@ -104,15 +104,13 @@ def _cmd_simulate(args) -> int:
         if not args.model:
             return _die("simulate var needs --model")
         panel, truth = gen_var(load_var(args.model), args.T, args.seed)
-    elif args.preset == "glm":
+    else:  # glm
         if not args.params:
             return _die("simulate glm needs --params")
         panel, truth = read_json(args.params, lambda spec: gen_glm_spiking(
             {tuple(key.split("->")): np.asarray(w, dtype=float)
              for key, w in spec["weights"].items()},
             args.T, args.seed, labels=spec.get("labels"), bias=spec.get("bias")))
-    else:  # pragma: no cover - argparse restricts choices
-        return _die(f"unknown preset {args.preset}")
     csv_path = f"{args.out}.csv"
     truth_path = f"{args.out}.truth.json"
     write_panel(panel, csv_path)
@@ -145,14 +143,12 @@ def _cmd_estimate(args) -> int:
         rows = [("family", "discrete_markov"), ("order", args.order),
                 ("joint alphabet", model.joint_alphabet),
                 ("kernel entries", int(model.kernel.size))]
-    elif args.family == "var":
+    else:  # var
         model = fit_var(panel, order=args.order, method=args.method)
         doc = var_to_json(model)
         rows = [("family", "var"), ("order", args.order),
                 ("spectral radius", model.spectral_radius),
                 ("stable", model.is_stable)]
-    else:
-        return _die(f"estimate does not support family {args.family}")
     path = f"{args.out}.model.json"
     _write_json(path, doc)
     outputs.append(path)

@@ -244,6 +244,23 @@ def write_panel(panel: TimeSeriesPanel, path, format: str = "csv") -> None:
 # partitions
 # ---------------------------------------------------------------------------
 
+def _node_groups(n_nodes, a, b, c=()) -> tuple[tuple[int, ...], ...]:
+    """The node groups A, B and C as index tuples, once A and B are nonempty,
+    every index lies in 0..n_nodes-1 and no node is named twice, within a
+    group or across groups.  The one check of a group triple, shared by
+    partitions, measures and tests."""
+    groups = tuple(tuple(int(x) for x in g) for g in (a, b, c))
+    if not groups[0] or not groups[1]:
+        raise PartitionError("A and B must be nonempty")
+    nodes = [x for g in groups for x in g]
+    for x in nodes:
+        if not 0 <= x < n_nodes:
+            raise SelectionError(f"node {x} out of range")
+    if len(set(nodes)) != len(nodes):
+        raise PartitionError("A, B, C must be pairwise disjoint, each node named once")
+    return groups
+
+
 @dataclass(frozen=True)
 class NodePartition:
     """Disjoint split V = A + B + C framing every directional measure.
@@ -258,12 +275,8 @@ class NodePartition:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        all_idx = list(self.a) + list(self.b) + list(self.c)
-        if not self.a or not self.b:
-            raise PartitionError("A and B must be nonempty")
-        if len(set(all_idx)) != len(all_idx):
-            raise PartitionError("A, B, C must be pairwise disjoint")
-        if sorted(all_idx) != list(range(len(self.labels))):
+        groups = _node_groups(len(self.labels), self.a, self.b, self.c)
+        if sum(map(len, groups)) != len(self.labels):
             raise PartitionError("A, B, C must cover the node set exactly")
 
     @property
@@ -296,8 +309,6 @@ def make_partition(labels, a_labels, b_labels) -> NodePartition:
 
     a = resolve(a_labels, "A")
     b = resolve(b_labels, "B")
-    if set(a) & set(b):
-        raise PartitionError("A and B overlap")
     c = tuple(i for i in range(len(labels)) if i not in set(a) | set(b))
     return NodePartition(a=a, b=b, c=c, labels=labels)
 

@@ -91,8 +91,13 @@ class DiscreteMarkovModel:
         return int(np.prod(self.alphabet_sizes))
 
     def encode_states(self, rows: np.ndarray) -> np.ndarray:
-        """Map (T, |V|) integer samples to joint symbols."""
-        return _Symbols(np.asarray(rows), self.alphabet_sizes).codes(range(self.n_nodes))[0]
+        """Map (T, |V|) integer samples, each in its node's alphabet, to
+        joint symbols."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n_nodes:
+            raise InvalidModel(f"samples of shape {rows.shape}, expected (T, {self.n_nodes})")
+        symbols = _Symbols.of(rows, self.labels or range(self.n_nodes), self.alphabet_sizes)
+        return symbols.codes(range(self.n_nodes))[0]
 
     def decode_states(self, codes: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`encode_states`; returns (T, |V|)."""
@@ -147,12 +152,6 @@ def marginal(dist: SequenceDistribution, nodes, times) -> SequenceDistribution:
     times = sorted(set(int(t) for t in times))
     if not nodes or not times:
         raise SelectionError("node and time selections must be nonempty")
-    for a in nodes:
-        if not 0 <= a < dist.n_nodes:
-            raise SelectionError(f"node {a} out of range")
-    for t in times:
-        if not 1 <= t <= dist.horizon:
-            raise SelectionError(f"time {t} out of range 1..{dist.horizon}")
     table = dist.cell_marginal([(a, t) for a in nodes for t in times])
     sizes = tuple(dist.alphabet_sizes[a] for a in nodes)
     return SequenceDistribution(alphabet_sizes=sizes, horizon=len(times), pmf=table)
@@ -171,20 +170,20 @@ class _Symbols:
     sizes: tuple
 
     @classmethod
-    def of(cls, panel: TimeSeriesPanel, sizes=None) -> _Symbols:
-        """The panel's symbols, with the given alphabet ``sizes`` or, by
+    def of(cls, values: np.ndarray, labels, sizes=None) -> _Symbols:
+        """The symbols ``values`` (T, |V|) of the columns ``labels``, a
+        panel's or a model's, with the given alphabet ``sizes`` or, by
         default, each column's largest symbol plus one."""
-        if not panel.is_integer():
+        if not np.issubdtype(values.dtype, np.integer):
             raise InvalidModel("discrete models need an integer (symbolized) panel")
-        values = panel.values
-        if values.min() < 0:
+        if values.min(initial=0) < 0:
             raise InvalidModel("symbol values must be nonnegative")
         if sizes is None:
             return cls(values, tuple(int(m) + 1 for m in values.max(axis=0)))
         sizes = tuple(int(m) for m in sizes)
-        if len(sizes) != panel.n_nodes:
-            raise InvalidModel(f"{len(sizes)} alphabet sizes for {panel.n_nodes} columns")
-        for label, top, m in zip(panel.labels, values.max(axis=0), sizes):
+        if len(sizes) != len(labels):
+            raise InvalidModel(f"{len(sizes)} alphabet sizes for {len(labels)} columns")
+        for label, top, m in zip(labels, values.max(axis=0, initial=0), sizes):
             if top >= m:
                 raise InvalidModel(f"column {label!r} exceeds alphabet size {m}")
         return cls(values, sizes)
@@ -210,7 +209,7 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     The ``M**(order + 1)`` kernel entries are charged to the state budget
     first.  At ``smoothing=0.5`` this is the law the discrete tests fit.
     """
-    symbols = _Symbols.of(panel, alphabet_sizes)
+    symbols = _Symbols.of(panel.values, panel.labels, alphabet_sizes)
     if not 0 <= smoothing < np.inf:
         raise InvalidModel(f"smoothing must be finite and >= 0, got {smoothing!r}")
     k = int(order)

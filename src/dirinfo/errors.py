@@ -26,16 +26,16 @@ class SelectionError(DirinfoError):
 
 
 class BudgetError(DirinfoError):
-    """An exact marginal would allocate an array larger than the state
-    budget.  ``required`` is the entries of the largest array of the
-    contraction, or ``M**n`` for the dense table; nothing was allocated."""
+    """An exact computation would allocate an array larger than the state
+    budget.  ``required`` is the entries of that array: the largest array
+    of a marginal's contraction, ``M**n`` for the dense table, a plug-in
+    kernel or a window transition matrix; nothing was allocated."""
 
     def __init__(self, required, budget):
         self.required = int(required)
         self.budget = int(budget)
         super().__init__(
-            f"exact marginal needs an array of {self.required} entries, "
-            f"state budget is {self.budget}"
+            f"needs an array of {self.required} entries, state budget is {self.budget}"
         )
 
 

@@ -29,9 +29,9 @@ from .calibration import (  # the public names are re-exported
     min_surrogates,
     surrogate_count,
 )
-from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel
+from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel, _node_groups
 from .discrete import _Symbols, window_codes
-from .errors import DirinfoError, FitError, InvalidModel, ParamError, PartitionError, SingularDesign
+from .errors import DirinfoError, FitError, InvalidModel, ParamError, SingularDesign
 from .gaussian import _LaggedGram
 from .measures import ConditioningMode, _as_mode
 from .stein import SteinReport, stein_exponent_check  # re-exported
@@ -64,7 +64,7 @@ class DiscreteMarkovFamily:
         _check_at_least_one(order=self.order)
 
     def _prepare(self, panel):
-        return _Symbols.of(panel)
+        return _Symbols.of(panel.values, panel.labels)
 
     def _causality(self, data, a_idx, b_idx, c_idx):
         return _discrete_causality(data, a_idx, b_idx, c_idx, self.order)
@@ -111,7 +111,7 @@ class GlmSpikingFamily:
         _check_at_least_one(memory=self.memory)
 
     def _prepare(self, panel):
-        symbols = _Symbols.of(panel)
+        symbols = _Symbols.of(panel.values, panel.labels)
         if max(symbols.sizes) > 2:
             raise InvalidModel("GLM spiking family needs a binary panel")
         return _LaggedGram(symbols.values.astype(float), self.memory)
@@ -152,21 +152,6 @@ def family_from_spec(name: str, order: int = 1):
 # ---------------------------------------------------------------------------
 # statistic machinery
 # ---------------------------------------------------------------------------
-
-def _group_indices(panel, group):
-    idx = tuple(panel.index_of(str(lab)) for lab in group)
-    if len(set(idx)) != len(idx):
-        raise PartitionError(f"duplicate labels in group {tuple(group)}")
-    return idx
-
-
-def _check_disjoint(*groups):
-    seen = set()
-    for g in groups:
-        if set(g) & seen:
-            raise PartitionError("A, B, C must be pairwise disjoint")
-        seen |= set(g)
-
 
 def _count_cells(cells, n_ctx, n_tgt):
     """(rows, n_ctx, n_tgt) table counting each row of ``cells`` (S, n) in
@@ -389,15 +374,13 @@ def _resolve(panel, family, builder, caller, groups, alpha, calibration):
     """The family's statistic builder named ``builder``, its panel data and
     the index tuples of the label groups A, B, C, once the groups, the
     family, ``alpha`` and ``calibration`` pass their checks."""
-    a_idx, b_idx, c_idx = (_group_indices(panel, g) for g in groups)
-    if not a_idx or not b_idx:
-        raise PartitionError("A and B must be nonempty")
-    _check_disjoint(a_idx, b_idx, c_idx)
+    groups = _node_groups(panel.n_nodes,
+                          *([panel.index_of(str(lab)) for lab in g] for g in groups))
     build = _family_method(family, builder, caller)
     _check_level(alpha)
     data = family._prepare(panel)
     _check_calibration(calibration)
-    return build, data, (a_idx, b_idx, c_idx)
+    return build, data, groups
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +514,10 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
 # ---------------------------------------------------------------------------
 
 def _edge_json(res: TestResult) -> dict:
-    """Graph JSON of one edge test: enough to recompute its decision."""
-    return {"stat": res.statistic, "p": res.p_value, "decision": res.decision,
-            "threshold": res.threshold, "dof": res.dof,
-            "calibration": res.calibration, "n_obs": res.n_obs, "level": res.level,
-            "chi2_scale": res.chi2_scale, "chi2_df": res.chi2_df}
+    """Graph JSON of one edge test, enough to recompute its decision: the
+    test's own JSON with ``statistic`` and ``p_value`` named ``stat`` and ``p``."""
+    doc = res.to_json()
+    return {"stat": doc.pop("statistic"), "p": doc.pop("p_value"), **doc}
 
 
 @dataclass(frozen=True)
@@ -626,20 +608,14 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
     coupling = _family_method(family, "_coupling", "infer_graph")
     data = family._prepare(panel)
 
-    tasks = []
-    for a in labels:
-        for b in labels:
-            if a != b:
-                tasks.append(("directed", (a, b)))
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            tasks.append(("undirected", (a, b)))
+    nodes = range(len(labels))
+    tasks = [("directed", (a, b)) for a in nodes for b in nodes if a != b]
+    tasks += [("undirected", (a, b)) for a in nodes for b in nodes[a + 1:]]
     seeds = np.random.SeedSequence(seed).spawn(len(tasks))
 
     def run(task, child_seed):
         kind, (a, b) = task
-        groups = ((panel.index_of(a),), (panel.index_of(b),),
-                  tuple(panel.index_of(x) for x in labels if x not in (a, b)))
+        groups = (a,), (b,), tuple(x for x in nodes if x not in (a, b))
         build, args = ((causality, groups) if kind == "directed"
                        else (coupling, groups + (mode,)))
         try:
@@ -657,7 +633,8 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
 
     directed, undirected, errors = {}, {}, {}
     for (kind, (a, b)), out in zip(tasks, outcomes):
-        key = (a, b) if kind == "directed" else frozenset((a, b))
+        pair = labels[a], labels[b]
+        key = pair if kind == "directed" else frozenset(pair)
         if isinstance(out, DirinfoError):
             errors[key] = f"{type(out).__name__}: {out}"
         elif kind == "directed":

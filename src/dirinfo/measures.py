@@ -24,11 +24,18 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_STATE_BUDGET, CellMask, MeasureValue, SequenceDistribution, cells_of
+from .core import (
+    DEFAULT_STATE_BUDGET,
+    CellMask,
+    MeasureValue,
+    SequenceDistribution,
+    _node_groups,
+    cells_of,
+)
 from .discrete import DiscreteMarkovModel, enumerate_joint, marginal, with_stationary_initial
 from .errors import DivergenceInfinite, ParamError, PartitionError, SelectionError
 
@@ -61,20 +68,11 @@ def _check_law(dist):
         raise ParamError("a VAR model has exact rates only: use rate or decompose")
 
 
-def _check_groups(dist, n, *groups):
-    """The horizon ``n`` (default the law's) once the groups, A and B first,
-    pass their checks."""
+def _check_groups(dist, n, a, b, c=()):
+    """The horizon ``n`` (default the law's) once the law is not a VAR
+    model and the groups pass :func:`~dirinfo.core._node_groups`."""
     _check_law(dist)
-    if not groups[0] or not groups[1]:
-        raise PartitionError("A and B must be nonempty")
-    seen = set()
-    for g in groups:
-        for a in g:
-            if not 0 <= int(a) < dist.n_nodes:
-                raise SelectionError(f"node {a} out of range")
-            if int(a) in seen:
-                raise PartitionError("node groups must be pairwise disjoint")
-            seen.add(int(a))
+    _node_groups(dist.n_nodes, a, b, c)
     if n is None:
         n = dist.horizon
     if not 1 <= n <= dist.horizon:
@@ -363,13 +361,7 @@ class InfoDecomposition:
         return max(abs(v) for v in self.residuals.values())
 
     def to_json(self) -> dict:
-        return {
-            "di_ab": self.di_ab, "di_ba": self.di_ba,
-            "te_ab": self.te_ab, "te_ba": self.te_ba,
-            "iie": self.iie, "mi": self.mi, "delta_cb": self.delta_cb,
-            "residuals": dict(self.residuals),
-            "horizon": self.horizon, "mode": self.mode.value,
-        }
+        return {**asdict(self), "mode": self.mode.value}
 
 
 def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
@@ -484,6 +476,7 @@ def rate(measure: str, model, a_nodes, b_nodes, c_nodes=(),
     if measure not in _RATE_MEASURES:
         raise ParamError(f"measure must be one of {_RATE_MEASURES}, got {measure!r}")
     mode = _as_mode(mode)
+    _node_groups(model.n_nodes, a_nodes, b_nodes, c_nodes)  # before any law is built
     exact = getattr(model, "rate_law", None)
     if exact is not None:  # its time 1 is every node's entire past: nothing is hidden
         return replace(_birch(exact, measure, a_nodes, b_nodes, c_nodes, mode, 2, 0), horizon=0)

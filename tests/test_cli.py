@@ -62,7 +62,7 @@ def test_estimate_refuses_a_kernel_past_the_state_budget(tmp_path, capsys):
                 tmp_path / "p.csv")
     assert run("estimate", "--input", tmp_path / "p.csv", "--family", "discrete",
                "--out", tmp_path / "m") == 1
-    assert f"BudgetError: exact marginal needs an array of {65536 ** 2} entries" \
+    assert f"BudgetError: needs an array of {65536 ** 2} entries" \
         in capsys.readouterr().err
     assert not (tmp_path / "m.model.json").exists()
 
@@ -127,7 +127,7 @@ def test_decompose_budget_too_small_exits_1(tmp_path, capsys):
     assert code == 1
     assert not (tmp_path / "dec.json").exists()
     # the largest array is the joint law of x0 and x1 over five samples
-    assert "BudgetError: exact marginal needs an array of 1024 entries, " \
+    assert "BudgetError: needs an array of 1024 entries, " \
            "state budget is 1023" in capsys.readouterr().err
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dirinfo import core
+from dirinfo.cli import main
 from dirinfo.core import (
     MeasureValue,
+    NodePartition,
     SequenceDistribution,
     TimeSeriesPanel,
     load_panel,
@@ -21,7 +23,12 @@ from dirinfo.errors import (
     ParseError,
     PartitionError,
     SchemaError,
+    SelectionError,
 )
+from dirinfo.discrete import enumerate_joint, sample_panel, save_model
+from dirinfo.inference import llr_causality, llr_coupling
+from dirinfo.measures import directed_information, rate
+from dirinfo.simulate import random_markov_model
 
 
 def test_load_csv_basic(tmp_path, rng):
@@ -194,6 +201,77 @@ def test_make_partition_errors():
         make_partition(["x", "y"], ["w"], ["y"])
     with pytest.raises(PartitionError):
         make_partition(["x", "y"], [], ["y"])
+
+
+# one rule for node groups, checked once: every entry point that takes
+# (A, B, C) raises the same error for the same mistake
+_LABELS = ("x0", "x1", "x2")
+_MODEL = random_markov_model(1, nodes=3)
+_DISJOINT = "A, B, C must be pairwise disjoint, each node named once"
+_MALFORMED_GROUPS = {  # (A, B, C) as node indices, the error class and its message
+    "empty_a": ((), (1,), (2,), PartitionError, "A and B must be nonempty"),
+    "empty_b": ((0,), (), (2,), PartitionError, "A and B must be nonempty"),
+    "a_overlaps_b": ((0,), (0,), (2,), PartitionError, _DISJOINT),
+    "a_overlaps_c": ((0,), (1,), (0, 2), PartitionError, _DISJOINT),
+    "repeat_in_a": ((0, 0), (1,), (2,), PartitionError, _DISJOINT),
+    "out_of_range": ((0,), (3,), (2,), SelectionError, "node 3 out of range"),
+}
+
+
+def _named(group):
+    return [f"x{i}" for i in group]
+
+
+def _panel():
+    return sample_panel(_MODEL, 300, seed=1)
+
+
+_ENTRY_POINTS = {  # name: (call, whether it takes node labels)
+    "NodePartition": (lambda a, b, c: NodePartition(a, b, c, _LABELS), False),
+    "make_partition": (lambda a, b, c: make_partition(_LABELS, _named(a), _named(b)), True),
+    "directed_information": (lambda a, b, c: directed_information(
+        enumerate_joint(_MODEL, 2), a, b, c_nodes=c), False),
+    "rate": (lambda a, b, c: rate("di", _MODEL, a, b, c), False),
+    # its stationary law would need 64**4 entries, past the state budget
+    "rate_past_budget": (lambda a, b, c: rate(
+        "di", random_markov_model(1, nodes=3, alphabet=4, order=2), a, b, c), False),
+    "llr_causality": (lambda a, b, c: llr_causality(
+        _panel(), _named(a), _named(b), _named(c)), True),
+    "llr_coupling": (lambda a, b, c: llr_coupling(
+        _panel(), _named(a), _named(b), _named(c)), True),
+}
+
+
+# make_partition takes no C: its C is the nodes outside A and B
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in _ENTRY_POINTS for case in _MALFORMED_GROUPS
+    if (entry, case) != ("make_partition", "a_overlaps_c")])
+def test_malformed_node_groups_raise_one_error_everywhere(entry, case):
+    a, b, c, error, message = _MALFORMED_GROUPS[case]
+    call, by_label = _ENTRY_POINTS[entry]
+    if by_label and case == "out_of_range":  # "x3" is an unknown label
+        error, message = PartitionError, None
+    with pytest.raises(DirinfoError) as caught:
+        call(a, b, c)
+    assert type(caught.value) is error
+    assert message is None or str(caught.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--kind", "causality", "--A", "x0", "--B", "x0"],
+    ["test", "--kind", "causality", "--A", "x0", "--B", "x1", "--C", "x0"],
+    ["test", "--kind", "coupling", "--A", "x0", "x0", "--B", "x1"],
+    ["decompose", "--A", "x0", "--B", "x0"],
+    ["decompose", "--A", "x0", "x0", "--B", "x1"],
+], ids=["test_a_overlaps_b", "test_a_overlaps_c", "test_repeat_in_a",
+        "decompose_a_overlaps_b", "decompose_repeat_in_a"])
+def test_cli_reports_malformed_node_groups_as_one_partition_error(tmp_path, capsys, argv):
+    write_panel(_panel(), tmp_path / "p.csv")
+    save_model(_MODEL, tmp_path / "m.json")
+    source = (["--input", tmp_path / "p.csv"] if argv[0] == "test"
+              else ["--model", tmp_path / "m.json"])
+    assert main([str(x) for x in argv + source + ["--out", tmp_path / "r"]]) == 1
+    assert capsys.readouterr().err == f"error: PartitionError: {_DISJOINT}\n"
 
 
 def test_symbolize_equal_width():

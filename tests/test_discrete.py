@@ -373,6 +373,17 @@ def test_fit_plugin_refuses_a_too_small_alphabet():
         fit_plugin(panel, order=1, alphabet_sizes=(2, 2))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 2]], "column 'y' exceeds alphabet size 2"),
+    ([[0, -1]], "symbol values must be nonnegative"),
+    ([[0.5, 1]], "discrete models need an integer"),
+    ([0, 1], r"samples of shape \(2,\), expected \(T, 2\)"),
+], ids=["past_alphabet", "negative", "fractional", "one_dimensional"])
+def test_encode_states_refuses_symbols_outside_the_alphabet(rows, message):
+    with pytest.raises(InvalidModel, match=message):
+        delay_channel(0.1).encode_states(np.array(rows))
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_fit_plugin_refuses_a_kernel_past_the_state_budget(k, monkeypatch):
     """Four columns of 16 symbols make M = 65,536; the kernel is refused by
@@ -435,6 +446,10 @@ def test_marginal_empty_selection():
         marginal(dist, [], [1])
     with pytest.raises(SelectionError):
         marginal(dist, [0], [])
+    with pytest.raises(SelectionError, match="node 1 out of range"):
+        marginal(dist, [0, 1], [1])
+    with pytest.raises(SelectionError, match=r"time 3 out of range 1\.\.2"):
+        marginal(dist, [0], [1, 3])
 
 
 # ---------------------------------------------------------------------------
