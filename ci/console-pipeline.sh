@@ -2,23 +2,26 @@
 # End-to-end run of the installed `dirinfo` console script: simulate,
 # estimate, graph (both families, under chi-square and surrogate
 # calibration), test and decompose, then `check` every result and
-# `replay` every manifest; malformed node groups must exit 1 with a
-# PartitionError.  Run from anywhere after `pip install .`:
+# `replay` every manifest; malformed node groups and an unknown node
+# label must exit 1 with one PartitionError line each.  Run from anywhere after `pip install .`:
 #   bash ci/console-pipeline.sh
 # It works in a fresh temporary directory and stops at the first failure.
 set -e
 cd "$(mktemp -d)"
 
-# `dirinfo ARGS` must exit 1 with an `error: PartitionError:` line; argparse
-# errors exit 2, and `! cmd` would not stop the script under `set -e`
+# `refuses_groups MESSAGE ARGS`: `dirinfo ARGS` must exit 1 and print exactly
+# `error: PartitionError: MESSAGE`; argparse errors exit 2, and `! cmd` would
+# not stop the script under `set -e`
 refuses_groups() {
-  local code=0 err
+  local want="error: PartitionError: $1" code=0 err
+  shift
   err=$(dirinfo "$@" --out refused 2>&1 >/dev/null) || code=$?
-  if [ "$code" -ne 1 ] || ! grep -q '^error: PartitionError: ' <<<"$err"; then
-    echo "dirinfo $* exited $code without a PartitionError: $err" >&2
+  if [ "$code" -ne 1 ] || [ "$err" != "$want" ]; then
+    echo "dirinfo $* exited $code, not 1 with '$want': $err" >&2
     exit 1
   fi
 }
+disjoint="A, B, C must be pairwise disjoint, each node named once"
 
 dirinfo simulate nonlinear --T 2000 --seed 7 --out nl
 dirinfo graph --input nl.csv --family var --out g
@@ -69,6 +72,9 @@ dirinfo estimate --input ch.csv --family discrete --order 2 --bins 3 --out md2
 dirinfo decompose --model md2.model.json --A x --B y --n 4 --out dd2
 dirinfo check dd2.json
 for run in md2 dd2; do dirinfo replay "$run.manifest.json"; done
-refuses_groups test --input nl.csv --family var --kind causality --A x --B x
-refuses_groups test --input nl.csv --family var --kind causality --A x --B y --C x
-refuses_groups decompose --model m.model.json --A x --B x
+refuses_groups "$disjoint" test --input nl.csv --family var --kind causality --A x --B x
+refuses_groups "$disjoint" test --input nl.csv --family var --kind causality --A x --B y --C x
+refuses_groups "$disjoint" decompose --model m.model.json --A x --B x
+refuses_groups "unknown node label 'w'" test --input nl.csv --family var --kind causality \
+  --A w --B y
+refuses_groups "unknown node label 'w'" decompose --model m.model.json --A w --B y

@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,12 +92,6 @@ class TimeSeriesPanel:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[1]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise PartitionError(f"unknown node label {label!r}") from None
 
     def is_integer(self) -> bool:
         return np.issubdtype(self.values.dtype, np.integer)
@@ -244,19 +239,40 @@ def write_panel(panel: TimeSeriesPanel, path, format: str = "csv") -> None:
 # partitions
 # ---------------------------------------------------------------------------
 
-def _node_groups(n_nodes, a, b, c=()) -> tuple[tuple[int, ...], ...]:
-    """The node groups A, B and C as index tuples, once A and B are nonempty,
-    every index lies in 0..n_nodes-1 and no node is named twice, within a
-    group or across groups.  The one check of a group triple, shared by
-    partitions, measures and tests."""
-    groups = tuple(tuple(int(x) for x in g) for g in (a, b, c))
+def _integer(x, error, what) -> int:
+    """``x`` read as an integer (``operator.index``: no float or string is
+    truncated or parsed), else ``error`` naming it as ``what``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _node_index(nodes, x) -> int:
+    """Node ``x`` as an index, the one reading of a node name.  ``nodes`` is
+    either a node set's labels, which ``x`` names as ``str(x)``, or a node
+    count, below which ``x`` must be an integer index."""
+    if isinstance(nodes, int):
+        i = _integer(x, SelectionError, "node")
+        if not 0 <= i < nodes:
+            raise SelectionError(f"node {i} out of range")
+        return i
+    try:
+        return nodes.index(str(x))
+    except ValueError:
+        raise PartitionError(f"unknown node label {str(x)!r}") from None
+
+
+def _node_groups(nodes, a, b, c=()) -> tuple[tuple[int, ...], ...]:
+    """The node groups A, B and C as index tuples read by :func:`_node_index`,
+    once A and B are nonempty and no node is named twice, within a group or
+    across groups.  The one check of a group triple, shared by partitions,
+    measures and tests."""
+    groups = tuple(tuple(_node_index(nodes, x) for x in g) for g in (a, b, c))
     if not groups[0] or not groups[1]:
         raise PartitionError("A and B must be nonempty")
-    nodes = [x for g in groups for x in g]
-    for x in nodes:
-        if not 0 <= x < n_nodes:
-            raise SelectionError(f"node {x} out of range")
-    if len(set(nodes)) != len(nodes):
+    flat = [x for g in groups for x in g]
+    if len(set(flat)) != len(flat):
         raise PartitionError("A, B, C must be pairwise disjoint, each node named once")
     return groups
 
@@ -278,6 +294,8 @@ class NodePartition:
         groups = _node_groups(len(self.labels), self.a, self.b, self.c)
         if sum(map(len, groups)) != len(self.labels):
             raise PartitionError("A, B, C must cover the node set exactly")
+        for name, group in zip("abc", groups):
+            object.__setattr__(self, name, group)
 
     @property
     def a_labels(self) -> tuple[str, ...]:
@@ -297,19 +315,8 @@ def make_partition(labels, a_labels, b_labels) -> NodePartition:
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise PartitionError("node set contains duplicate labels")
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def resolve(group, name):
-        idx = []
-        for lab in group:
-            if str(lab) not in index:
-                raise PartitionError(f"label {lab!r} in {name} is not in the node set")
-            idx.append(index[str(lab)])
-        return tuple(idx)
-
-    a = resolve(a_labels, "A")
-    b = resolve(b_labels, "B")
-    c = tuple(i for i in range(len(labels)) if i not in set(a) | set(b))
+    a, b, _ = _node_groups(labels, a_labels, b_labels)
+    c = tuple(i for i in range(len(labels)) if i not in a + b)
     return NodePartition(a=a, b=b, c=c, labels=labels)
 
 
@@ -325,6 +332,7 @@ def symbolize(panel: TimeSeriesPanel, bins: int, scheme: str = "equal_width") ->
     columns, which cannot be split.
     Bin edges are recorded in the output panel's ``meta['bin_edges']``.
     """
+    bins = _integer(bins, ParamError, "bins")
     if bins < 2:
         raise ParamError(f"bins must be >= 2, got {bins}")
     if scheme not in ("equal_width", "equal_frequency"):
@@ -425,7 +433,7 @@ class SequenceDistribution:
         sizes = tuple(int(m) for m in alphabet_sizes)
         if any(m < 1 for m in sizes):
             raise InvalidModel("alphabet sizes must be positive")
-        n = int(horizon)
+        n = _integer(horizon, InvalidModel, "horizon")
         if n < 1:
             raise InvalidModel("horizon must be >= 1")
         if (pmf is None) == (initial is None):
@@ -479,8 +487,7 @@ class SequenceDistribution:
 
     def axis_of(self, node: int, time: int) -> int:
         """Array axis holding node ``node`` at 1-based time ``time``."""
-        if not (0 <= node < self.n_nodes):
-            raise SelectionError(f"node {node} out of range")
+        node, time = _node_index(self.n_nodes, node), _integer(time, SelectionError, "time")
         if not (1 <= time <= self.horizon):
             raise SelectionError(f"time {time} out of range 1..{self.horizon}")
         return (time - 1) * self.n_nodes + node
@@ -491,7 +498,7 @@ class SequenceDistribution:
             if not 0 <= cells <= self._all:
                 raise SelectionError(f"cells {int(cells):#x} reach past time {self.horizon}")
             return cells
-        return sum({1 << int(self.axis_of(node, t)) for node, t in cells})
+        return sum({1 << self.axis_of(node, t) for node, t in cells})
 
     def cell_marginal(self, cells) -> np.ndarray:
         """Exact marginal over an arbitrary cell set, axes sorted time-major."""
@@ -627,7 +634,7 @@ class SequenceDistribution:
 
 def cells_of(nodes, times) -> frozenset[Cell]:
     """Cartesian cell set nodes x times (either may be empty)."""
-    return frozenset((int(a), int(t)) for a in nodes for t in times)
+    return frozenset(itertools.product(nodes, times))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel
+from .core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, _integer, cells_of
 from .errors import (
     BudgetError,
     InsufficientData,
@@ -70,8 +70,8 @@ class DiscreteMarkovModel:
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != len(sizes):
-                raise InvalidModel("one label per node required")
+            if len(labels) != len(sizes) or len(set(labels)) != len(labels):
+                raise InvalidModel(f"need {len(sizes)} distinct labels")
         kernel = kernel.copy()
         kernel.setflags(write=False)
         initial = initial.copy()
@@ -131,6 +131,7 @@ def enumerate_joint(model: DiscreteMarkovModel, n: int,
     a marginal of the law (or its dense ``pmf`` table) allocates, see
     :class:`~dirinfo.core.SequenceDistribution`.
     """
+    n = _integer(n, SelectionError, "horizon")
     if n < 1:
         raise SelectionError("horizon must be >= 1")
     sizes, k, d = model.alphabet_sizes, model.order, model.n_nodes
@@ -148,13 +149,12 @@ def marginal(dist: SequenceDistribution, nodes, times) -> SequenceDistribution:
     Output nodes keep their original index order; the selected times are
     relabelled 1..len(times) in ascending order.
     """
-    nodes = sorted(set(int(a) for a in nodes))
-    times = sorted(set(int(t) for t in times))
-    if not nodes or not times:
+    cells = cells_of(nodes, times)
+    if not cells:
         raise SelectionError("node and time selections must be nonempty")
-    table = dist.cell_marginal([(a, t) for a in nodes for t in times])
-    sizes = tuple(dist.alphabet_sizes[a] for a in nodes)
-    return SequenceDistribution(alphabet_sizes=sizes, horizon=len(times), pmf=table)
+    table = dist.cell_marginal(cells)  # reads every cell, or raises
+    sizes = tuple(dist.alphabet_sizes[a] for a in sorted({a for a, _ in cells}))
+    return SequenceDistribution(sizes, len({t for _, t in cells}), table)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     symbols = _Symbols.of(panel.values, panel.labels, alphabet_sizes)
     if not 0 <= smoothing < np.inf:
         raise InvalidModel(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    k = int(order)
+    k = _integer(order, InvalidModel, "order")
     if k < 1:
         raise InvalidModel("order must be >= 1")
     T = panel.n_samples

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
-from .core import MeasureValue, TimeSeriesPanel, read_json
+from .core import MeasureValue, TimeSeriesPanel, _integer, _node_groups, _node_index, read_json
 from .errors import (
     InvalidModel,
     ParamError,
+    PartitionError,
     SingularDesign,
     UnstableFitWarning,
     UnstableModel,
@@ -127,10 +128,10 @@ def innovation_cov(model: VarModel, nodes) -> np.ndarray:
     under the sorted set and returned, read-only, for the sorted set; a
     call in another node order permutes it.
     """
-    nodes = [int(a) for a in nodes]
     d = model.n_nodes
-    if not nodes or len(set(nodes)) != len(nodes) or not all(0 <= a < d for a in nodes):
-        raise ParamError(f"nodes must be distinct indices in 0..{d - 1}, got {nodes}")
+    nodes = [_node_index(d, a) for a in nodes]
+    if not nodes or len(set(nodes)) != len(nodes):
+        raise PartitionError(f"nodes must be nonempty, each named once, got {nodes}")
     key = tuple(sorted(nodes))
     cov = model._innovations.get(key)
     if cov is None:
@@ -272,8 +273,7 @@ def gaussian_mi_rate(model: VarModel, a_nodes, b_nodes,
     ``measures.rate("mi", ...)``, optionally given the strict past of the
     remaining nodes C (``conditional_on_past_c``).  Exact; ``horizon`` is 0.
     """
-    a = tuple(int(x) for x in a_nodes)
-    b = tuple(int(x) for x in b_nodes)
+    a, b, _ = _node_groups(model.n_nodes, a_nodes, b_nodes)
     c = tuple(i for i in range(model.n_nodes) if i not in a + b) if conditional_on_past_c else ()
     return MeasureValue(value=2 * rate("mi", model, a, b, c).value, horizon=0, kind="rate")
 
@@ -451,7 +451,7 @@ def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel
     downstream operations that need stationarity raise
     :class:`UnstableModel` themselves.
     """
-    p = int(order)
+    p = _integer(order, ParamError, "order")
     if p < 1:
         raise ParamError("order must be >= 1")
     T, d = panel.n_samples, panel.n_nodes

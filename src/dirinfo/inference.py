@@ -29,7 +29,7 @@ from .calibration import (  # the public names are re-exported
     min_surrogates,
     surrogate_count,
 )
-from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel, _node_groups
+from .core import DEFAULT_STATE_BUDGET, TimeSeriesPanel, _integer, _node_groups, _node_index
 from .discrete import _Symbols, window_codes
 from .errors import DirinfoError, FitError, InvalidModel, ParamError, SingularDesign
 from .gaussian import _LaggedGram
@@ -124,9 +124,9 @@ class GlmSpikingFamily:
 
 
 def _check_at_least_one(**params):
-    """Refuse a family parameter (a lag count) below 1."""
+    """Refuse a family parameter (a lag count) that is not an integer >= 1."""
     for name, value in params.items():
-        if not value >= 1:
+        if not _integer(value, ParamError, name) >= 1:
             raise ParamError(f"{name} must be >= 1, got {value!r}")
 
 
@@ -374,8 +374,7 @@ def _resolve(panel, family, builder, caller, groups, alpha, calibration):
     """The family's statistic builder named ``builder``, its panel data and
     the index tuples of the label groups A, B, C, once the groups, the
     family, ``alpha`` and ``calibration`` pass their checks."""
-    groups = _node_groups(panel.n_nodes,
-                          *([panel.index_of(str(lab)) for lab in g] for g in groups))
+    groups = _node_groups(panel.labels, *groups)
     build = _family_method(family, builder, caller)
     _check_level(alpha)
     data = family._prepare(panel)
@@ -488,23 +487,17 @@ def generalized_llr(panel: TimeSeriesPanel, family, theta_restriction,
     pairs = sorted({(str(t), str(s)) for t, s in theta_restriction})
     if not pairs:
         raise ParamError("theta_restriction must name at least one link")
-    for link in pairs:
-        for label in link:
-            panel.index_of(label)
+    index = {label: _node_index(panel.labels, label) for link in pairs for label in link}
     _check_level(alpha)
-    targets = sorted({t for t, _ in pairs})
-    masked_by_target = {t: sorted({s for tt, s in pairs if tt == t}) for t in targets}
     loglik = _family_method(family, "_loglik", "generalized_llr")
     data = family._prepare(panel)
     all_cols = list(range(panel.n_nodes))
     ll_full = 0.0
     ll_res = 0.0
-    for t_lab in targets:
-        target = panel.index_of(t_lab)
-        keep_cols = [cidx for cidx in all_cols
-                     if panel.labels[cidx] not in masked_by_target[t_lab]]
-        ll_full += loglik(data, target, all_cols)
-        ll_res += loglik(data, target, keep_cols)
+    for target in sorted({t for t, _ in pairs}):
+        masked = {index[s] for t, s in pairs if t == target}
+        ll_full += loglik(data, index[target], all_cols)
+        ll_res += loglik(data, index[target], [c for c in all_cols if c not in masked])
     stat = (ll_full - ll_res) / data.n
     return _chi_square_result(stat, data.k * len(pairs), data.n, alpha)
 

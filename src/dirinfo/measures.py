@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -33,6 +34,7 @@ from .core import (
     CellMask,
     MeasureValue,
     SequenceDistribution,
+    _integer,
     _node_groups,
     cells_of,
 )
@@ -69,20 +71,20 @@ def _check_law(dist):
 
 
 def _check_groups(dist, n, a, b, c=()):
-    """The horizon ``n`` (default the law's) once the law is not a VAR
-    model and the groups pass :func:`~dirinfo.core._node_groups`."""
+    """The horizon ``n`` (default the law's) and the groups A, B and C as
+    index tuples, once the law is not a VAR model and the groups pass
+    :func:`~dirinfo.core._node_groups`."""
     _check_law(dist)
-    _node_groups(dist.n_nodes, a, b, c)
-    if n is None:
-        n = dist.horizon
+    groups = _node_groups(dist.n_nodes, a, b, c)
+    n = dist.horizon if n is None else _integer(n, SelectionError, "horizon")
     if not 1 <= n <= dist.horizon:
         raise SelectionError(f"horizon {n} out of range 1..{dist.horizon}")
-    return int(n)
+    return (n, *groups)
 
 
 def _node_mask(nodes) -> int:
     """A node group as the CellMask of its cells at time 1."""
-    return sum(1 << int(a) for a in nodes)
+    return sum(1 << a for a in nodes)
 
 
 def _upto(nodes, i, d):
@@ -138,7 +140,7 @@ def _steps(dist, measure, a, b, c, mode, n) -> list[float]:
 
 def _summed(dist, measure, a, b, c, mode, n) -> MeasureValue:
     mode = _as_mode(mode)
-    n = _check_groups(dist, n, a, b, c)
+    n, a, b, c = _check_groups(dist, n, a, b, c)
     return MeasureValue(value=sum(_steps(dist, measure, a, b, c, mode, n)),
                         horizon=n, kind=measure)
 
@@ -153,14 +155,15 @@ def entropy(dist: SequenceDistribution, nodes, times) -> MeasureValue:
     cells = cells_of(nodes, times)
     if not cells:
         raise SelectionError("empty selection")
-    return MeasureValue(value=dist.entropy_of_cells(cells), horizon=max(t for _, t in cells),
+    value = dist.entropy_of_cells(cells)  # reads every cell, or raises
+    return MeasureValue(value=value, horizon=operator.index(max(t for _, t in cells)),
                         kind="entropy")
 
 
 def mutual_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
     """I(x_A^n ; x_B^n), symmetric in the two groups."""
-    n = _check_groups(dist, n, a_nodes, b_nodes)
-    a, b = (_upto(_node_mask(x), n, dist.n_nodes) for x in (a_nodes, b_nodes))
+    n, a, b, _ = _check_groups(dist, n, a_nodes, b_nodes)
+    a, b = (_upto(_node_mask(x), n, dist.n_nodes) for x in (a, b))
     value = _cmi(dist, a, b, 0)
     return MeasureValue(value=value, horizon=n, kind="mi")
 
@@ -195,10 +198,10 @@ def delta_instantaneous(dist, a_nodes, b_nodes, c_nodes, n=None) -> MeasureValue
     May be negative."""
     if not c_nodes:
         raise PartitionError("delta term needs nonempty side information C")
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
+    n, a, b, c = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
     strict = ConditioningMode.STRICT_PAST
-    intrinsic = sum(_steps(dist, "iie", c_nodes, b_nodes, a_nodes, strict, n))
-    extrinsic = sum(_steps(dist, "iie", c_nodes, b_nodes, (), strict, n))
+    intrinsic = sum(_steps(dist, "iie", c, b, a, strict, n))
+    extrinsic = sum(_steps(dist, "iie", c, b, (), strict, n))
     return MeasureValue(value=intrinsic - extrinsic, horizon=n, kind="iie")
 
 
@@ -222,12 +225,12 @@ def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
     ``k = l = n-1`` this is the last summand of the delayed directed
     information.
     """
-    n = _check_groups(dist, n, a_nodes, b_nodes)
+    n, a, b, _ = _check_groups(dist, n, a_nodes, b_nodes)
     if not 1 <= k <= n - 1:
         raise ParamError(f"target memory k={k} outside 1..{n - 1}")
     if not 1 <= l <= n - 1:
         raise ParamError(f"source memory l={l} outside 1..{n - 1}")
-    a, b, d = _node_mask(a_nodes), _node_mask(b_nodes), dist.n_nodes
+    a, b, d = _node_mask(a), _node_mask(b), dist.n_nodes
     value = _cmi(dist, _upto(a, n - 1, d) & ~_upto(a, n - l - 1, d), b << (n - 1) * d,
                  _upto(b, n - 1, d) & ~_upto(b, n - k - 1, d))
     return MeasureValue(value=value, horizon=n, kind="te")
@@ -240,14 +243,13 @@ def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
 def _bivariate_view(dist, a_nodes, b_nodes, n):
     """Marginal law of the A,B nodes over times 1..n, with the node masks of
     the two groups in the reduced table."""
-    keep = sorted(set(int(a) for a in a_nodes) | set(int(b) for b in b_nodes))
+    keep = sorted(set(a_nodes) | set(b_nodes))
     if keep == list(range(dist.n_nodes)) and n == dist.horizon:
         view = dist
     else:
         view = marginal(dist, keep, range(1, n + 1))
     pos = {node: idx for idx, node in enumerate(keep)}
-    return (view, _node_mask(pos[int(a)] for a in a_nodes),
-            _node_mask(pos[int(b)] for b in b_nodes))
+    return view, _node_mask(pos[a] for a in a_nodes), _node_mask(pos[b] for b in b_nodes)
 
 
 def _expand(view, mask):
@@ -304,8 +306,8 @@ def kl_directed_information(dist, a_nodes, b_nodes, n=None) -> MeasureValue:
     Bivariate by construction; equals the chain-rule form of
     :func:`directed_information` on exact tables.
     """
-    n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, factorized = _influence_free(dist, a_nodes, b_nodes, n, 1)
+    n, a, b, _ = _check_groups(dist, n, a_nodes, b_nodes)
+    view, factorized = _influence_free(dist, a, b, n, 1)
     value = _kl_linear(view.pmf, factorized, "directed information")
     return MeasureValue(value=value, horizon=n, kind="di")
 
@@ -324,8 +326,8 @@ def lautum_transfer_rate(model_or_dist, a_nodes, b_nodes, n=None,
         dist = enumerate_joint(model_or_dist, n, budget)
     else:
         dist = model_or_dist
-    n = _check_groups(dist, n, a_nodes, b_nodes)
-    view, factorized = _influence_free(dist, a_nodes, b_nodes, n, 0)
+    n, a, b, _ = _check_groups(dist, n, a_nodes, b_nodes)
+    view, factorized = _influence_free(dist, a, b, n, 0)
     factorized = np.broadcast_to(factorized, view.pmf.shape)
     # mass lost at contexts the true law never reaches would flow onto
     # zero-probability trajectories: the divergence is infinite
@@ -384,12 +386,11 @@ def decompose(dist, partition, n=None, mode=DEFAULT_MODE) -> InfoDecomposition:
     A VAR model takes no ``n``: its measures are exact rates, ``horizon`` 0.
     """
     mode = _as_mode(mode)
-    a, b, c = tuple(partition.a), tuple(partition.b), tuple(partition.c)
     exact = getattr(dist, "rate_law", None)
     if exact is not None and n is not None:
         raise ParamError("a VAR model's measures are exact rates: it takes no horizon n")
     dist = exact or dist
-    n = _check_groups(dist, n, a, b, c)
+    n, a, b, c = _check_groups(dist, n, partition.a, partition.b, partition.c)
     strict = ConditioningMode.STRICT_PAST
     contemp = ConditioningMode.CONTEMPORANEOUS
 
@@ -443,10 +444,9 @@ def _birch(dist, measure, a_nodes, b_nodes, c_nodes, mode, n, order) -> RateEsti
     """The increment of ``measure`` at time ``n`` of a stationary law of
     memory ``order``, and Birch's bracket of its limit (see :func:`rate`);
     with ``order`` 0 nothing is hidden and the bracket is the increment."""
-    n = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
+    n, a, b, c = _check_groups(dist, n, a_nodes, b_nodes, c_nodes)
     d = dist.n_nodes
-    terms = _terms(measure, _node_mask(a_nodes), _node_mask(b_nodes), _node_mask(c_nodes),
-                   mode, n, d)
+    terms = _terms(measure, _node_mask(a), _node_mask(b), _node_mask(c), mode, n, d)
     start = (1 << min(order, n) * d) - 1
     value = sum(_cmi(dist, *t) for t in terms)
     lower = upper = value

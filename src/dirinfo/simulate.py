@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesPanel
+from .core import TimeSeriesPanel, _node_index
 from .errors import ParamError, UnstableModel
 from .discrete import DiscreteMarkovModel
 from .gaussian import VarModel
@@ -167,13 +167,12 @@ def gen_glm_spiking(weights: dict, T: int, seed, labels=None,
     if labels is None:
         labels = sorted({lab for pair in weights for lab in pair})
     labels = tuple(str(x) for x in labels)
-    index = {lab: i for i, lab in enumerate(labels)}
     bias = {str(k): float(v) for k, v in (bias or {}).items()}
     resp = {}
     memory = 1
     for (src, dst), w in weights.items():
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        resp[(index[str(src)], index[str(dst)])] = w
+        resp[(_node_index(labels, src), _node_index(labels, dst))] = w
         memory = max(memory, len(w))
 
     rng = np.random.default_rng(seed)

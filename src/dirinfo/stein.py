@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .core import _node_groups
 from .discrete import DiscreteMarkovModel, _Symbols, draw_symbols, sample_codes
 from .errors import ParamError, PartitionError
 from .measures import rate as measure_rate
@@ -47,7 +48,7 @@ class _BivariateFilter:
     over the windows (``predict``, ``condition``)."""
 
     def __init__(self, model: DiscreteMarkovModel, a_idx, b_idx):
-        if set(a_idx) | set(b_idx) != set(range(model.n_nodes)):
+        if len(a_idx) + len(b_idx) != model.n_nodes:
             raise PartitionError("A and B must cover the model's node set")
         if model.kernel.min() <= 0.0 or model.initial.min() <= 0.0:
             raise ParamError("error-exponent check needs a strictly positive model")
@@ -139,8 +140,7 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     """
     if trials < 1000:
         raise ParamError("use at least 1000 trials")
-    a_idx = tuple(int(a) for a in a_nodes)
-    b_idx = tuple(int(b) for b in b_nodes)
+    a_idx, b_idx, _ = _node_groups(model.n_nodes, a_nodes, b_nodes)
     stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)
     flt = _BivariateFilter(model, a_idx, b_idx)
     rng = np.random.default_rng(seed)

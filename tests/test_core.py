@@ -25,10 +25,17 @@ from dirinfo.errors import (
     SchemaError,
     SelectionError,
 )
-from dirinfo.discrete import enumerate_joint, sample_panel, save_model
-from dirinfo.inference import llr_causality, llr_coupling
-from dirinfo.measures import directed_information, rate
-from dirinfo.simulate import random_markov_model
+from dirinfo.discrete import enumerate_joint, fit_plugin, marginal, sample_panel, save_model
+from dirinfo.gaussian import fit_var, gaussian_mi_rate, innovation_cov
+from dirinfo.inference import (
+    VarFamily,
+    generalized_llr,
+    llr_causality,
+    llr_coupling,
+    stein_exponent_check,
+)
+from dirinfo.measures import directed_information, entropy, rate
+from dirinfo.simulate import gen_glm_spiking, random_markov_model, random_var_model
 
 
 def test_load_csv_basic(tmp_path, rng):
@@ -204,7 +211,8 @@ def test_make_partition_errors():
 
 
 # one rule for node groups, checked once: every entry point that takes
-# (A, B, C) raises the same error for the same mistake
+# (A, B, C) raises the same error for the same mistake, and every entry
+# point that names nodes reads each name the same way
 _LABELS = ("x0", "x1", "x2")
 _MODEL = random_markov_model(1, nodes=3)
 _DISJOINT = "A, B, C must be pairwise disjoint, each node named once"
@@ -215,46 +223,81 @@ _MALFORMED_GROUPS = {  # (A, B, C) as node indices, the error class and its mess
     "a_overlaps_c": ((0,), (1,), (0, 2), PartitionError, _DISJOINT),
     "repeat_in_a": ((0, 0), (1,), (2,), PartitionError, _DISJOINT),
     "out_of_range": ((0,), (3,), (2,), SelectionError, "node 3 out of range"),
+    "fractional_index": ((0.5,), (1,), (2,), SelectionError, "node 0.5 is not an integer"),
+    "numeric_string": (("0",), (1,), (2,), SelectionError, "node '0' is not an integer"),
 }
+# the mistakes in naming one node; the others are mistakes in grouping nodes
+_NAMING = ("out_of_range", "fractional_index", "numeric_string")
 
 
 def _named(group):
-    return [f"x{i}" for i in group]
+    """Labels for node indices: an index i is "x{i}", and a non-integer is
+    passed as it is, to be read as the label str(x)."""
+    return [f"x{i}" if isinstance(i, int) else i for i in group]
 
 
 def _panel():
     return sample_panel(_MODEL, 300, seed=1)
 
 
-_ENTRY_POINTS = {  # name: (call, whether it takes node labels)
-    "NodePartition": (lambda a, b, c: NodePartition(a, b, c, _LABELS), False),
-    "make_partition": (lambda a, b, c: make_partition(_LABELS, _named(a), _named(b)), True),
+def _var_model():
+    return random_var_model(1, nodes=3)
+
+
+# name: (call, what it takes). "labels" and "indices" take the triple (A, B, C),
+# or (A, B) when C is "none"; "one group" takes the node set A + B + C, and
+# "label pairs" the pairs of a label of B and one of A
+_ENTRY_POINTS = {
+    "NodePartition": (lambda a, b, c: NodePartition(a, b, c, _LABELS), "indices"),
+    "make_partition": (lambda a, b, c: make_partition(_LABELS, _named(a), _named(b)),
+                       "labels, none"),
     "directed_information": (lambda a, b, c: directed_information(
-        enumerate_joint(_MODEL, 2), a, b, c_nodes=c), False),
-    "rate": (lambda a, b, c: rate("di", _MODEL, a, b, c), False),
+        enumerate_joint(_MODEL, 2), a, b, c_nodes=c), "indices"),
+    "rate": (lambda a, b, c: rate("di", _MODEL, a, b, c), "indices"),
     # its stationary law would need 64**4 entries, past the state budget
     "rate_past_budget": (lambda a, b, c: rate(
-        "di", random_markov_model(1, nodes=3, alphabet=4, order=2), a, b, c), False),
+        "di", random_markov_model(1, nodes=3, alphabet=4, order=2), a, b, c), "indices"),
     "llr_causality": (lambda a, b, c: llr_causality(
-        _panel(), _named(a), _named(b), _named(c)), True),
+        _panel(), _named(a), _named(b), _named(c)), "labels"),
     "llr_coupling": (lambda a, b, c: llr_coupling(
-        _panel(), _named(a), _named(b), _named(c)), True),
+        _panel(), _named(a), _named(b), _named(c)), "labels"),
+    "gaussian_mi_rate": (lambda a, b, c: gaussian_mi_rate(_var_model(), a, b), "indices, none"),
+    "stein_exponent_check": (lambda a, b, c: stein_exponent_check(_MODEL, a, b, (50,)),
+                             "indices, none"),
+    "entropy": (lambda a, b, c: entropy(enumerate_joint(_MODEL, 2), a + b + c, (1,)),
+                "one group"),
+    "marginal": (lambda a, b, c: marginal(enumerate_joint(_MODEL, 2), a + b + c, (1,)),
+                 "one group"),
+    "innovation_cov": (lambda a, b, c: innovation_cov(_var_model(), a + b + c), "one group"),
+    "generalized_llr": (lambda a, b, c: generalized_llr(
+        _panel(), VarFamily(),
+        [(t, s) for t in _named(b) for s in _named(a)]), "label pairs"),
+    "gen_glm_spiking": (lambda a, b, c: gen_glm_spiking(
+        {(s, t): [1.0] for s in _named(a) for t in _named(b)}, 10, 1, labels=_LABELS),
+        "label pairs"),
 }
 
 
-# make_partition takes no C: its C is the nodes outside A and B
+def _applies(entry, case):
+    takes = _ENTRY_POINTS[entry][1]
+    if takes in ("one group", "label pairs"):
+        return case in _NAMING
+    return not (takes.endswith("none") and case == "a_overlaps_c")
+
+
 @pytest.mark.parametrize("entry, case", [
     (entry, case) for entry in _ENTRY_POINTS for case in _MALFORMED_GROUPS
-    if (entry, case) != ("make_partition", "a_overlaps_c")])
+    if _applies(entry, case)])
 def test_malformed_node_groups_raise_one_error_everywhere(entry, case):
     a, b, c, error, message = _MALFORMED_GROUPS[case]
-    call, by_label = _ENTRY_POINTS[entry]
-    if by_label and case == "out_of_range":  # "x3" is an unknown label
-        error, message = PartitionError, None
+    call, takes = _ENTRY_POINTS[entry]
+    if takes.startswith("label") and case in _NAMING:  # the bad node is an unknown label
+        bad = next(x for x in _named(a + b + c) if x not in _LABELS)
+        error, message = PartitionError, f"unknown node label {str(bad)!r}"
     with pytest.raises(DirinfoError) as caught:
         call(a, b, c)
     assert type(caught.value) is error
-    assert message is None or str(caught.value) == message
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,15 +306,37 @@ def test_malformed_node_groups_raise_one_error_everywhere(entry, case):
     ["test", "--kind", "coupling", "--A", "x0", "x0", "--B", "x1"],
     ["decompose", "--A", "x0", "--B", "x0"],
     ["decompose", "--A", "x0", "x0", "--B", "x1"],
+    ["test", "--kind", "causality", "--A", "w", "--B", "x1"],
+    ["decompose", "--A", "w", "--B", "x1"],
 ], ids=["test_a_overlaps_b", "test_a_overlaps_c", "test_repeat_in_a",
-        "decompose_a_overlaps_b", "decompose_repeat_in_a"])
+        "decompose_a_overlaps_b", "decompose_repeat_in_a",
+        "test_unknown_label", "decompose_unknown_label"])
 def test_cli_reports_malformed_node_groups_as_one_partition_error(tmp_path, capsys, argv):
     write_panel(_panel(), tmp_path / "p.csv")
     save_model(_MODEL, tmp_path / "m.json")
     source = (["--input", tmp_path / "p.csv"] if argv[0] == "test"
               else ["--model", tmp_path / "m.json"])
     assert main([str(x) for x in argv + source + ["--out", tmp_path / "r"]]) == 1
-    assert capsys.readouterr().err == f"error: PartitionError: {_DISJOINT}\n"
+    message = "unknown node label 'w'" if "w" in argv else _DISJOINT
+    assert capsys.readouterr().err == f"error: PartitionError: {message}\n"
+
+
+# a count is read as an integer, never truncated: each call keeps the error
+# class its site raises for a count out of range
+@pytest.mark.parametrize("call, error", [
+    (lambda: enumerate_joint(_MODEL, 2.5), SelectionError),
+    (lambda: directed_information(enumerate_joint(_MODEL, 3), (0,), (1,), n=2.5),
+     SelectionError),
+    (lambda: fit_plugin(_panel(), 1.5), InvalidModel),
+    (lambda: fit_var(_panel(), 1.5), ParamError),
+    (lambda: VarFamily(order=1.5), ParamError),
+    (lambda: symbolize(_panel(), 2.5), ParamError),
+], ids=["enumerate_joint", "directed_information", "fit_plugin", "fit_var", "VarFamily",
+        "symbolize"])
+def test_fractional_counts_are_refused(call, error):
+    with pytest.raises(DirinfoError, match="is not an integer") as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def test_symbolize_equal_width():

@@ -579,6 +579,13 @@ def test_model_refuses_non_finite_entries(field):
         DiscreteMarkovModel(alphabet_sizes=(2,), order=1, **arrays)
 
 
+@pytest.mark.parametrize("labels", [("x", "x"), ("x",), ("x", "y", "z")])
+def test_model_refuses_labels_that_do_not_name_each_node_once(labels):
+    with pytest.raises(InvalidModel, match="need 2 distinct labels"):
+        DiscreteMarkovModel(alphabet_sizes=(2, 2), order=1, kernel=np.full((4, 4), 0.25),
+                            initial=np.full(4, 0.25), labels=labels)
+
+
 def test_kernel_validation():
     with pytest.raises(InvalidModel):
         DiscreteMarkovModel(alphabet_sizes=(2,), order=1,
