@@ -2,19 +2,20 @@
 # End-to-end run of the installed `dirinfo` console script: simulate,
 # estimate, graph (both families, under chi-square and surrogate
 # calibration), test and decompose, then `check` every result and
-# `replay` every manifest; malformed node groups and an unknown node
-# label must exit 1 with one PartitionError line each.  Run from anywhere after `pip install .`:
+# `replay` every manifest; malformed node groups, an unknown node label and
+# a fractional model order must exit 1 with one error line each.  Run from
+# anywhere after `pip install .`:
 #   bash ci/console-pipeline.sh
 # It works in a fresh temporary directory and stops at the first failure.
 set -e
 cd "$(mktemp -d)"
 
-# `refuses_groups MESSAGE ARGS`: `dirinfo ARGS` must exit 1 and print exactly
-# `error: PartitionError: MESSAGE`; argparse errors exit 2, and `! cmd` would
-# not stop the script under `set -e`
-refuses_groups() {
-  local want="error: PartitionError: $1" code=0 err
-  shift
+# `refuses CLASS MESSAGE ARGS`: `dirinfo ARGS` must exit 1 and print exactly
+# `error: CLASS: MESSAGE`; argparse errors exit 2, and `! cmd` would not stop
+# the script under `set -e`
+refuses() {
+  local want="error: $1: $2" code=0 err
+  shift 2
   err=$(dirinfo "$@" --out refused 2>&1 >/dev/null) || code=$?
   if [ "$code" -ne 1 ] || [ "$err" != "$want" ]; then
     echo "dirinfo $* exited $code, not 1 with '$want': $err" >&2
@@ -72,9 +73,15 @@ dirinfo estimate --input ch.csv --family discrete --order 2 --bins 3 --out md2
 dirinfo decompose --model md2.model.json --A x --B y --n 4 --out dd2
 dirinfo check dd2.json
 for run in md2 dd2; do dirinfo replay "$run.manifest.json"; done
-refuses_groups "$disjoint" test --input nl.csv --family var --kind causality --A x --B x
-refuses_groups "$disjoint" test --input nl.csv --family var --kind causality --A x --B y --C x
-refuses_groups "$disjoint" decompose --model m.model.json --A x --B x
-refuses_groups "unknown node label 'w'" test --input nl.csv --family var --kind causality \
+refuses PartitionError "$disjoint" test --input nl.csv --family var --kind causality --A x --B x
+refuses PartitionError "$disjoint" test --input nl.csv --family var --kind causality --A x --B y --C x
+refuses PartitionError "$disjoint" decompose --model m.model.json --A x --B x
+refuses PartitionError "unknown node label 'w'" test --input nl.csv --family var --kind causality \
   --A w --B y
-refuses_groups "unknown node label 'w'" decompose --model m.model.json --A w --B y
+refuses PartitionError "unknown node label 'w'" decompose --model m.model.json --A w --B y
+# the same discrete and VAR models, each with a fractional order
+for model in md m; do
+  sed 's/"order": [0-9]*/"order": 1.5/' "$model.model.json" > "$model-half.model.json"
+  refuses InvalidModel "order 1.5 is not an integer" decompose --model "$model-half.model.json" \
+    --A x --B y
+done

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import _integer
 from .errors import CalibrationError, ParamError
 
 DEFAULT_SURROGATES = 200
@@ -245,7 +246,9 @@ def min_surrogates(level: float) -> int:
 def surrogate_count(surrogates, level) -> int:
     """The surrogates a test at ``level`` draws: ``surrogates``, or by
     default the larger of ``DEFAULT_SURROGATES`` and ``min_surrogates``."""
-    return max(DEFAULT_SURROGATES, min_surrogates(level)) if surrogates is None else surrogates
+    if surrogates is None:
+        return max(DEFAULT_SURROGATES, min_surrogates(level))
+    return _integer(surrogates, CalibrationError, "surrogates")
 
 
 def _check_surrogates(n_surrogates, alpha):

@@ -239,13 +239,28 @@ def write_panel(panel: TimeSeriesPanel, path, format: str = "csv") -> None:
 # partitions
 # ---------------------------------------------------------------------------
 
-def _integer(x, error, what) -> int:
+def _integer(x, error, what, least=None) -> int:
     """``x`` read as an integer (``operator.index``: no float or string is
-    truncated or parsed), else ``error`` naming it as ``what``."""
+    truncated or parsed) and at least ``least`` when given, else ``error``
+    naming it as ``what``.  The one reading of a count."""
     try:
-        return operator.index(x)
+        i = operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+    if least is not None and i < least:
+        raise error(f"{what} must be >= {least}, got {i}")
+    return i
+
+
+def _alphabet(sizes, error) -> tuple[tuple[int, ...], int]:
+    """Alphabet ``sizes``, each a count >= 1, and the joint alphabet, their
+    product, which must index int64 codes; else ``error``."""
+    sizes = tuple(_integer(m, error, "alphabet size", 1) for m in sizes)
+    M = math.prod(sizes)
+    if M > np.iinfo(np.int64).max:
+        raise error(f"alphabet sizes {list(sizes)} give {M} joint symbols, "
+                    f"past the int64 range of symbol codes")
+    return sizes, M
 
 
 def _node_index(nodes, x) -> int:
@@ -332,9 +347,7 @@ def symbolize(panel: TimeSeriesPanel, bins: int, scheme: str = "equal_width") ->
     columns, which cannot be split.
     Bin edges are recorded in the output panel's ``meta['bin_edges']``.
     """
-    bins = _integer(bins, ParamError, "bins")
-    if bins < 2:
-        raise ParamError(f"bins must be >= 2, got {bins}")
+    bins = _integer(bins, ParamError, "bins", 2)
     if scheme not in ("equal_width", "equal_frequency"):
         raise ParamError(f"unknown scheme {scheme!r}")
     values = panel.values.astype(float)
@@ -386,13 +399,14 @@ def _xlogx_pairwise(x):
 
 
 def _law(array, shape, what) -> np.ndarray:
-    """Validated read-only copy of a pmf of the given shape."""
+    """Validated read-only copy of a pmf of the given shape: finite, and no
+    entry below 0."""
     law = np.asarray(array, dtype=float)
     if law.shape != shape:
         raise InvalidModel(f"{what} shape {law.shape} != expected {shape}")
     if not np.isfinite(law).all():
         raise InvalidModel(f"{what} has non-finite entries")
-    if law.size and law.min() < -PMF_ATOL:
+    if law.size and law.min() < 0.0:
         raise InvalidModel(f"{what} has negative entries")
     law = law.copy()
     law.setflags(write=False)
@@ -430,12 +444,8 @@ class SequenceDistribution:
 
     def __init__(self, alphabet_sizes, horizon, pmf=None, *, initial=None, kernel=None,
                  budget: int = DEFAULT_STATE_BUDGET):
-        sizes = tuple(int(m) for m in alphabet_sizes)
-        if any(m < 1 for m in sizes):
-            raise InvalidModel("alphabet sizes must be positive")
-        n = _integer(horizon, InvalidModel, "horizon")
-        if n < 1:
-            raise InvalidModel("horizon must be >= 1")
+        sizes, M = _alphabet(alphabet_sizes, InvalidModel)
+        n = _integer(horizon, InvalidModel, "horizon", 1)
         if (pmf is None) == (initial is None):
             raise InvalidModel("give either a pmf table or an initial law")
         d = len(sizes)
@@ -454,12 +464,12 @@ class SequenceDistribution:
                                "is shorter than the horizon")
         if kernel is not None:
             kernel = _law(kernel, sizes * (width + 1), "kernel")
-            rows = kernel.reshape(-1, int(np.prod(sizes))).sum(axis=1)
+            rows = kernel.reshape(-1, M).sum(axis=1)
             if np.max(np.abs(rows - 1.0)) > PMF_ATOL:
                 raise InvalidModel("kernel rows must each sum to 1")
         self.alphabet_sizes = sizes
         self.horizon = n
-        self.budget = int(budget)
+        self.budget = _integer(budget, ParamError, "budget")
         self._width = width
         self._initial = initial
         self._kernel = kernel
@@ -542,7 +552,7 @@ class SequenceDistribution:
             h = -_xlogx_sum(pi)
             laws, h_prefix, h_window = {w: self._initial}, {w: h}, {w: h}
             if self._kernel is not None:
-                M = int(np.prod(self.alphabet_sizes))
+                M = math.prod(self.alphabet_sizes)
                 rows = self._kernel.reshape(pi.size, M)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     row_h = -np.sum(np.where(rows > 0.0, rows * np.log(rows), 0.0), axis=1)

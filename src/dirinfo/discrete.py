@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, _integer, cells_of
+from .core import (DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, _alphabet,
+                   _integer, _law, cells_of)
 from .errors import (
     BudgetError,
     InsufficientData,
@@ -43,39 +44,19 @@ class DiscreteMarkovModel:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        sizes = tuple(int(m) for m in self.alphabet_sizes)
-        if any(m < 1 for m in sizes):
-            raise InvalidModel("alphabet sizes must be positive")
-        k = int(self.order)
-        if k < 1:
-            raise InvalidModel("order must be >= 1")
-        M = int(np.prod(sizes))
-        kernel = np.asarray(self.kernel, dtype=float)
-        if kernel.shape != (M**k, M):
-            raise InvalidModel(f"kernel shape {kernel.shape} != {(M**k, M)}")
-        if not np.isfinite(kernel).all():
-            raise InvalidModel("kernel has non-finite entries")
-        if kernel.min() < 0:
-            raise InvalidModel("kernel has negative entries")
-        rows = kernel.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > KERNEL_ATOL:
+        sizes, M = _alphabet(self.alphabet_sizes, InvalidModel)
+        k = _integer(self.order, InvalidModel, "order", 1)
+        kernel = _law(self.kernel, (M**k, M), "kernel")
+        if np.max(np.abs(kernel.sum(axis=1) - 1.0)) > KERNEL_ATOL:
             raise InvalidModel("kernel rows must each sum to 1")
-        initial = np.asarray(self.initial, dtype=float)
-        if initial.shape != (M**k,):
-            raise InvalidModel(f"initial shape {initial.shape} != {(M**k,)}")
-        if not np.isfinite(initial).all():
-            raise InvalidModel("initial has non-finite entries")
-        if initial.min() < 0 or abs(initial.sum() - 1.0) > KERNEL_ATOL:
+        initial = _law(self.initial, (M**k,), "initial")
+        if abs(initial.sum() - 1.0) > KERNEL_ATOL:
             raise InvalidModel("initial must be a distribution over the first k samples")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != len(sizes) or len(set(labels)) != len(labels):
                 raise InvalidModel(f"need {len(sizes)} distinct labels")
-        kernel = kernel.copy()
-        kernel.setflags(write=False)
-        initial = initial.copy()
-        initial.setflags(write=False)
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "order", k)
         object.__setattr__(self, "kernel", kernel)
@@ -88,7 +69,7 @@ class DiscreteMarkovModel:
 
     @property
     def joint_alphabet(self) -> int:
-        return int(np.prod(self.alphabet_sizes))
+        return math.prod(self.alphabet_sizes)
 
     def encode_states(self, rows: np.ndarray) -> np.ndarray:
         """Map (T, |V|) integer samples, each in its node's alphabet, to
@@ -131,9 +112,7 @@ def enumerate_joint(model: DiscreteMarkovModel, n: int,
     a marginal of the law (or its dense ``pmf`` table) allocates, see
     :class:`~dirinfo.core.SequenceDistribution`.
     """
-    n = _integer(n, SelectionError, "horizon")
-    if n < 1:
-        raise SelectionError("horizon must be >= 1")
+    n = _integer(n, SelectionError, "horizon", 1)
     sizes, k, d = model.alphabet_sizes, model.order, model.n_nodes
     initial = model.initial.reshape(sizes * k)
     if n < k:
@@ -180,7 +159,7 @@ class _Symbols:
             raise InvalidModel("symbol values must be nonnegative")
         if sizes is None:
             return cls(values, tuple(int(m) + 1 for m in values.max(axis=0)))
-        sizes = tuple(int(m) for m in sizes)
+        sizes, _ = _alphabet(sizes, InvalidModel)
         if len(sizes) != len(labels):
             raise InvalidModel(f"{len(sizes)} alphabet sizes for {len(labels)} columns")
         for label, top, m in zip(labels, values.max(axis=0, initial=0), sizes):
@@ -212,9 +191,7 @@ def fit_plugin(panel: TimeSeriesPanel, order: int, smoothing: float = 0.5,
     symbols = _Symbols.of(panel.values, panel.labels, alphabet_sizes)
     if not 0 <= smoothing < np.inf:
         raise InvalidModel(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    k = _integer(order, InvalidModel, "order")
-    if k < 1:
-        raise InvalidModel("order must be >= 1")
+    k = _integer(order, InvalidModel, "order", 1)
     T = panel.n_samples
     if T <= k:
         raise InsufficientData(f"need more than order={k} samples, got T={T}")
@@ -296,7 +273,7 @@ def sample_codes(model: DiscreteMarkovModel, T: int, count: int, rng) -> np.ndar
     """``count`` independent length-``T`` trajectories as joint symbols,
     shape ``(count, T)``: the first window from the initial law, then one
     kernel draw per step."""
-    M, k = model.joint_alphabet, model.order
+    M, k, T = model.joint_alphabet, model.order, _integer(T, InsufficientData, "T")
     if T < k:
         raise InsufficientData(f"T={T} shorter than the model order {k}")
     codes = np.empty((count, T), dtype=np.int64)
@@ -351,9 +328,8 @@ def model_to_json(model: DiscreteMarkovModel) -> dict:
 
 
 def model_from_json(doc: dict) -> DiscreteMarkovModel:
-    sizes = tuple(int(m) for m in doc["alphabet_sizes"])
-    k = int(doc["order"])
-    M = int(np.prod(sizes))
+    sizes, M = _alphabet(doc["alphabet_sizes"], InvalidModel)
+    k = _integer(doc["order"], InvalidModel, "order", 1)
     kernel = np.asarray(doc["kernel"], dtype=float).reshape(M**k, M)
     initial = np.asarray(doc["initial"], dtype=float)
     labels = tuple(doc["labels"]) if "labels" in doc else None

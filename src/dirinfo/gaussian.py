@@ -53,9 +53,7 @@ class VarModel:
     _innovations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = int(self.order)
-        if p < 1:
-            raise InvalidModel("order must be >= 1")
+        p = _integer(self.order, InvalidModel, "order", 1)
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim == 2:
             coeffs = coeffs[None, :, :]
@@ -451,9 +449,7 @@ def fit_var(panel: TimeSeriesPanel, order: int, method: str = "ols") -> VarModel
     downstream operations that need stationarity raise
     :class:`UnstableModel` themselves.
     """
-    p = _integer(order, ParamError, "order")
-    if p < 1:
-        raise ParamError("order must be >= 1")
+    p = _integer(order, ParamError, "order", 1)
     T, d = panel.n_samples, panel.n_nodes
     if T - p <= p * d:
         raise SingularDesign(
@@ -497,7 +493,7 @@ def var_to_json(model: VarModel) -> dict:
 
 
 def var_from_json(doc: dict) -> VarModel:
-    return VarModel(order=int(doc["order"]),
+    return VarModel(order=doc["order"],
                     coeffs=np.asarray(doc["coeffs"], dtype=float),
                     noise_cov=np.asarray(doc["noise_cov"], dtype=float),
                     labels=tuple(doc["labels"]))

@@ -61,7 +61,7 @@ class DiscreteMarkovFamily:
     name = "discrete_markov"
 
     def __post_init__(self):
-        _check_at_least_one(order=self.order)
+        _integer(self.order, ParamError, "order", 1)
 
     def _prepare(self, panel):
         return _Symbols.of(panel.values, panel.labels)
@@ -82,7 +82,7 @@ class VarFamily:
     name = "var"
 
     def __post_init__(self):
-        _check_at_least_one(order=self.order)
+        _integer(self.order, ParamError, "order", 1)
 
     def _prepare(self, panel):
         x = np.asarray(panel.values, dtype=float)
@@ -108,7 +108,7 @@ class GlmSpikingFamily:
     name = "glm_spiking"
 
     def __post_init__(self):
-        _check_at_least_one(memory=self.memory)
+        _integer(self.memory, ParamError, "memory", 1)
 
     def _prepare(self, panel):
         symbols = _Symbols.of(panel.values, panel.labels)
@@ -121,13 +121,6 @@ class GlmSpikingFamily:
         and lags 1..memory of ``cols``."""
         design = np.concatenate([np.ones((data.n, 1)), data.rows(data.lags(cols))], axis=1)
         return _fit_glm(design, data.values[data.k:, target])
-
-
-def _check_at_least_one(**params):
-    """Refuse a family parameter (a lag count) that is not an integer >= 1."""
-    for name, value in params.items():
-        if not _integer(value, ParamError, name) >= 1:
-            raise ParamError(f"{name} must be >= 1, got {value!r}")
 
 
 def _family_method(family, name, caller):

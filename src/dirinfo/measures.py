@@ -226,6 +226,7 @@ def schreiber_transfer_entropy(dist, a_nodes, b_nodes, k: int, l: int,
     information.
     """
     n, a, b, _ = _check_groups(dist, n, a_nodes, b_nodes)
+    k, l = _integer(k, ParamError, "k"), _integer(l, ParamError, "l")
     if not 1 <= k <= n - 1:
         raise ParamError(f"target memory k={k} outside 1..{n - 1}")
     if not 1 <= l <= n - 1:

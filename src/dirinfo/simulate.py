@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesPanel, _node_index
+from .core import TimeSeriesPanel, _integer, _node_index
 from .errors import ParamError, UnstableModel
 from .discrete import DiscreteMarkovModel
 from .gaussian import VarModel
@@ -57,9 +57,7 @@ def _truth(labels, directed, instantaneous=()) -> GroundTruth:
 
 def _samples(T, burn_in):
     """Samples to draw for ``T`` kept rows after ``burn_in`` discarded ones."""
-    if not T >= 1:
-        raise ParamError(f"T must be >= 1, got {T!r}")
-    return T + burn_in
+    return _integer(T, ParamError, "T", 1) + burn_in
 
 
 # ---------------------------------------------------------------------------

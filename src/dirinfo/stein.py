@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _node_groups
+from .core import _integer, _node_groups
 from .discrete import DiscreteMarkovModel, _Symbols, draw_symbols, sample_codes
 from .errors import ParamError, PartitionError
 from .measures import rate as measure_rate
@@ -138,15 +138,17 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     with its certified bracket (:func:`~dirinfo.measures.rate`).
     Bivariate strictly positive models only.
     """
-    if trials < 1000:
-        raise ParamError("use at least 1000 trials")
+    trials = _integer(trials, ParamError, "trials", 1000)
+    if not 0.0 < miss_level < 1.0:
+        raise ParamError(f"miss_level must be in (0, 1), got {miss_level!r}")
+    T_grid = sorted(_integer(t, ParamError, "T", 1) for t in T_grid)
     a_idx, b_idx, _ = _node_groups(model.n_nodes, a_nodes, b_nodes)
     stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)
     flt = _BivariateFilter(model, a_idx, b_idx)
     rng = np.random.default_rng(seed)
     points = []
     exps, Ts = [], []
-    for T in sorted(int(t) for t in T_grid):
+    for T in T_grid:
         h1 = sample_codes(model, T, trials, rng)
         llr_h1 = _stein_llr(flt, h1)
         tau = float(np.quantile(llr_h1, miss_level))

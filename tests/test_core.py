@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,10 @@ from dirinfo.core import (
     write_panel,
 )
 from dirinfo.errors import (
+    CalibrationError,
     DegenerateColumn,
     DirinfoError,
+    InsufficientData,
     InvalidModel,
     ParamError,
     ParseError,
@@ -25,8 +28,24 @@ from dirinfo.errors import (
     SchemaError,
     SelectionError,
 )
-from dirinfo.discrete import enumerate_joint, fit_plugin, marginal, sample_panel, save_model
-from dirinfo.gaussian import fit_var, gaussian_mi_rate, innovation_cov
+from dirinfo.discrete import (
+    DiscreteMarkovModel,
+    enumerate_joint,
+    fit_plugin,
+    marginal,
+    model_from_json,
+    model_to_json,
+    sample_panel,
+    save_model,
+)
+from dirinfo.gaussian import (
+    VarModel,
+    fit_var,
+    gaussian_mi_rate,
+    innovation_cov,
+    var_from_json,
+    var_to_json,
+)
 from dirinfo.inference import (
     VarFamily,
     generalized_llr,
@@ -34,8 +53,14 @@ from dirinfo.inference import (
     llr_coupling,
     stein_exponent_check,
 )
-from dirinfo.measures import directed_information, entropy, rate
-from dirinfo.simulate import gen_glm_spiking, random_markov_model, random_var_model
+from dirinfo.measures import directed_information, entropy, rate, schreiber_transfer_entropy
+from dirinfo.simulate import (
+    delay_channel,
+    gen_chain_example,
+    gen_glm_spiking,
+    random_markov_model,
+    random_var_model,
+)
 
 
 def test_load_csv_basic(tmp_path, rng):
@@ -321,22 +346,113 @@ def test_cli_reports_malformed_node_groups_as_one_partition_error(tmp_path, caps
     assert capsys.readouterr().err == f"error: PartitionError: {message}\n"
 
 
-# a count is read as an integer, never truncated: each call keeps the error
-# class its site raises for a count out of range
-@pytest.mark.parametrize("call, error", [
-    (lambda: enumerate_joint(_MODEL, 2.5), SelectionError),
+def _model_of(sizes, order=1):
+    return DiscreteMarkovModel(sizes, order, np.full((2, 2), 0.5), np.full(2, 0.5))
+
+
+def _doc(to_json, model, **fields):
+    return {**to_json(model), **fields}
+
+
+_HUGE = (2**32, 2**32)  # a joint alphabet of 2**64 symbols
+_PAST_INT64 = ("alphabet sizes [4294967296, 4294967296] give 18446744073709551616 joint "
+               "symbols, past the int64 range of symbol codes")
+_PMF = np.full(2, 0.5)
+
+
+# a count is read as an integer, never truncated or parsed, and each site
+# keeps the error class it raises for a count out of range
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: enumerate_joint(_MODEL, 2.5), SelectionError, "horizon 2.5 is not an integer"),
     (lambda: directed_information(enumerate_joint(_MODEL, 3), (0,), (1,), n=2.5),
-     SelectionError),
-    (lambda: fit_plugin(_panel(), 1.5), InvalidModel),
-    (lambda: fit_var(_panel(), 1.5), ParamError),
-    (lambda: VarFamily(order=1.5), ParamError),
-    (lambda: symbolize(_panel(), 2.5), ParamError),
+     SelectionError, "horizon 2.5 is not an integer"),
+    (lambda: fit_plugin(_panel(), 1.5), InvalidModel, "order 1.5 is not an integer"),
+    (lambda: fit_var(_panel(), 1.5), ParamError, "order 1.5 is not an integer"),
+    (lambda: VarFamily(order=1.5), ParamError, "order 1.5 is not an integer"),
+    (lambda: symbolize(_panel(), 2.5), ParamError, "bins 2.5 is not an integer"),
+    (lambda: _model_of((2,), 1.5), InvalidModel, "order 1.5 is not an integer"),
+    (lambda: _model_of((2,), "1"), InvalidModel, "order '1' is not an integer"),
+    (lambda: _model_of((2.5,)), InvalidModel, "alphabet size 2.5 is not an integer"),
+    (lambda: _model_of(("2",)), InvalidModel, "alphabet size '2' is not an integer"),
+    (lambda: DiscreteMarkovModel(_HUGE, 1, np.zeros((0, 0)), np.zeros(0)),
+     InvalidModel, _PAST_INT64),
+    (lambda: VarModel(1.5, np.zeros((1, 2, 2)), np.eye(2), ("a", "b")),
+     InvalidModel, "order 1.5 is not an integer"),
+    (lambda: VarModel("1", np.zeros((1, 2, 2)), np.eye(2), ("a", "b")),
+     InvalidModel, "order '1' is not an integer"),
+    (lambda: model_from_json(_doc(model_to_json, _MODEL, order=1.5)),
+     InvalidModel, "order 1.5 is not an integer"),
+    (lambda: model_from_json(_doc(model_to_json, _MODEL, order="1")),
+     InvalidModel, "order '1' is not an integer"),
+    (lambda: model_from_json(_doc(model_to_json, _MODEL, alphabet_sizes=[2.5, 2, 2])),
+     InvalidModel, "alphabet size 2.5 is not an integer"),
+    (lambda: model_from_json(_doc(model_to_json, _MODEL, alphabet_sizes=list(_HUGE))),
+     InvalidModel, _PAST_INT64),
+    (lambda: var_from_json(_doc(var_to_json, _var_model(), order=1.5)),
+     InvalidModel, "order 1.5 is not an integer"),
+    (lambda: var_from_json(_doc(var_to_json, _var_model(), order="1")),
+     InvalidModel, "order '1' is not an integer"),
+    (lambda: SequenceDistribution((2.5,), 1, _PMF), InvalidModel,
+     "alphabet size 2.5 is not an integer"),
+    (lambda: SequenceDistribution(("2",), 1, _PMF), InvalidModel,
+     "alphabet size '2' is not an integer"),
+    (lambda: SequenceDistribution(_HUGE, 1, _PMF), InvalidModel, _PAST_INT64),
+    (lambda: SequenceDistribution((2,), 1, _PMF, budget=2.5), ParamError,
+     "budget 2.5 is not an integer"),
+    (lambda: SequenceDistribution((2,), 1, _PMF, budget="2"), ParamError,
+     "budget '2' is not an integer"),
+    (lambda: SequenceDistribution((3,), 1, [0.5 + 1e-13, 0.5, -1e-13]), InvalidModel,
+     "pmf has negative entries"),
+    (lambda: fit_plugin(_panel(), 1, alphabet_sizes=(2.5, 2, 2)), InvalidModel,
+     "alphabet size 2.5 is not an integer"),
+    (lambda: fit_plugin(_panel(), 1, alphabet_sizes=("2", 2, 2)), InvalidModel,
+     "alphabet size '2' is not an integer"),
+    (lambda: gen_chain_example(20.5, seed=1), ParamError, "T 20.5 is not an integer"),
+    (lambda: gen_chain_example("20", seed=1), ParamError, "T '20' is not an integer"),
+    (lambda: sample_panel(_MODEL, 20.5, 1), InsufficientData, "T 20.5 is not an integer"),
+    (lambda: sample_panel(_MODEL, "20", 1), InsufficientData, "T '20' is not an integer"),
+    (lambda: stein_exponent_check(delay_channel(0.1), (0,), (1,), (20,), trials=1000.5),
+     ParamError, "trials 1000.5 is not an integer"),
+    (lambda: stein_exponent_check(delay_channel(0.1), (0,), (1,), (20,), trials="1000"),
+     ParamError, "trials '1000' is not an integer"),
+    (lambda: stein_exponent_check(delay_channel(0.1), (0,), (1,), (20.7,), trials=1000),
+     ParamError, "T 20.7 is not an integer"),
+    (lambda: stein_exponent_check(delay_channel(0.1), (0,), (1,), ("20",), trials=1000),
+     ParamError, "T '20' is not an integer"),
+    (lambda: llr_causality(_panel(), ("x0",), ("x1",), calibration="surrogate", surrogates=200.5),
+     CalibrationError, "surrogates 200.5 is not an integer"),
+    (lambda: llr_causality(_panel(), ("x0",), ("x1",), calibration="surrogate", surrogates="200"),
+     CalibrationError, "surrogates '200' is not an integer"),
+    (lambda: schreiber_transfer_entropy(enumerate_joint(_MODEL, 3), (0,), (1,), 1.5, 1),
+     ParamError, "k 1.5 is not an integer"),
+    (lambda: schreiber_transfer_entropy(enumerate_joint(_MODEL, 3), (0,), (1,), 1, "1"),
+     ParamError, "l '1' is not an integer"),
 ], ids=["enumerate_joint", "directed_information", "fit_plugin", "fit_var", "VarFamily",
-        "symbolize"])
-def test_fractional_counts_are_refused(call, error):
-    with pytest.raises(DirinfoError, match="is not an integer") as caught:
+        "symbolize", "model_order", "model_order_string", "model_size", "model_size_string",
+        "model_past_int64", "var_order", "var_order_string", "model_json_order",
+        "model_json_order_string", "model_json_size", "model_json_past_int64",
+        "var_json_order", "var_json_order_string", "law_size", "law_size_string",
+        "law_past_int64", "law_budget", "law_budget_string", "law_negative_entry",
+        "fit_plugin_size", "fit_plugin_size_string", "generator_T", "generator_T_string",
+        "sample_panel_T", "sample_panel_T_string", "stein_trials", "stein_trials_string",
+        "stein_T", "stein_T_string", "surrogates", "surrogates_string", "schreiber_k",
+        "schreiber_l_string"])
+def test_fractional_counts_are_refused(call, error, message):
+    with pytest.raises(DirinfoError) as caught:
         call()
     assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("to_json, model", [(model_to_json, _MODEL),
+                                            (var_to_json, _var_model())],
+                         ids=["discrete", "var"])
+def test_cli_refuses_a_fractional_model_order(tmp_path, capsys, to_json, model):
+    (tmp_path / "m.json").write_text(json.dumps(_doc(to_json, model, order=1.5)))
+    argv = ["decompose", "--model", tmp_path / "m.json", "--A", "x0", "--B", "x1",
+            "--out", tmp_path / "d"]
+    assert main([str(x) for x in argv]) == 1
+    assert capsys.readouterr().err == "error: InvalidModel: order 1.5 is not an integer\n"
 
 
 def test_symbolize_equal_width():
