@@ -2,9 +2,10 @@
 # End-to-end run of the installed `dirinfo` console script: simulate,
 # estimate, graph (both families, under chi-square and surrogate
 # calibration), test and decompose, then `check` every result and
-# `replay` every manifest; malformed node groups, an unknown node label and
-# a fractional model order must exit 1 with one error line each.  Run from
-# anywhere after `pip install .`:
+# `replay` every manifest; a model whose initial law sums to 1 within 1e-12,
+# though the sum rounds to 1.000000000001, must decompose; malformed node
+# groups, an unknown node label and a fractional model order must exit 1 with
+# one error line each.  Run from anywhere after `pip install .`:
 #   bash ci/console-pipeline.sh
 # It works in a fresh temporary directory and stops at the first failure.
 set -e
@@ -79,6 +80,13 @@ refuses PartitionError "$disjoint" decompose --model m.model.json --A x --B x
 refuses PartitionError "unknown node label 'w'" test --input nl.csv --family var --kind causality \
   --A w --B y
 refuses PartitionError "unknown node label 'w'" decompose --model m.model.json --A w --B y
+# the discrete model with an initial law that sums to 1 + 9.99978e-13, which
+# rounds to 1.000000000001: the model and the law enumerated from it must
+# both accept it
+python3 -c 'import json, sys; d = json.load(open("md.model.json")); d["initial"] = [float.fromhex(h) for h in sys.argv[1:]]; json.dump(d, open("md-edge.model.json", "w"))' \
+  0x1.57bc4498df899p-3 0x1.7776059593505p-3 0x1.1c7cfc4c4f6afp-1 0x1.7db38940b08c4p-4
+dirinfo decompose --model md-edge.model.json --A x --B y --n 4 --out de
+dirinfo check de.json
 # the same discrete and VAR models, each with a fractional order
 for model in md m; do
   sed 's/"order": [0-9]*/"order": 1.5/' "$model.model.json" > "$model-half.model.json"

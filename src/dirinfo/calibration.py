@@ -8,6 +8,7 @@ block-permutation surrogates of the source process.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -226,10 +227,11 @@ def _quantile_rank(alpha, n_surrogates):
     return math.ceil((1.0 - alpha) * (n_surrogates + 1))
 
 
-def _check_level(level):
-    """Refuse a test level outside (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ParamError(f"alpha must lie in (0, 1), got {level}")
+def _check_level(level, what="alpha"):
+    """Refuse a probability level that is not a real number in (0, 1).  The
+    one reading of a test level and of the Stein check's miss level."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ParamError(f"{what} must lie in (0, 1), got {level!r}")
 
 
 def min_surrogates(level: float) -> int:

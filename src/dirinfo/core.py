@@ -73,12 +73,10 @@ class TimeSeriesPanel:
             raise SchemaError("panel needs at least one time step")
         if d < 2:
             raise SchemaError("panel needs at least two nodes")
-        labels = tuple(str(x) for x in self.labels)
-        if len(labels) != d:
-            raise SchemaError(f"{len(labels)} labels for {d} columns")
-        if len(set(labels)) != len(labels):
-            raise SchemaError(f"duplicate labels: {sorted(labels)}")
-        if not np.isfinite(values if values.dtype.kind == "f" else values.astype(float)).all():
+        labels = _labels(self.labels, d, SchemaError)
+        if values.dtype.kind not in "biuf":
+            raise SchemaError(f"panel values must be real numbers, got dtype {values.dtype}")
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise SchemaError("panel contains missing or non-finite entries")
         values = values.copy()
         values.setflags(write=False)
@@ -263,6 +261,15 @@ def _alphabet(sizes, error) -> tuple[tuple[int, ...], int]:
     return sizes, M
 
 
+def _labels(labels, count, error) -> tuple[str, ...]:
+    """``labels`` as ``count`` distinct strings, else ``error``.  The one
+    check of a node set's names, shared by panels, models and partitions."""
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != count or len(set(labels)) != count:
+        raise error(f"need {count} distinct labels, got {list(labels)}")
+    return labels
+
+
 def _node_index(nodes, x) -> int:
     """Node ``x`` as an index, the one reading of a node name.  ``nodes`` is
     either a node set's labels, which ``x`` names as ``str(x)``, or a node
@@ -327,9 +334,8 @@ class NodePartition:
 
 def make_partition(labels, a_labels, b_labels) -> NodePartition:
     """Build the partition (A, B, C := V minus A minus B) from node names."""
-    labels = tuple(str(x) for x in labels)
-    if len(set(labels)) != len(labels):
-        raise PartitionError("node set contains duplicate labels")
+    labels = tuple(labels)
+    labels = _labels(labels, len(labels), PartitionError)
     a, b, _ = _node_groups(labels, a_labels, b_labels)
     c = tuple(i for i in range(len(labels)) if i not in a + b)
     return NodePartition(a=a, b=b, c=c, labels=labels)
@@ -398,18 +404,31 @@ def _xlogx_pairwise(x):
     return _xlogx_pairwise(x[:half]) + _xlogx_pairwise(x[half:])
 
 
-def _law(array, shape, what) -> np.ndarray:
-    """Validated read-only copy of a pmf of the given shape: finite, and no
-    entry below 0."""
-    law = np.asarray(array, dtype=float)
-    if law.shape != shape:
-        raise InvalidModel(f"{what} shape {law.shape} != expected {shape}")
-    if not np.isfinite(law).all():
+def _array(array, shape, what) -> np.ndarray:
+    """Validated read-only float copy of ``array``: of the given shape, and
+    finite.  The one reading of a model's array."""
+    array = np.asarray(array, dtype=float)
+    if array.shape != shape:
+        raise InvalidModel(f"{what} shape {array.shape} != expected {shape}")
+    if not np.isfinite(array).all():
         raise InvalidModel(f"{what} has non-finite entries")
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+def _law(array, shape, what, row=None) -> np.ndarray:
+    """:func:`_array` of a pmf: no entry below 0, and summing to 1 within
+    ``PMF_ATOL``, summed and compared in extended precision.  With ``row``
+    (M for a kernel) each run of ``row`` entries is one conditional law and
+    sums to 1, else the whole array does.  The one check of a law."""
+    law = _array(array, shape, what)
     if law.size and law.min() < 0.0:
         raise InvalidModel(f"{what} has negative entries")
-    law = law.copy()
-    law.setflags(write=False)
+    sums = law.reshape(-1, row or law.size).sum(axis=1, dtype=np.longdouble)
+    if np.max(np.abs(sums - 1)) > PMF_ATOL:
+        raise InvalidModel(f"{what} rows must each sum to 1" if row else
+                           f"{what} sums to {float(sums[0])!r}, not 1")
     return law
 
 
@@ -456,17 +475,11 @@ class SequenceDistribution:
             if not 1 <= width <= n:
                 raise InvalidModel(f"initial law spans {width} samples, horizon is {n}")
         initial = _law(initial, sizes * width, what)
-        total = float(np.sum(initial.astype(np.longdouble)))
-        if abs(total - 1.0) > PMF_ATOL:
-            raise InvalidModel(f"{what} sums to {total!r}, not 1")
         if (kernel is None) != (width == n):
             raise InvalidModel("a kernel is needed exactly when the initial law "
                                "is shorter than the horizon")
         if kernel is not None:
-            kernel = _law(kernel, sizes * (width + 1), "kernel")
-            rows = kernel.reshape(-1, M).sum(axis=1)
-            if np.max(np.abs(rows - 1.0)) > PMF_ATOL:
-                raise InvalidModel("kernel rows must each sum to 1")
+            kernel = _law(kernel, sizes * (width + 1), "kernel", M)
         self.alphabet_sizes = sizes
         self.horizon = n
         self.budget = _integer(budget, ParamError, "budget")

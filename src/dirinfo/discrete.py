@@ -22,15 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (DEFAULT_STATE_BUDGET, SequenceDistribution, TimeSeriesPanel, _alphabet,
-                   _integer, _law, cells_of)
+                   _integer, _labels, _law, cells_of)
 from .errors import (
     BudgetError,
     InsufficientData,
     InvalidModel,
     SelectionError,
 )
-
-KERNEL_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,17 +44,9 @@ class DiscreteMarkovModel:
     def __post_init__(self):
         sizes, M = _alphabet(self.alphabet_sizes, InvalidModel)
         k = _integer(self.order, InvalidModel, "order", 1)
-        kernel = _law(self.kernel, (M**k, M), "kernel")
-        if np.max(np.abs(kernel.sum(axis=1) - 1.0)) > KERNEL_ATOL:
-            raise InvalidModel("kernel rows must each sum to 1")
+        kernel = _law(self.kernel, (M**k, M), "kernel", M)
         initial = _law(self.initial, (M**k,), "initial")
-        if abs(initial.sum() - 1.0) > KERNEL_ATOL:
-            raise InvalidModel("initial must be a distribution over the first k samples")
-        labels = self.labels
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != len(sizes) or len(set(labels)) != len(labels):
-                raise InvalidModel(f"need {len(sizes)} distinct labels")
+        labels = None if self.labels is None else _labels(self.labels, len(sizes), InvalidModel)
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "order", k)
         object.__setattr__(self, "kernel", kernel)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
-from .core import MeasureValue, TimeSeriesPanel, _integer, _node_groups, _node_index, read_json
+from .core import (MeasureValue, TimeSeriesPanel, _array, _integer, _labels, _node_groups,
+                   _node_index, read_json)
 from .errors import (
     InvalidModel,
     ParamError,
@@ -55,30 +56,15 @@ class VarModel:
     def __post_init__(self):
         p = _integer(self.order, InvalidModel, "order", 1)
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim == 2:
-            coeffs = coeffs[None, :, :]
-        if coeffs.ndim != 3 or coeffs.shape[0] != p or coeffs.shape[1] != coeffs.shape[2]:
-            raise InvalidModel(f"coeffs must be (order, d, d), got {coeffs.shape}")
-        if not np.isfinite(coeffs).all():
-            raise InvalidModel("coeffs have non-finite entries")
-        d = coeffs.shape[1]
-        noise = np.asarray(self.noise_cov, dtype=float)
-        if noise.shape != (d, d):
-            raise InvalidModel(f"noise_cov must be ({d}, {d}), got {noise.shape}")
-        if not np.isfinite(noise).all():
-            raise InvalidModel("noise_cov has non-finite entries")
+        d = coeffs.shape[-1] if coeffs.ndim else 0
+        coeffs = _array(coeffs[None] if coeffs.ndim == 2 else coeffs, (p, d, d), "coeffs")
+        noise = _array(self.noise_cov, (d, d), "noise_cov")
         if np.max(np.abs(noise - noise.T)) > 1e-10:
             raise InvalidModel("noise_cov is not symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (noise + noise.T))
-        if eigs.min() <= 0:
+        noise = _array(0.5 * (noise + noise.T), (d, d), "noise_cov")
+        if np.linalg.eigvalsh(noise).min() <= 0:
             raise InvalidModel("noise_cov must be positive definite")
-        labels = tuple(str(x) for x in self.labels)
-        if len(labels) != d or len(set(labels)) != d:
-            raise InvalidModel(f"need {d} distinct labels")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        noise = 0.5 * (noise + noise.T)
-        noise.setflags(write=False)
+        labels = _labels(self.labels, d, InvalidModel)
         object.__setattr__(self, "order", p)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_cov", noise)

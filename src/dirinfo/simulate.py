@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesPanel, _integer, _node_index
+from .core import TimeSeriesPanel, _integer, _labels, _node_index
 from .errors import ParamError, UnstableModel
 from .discrete import DiscreteMarkovModel
 from .gaussian import VarModel
@@ -162,9 +162,8 @@ def gen_glm_spiking(weights: dict, T: int, seed, labels=None,
     (entry i applies at lag i+1).  Spikes are conditionally independent
     given the history, so the truth graph has no instantaneous pairs.
     """
-    if labels is None:
-        labels = sorted({lab for pair in weights for lab in pair})
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(sorted({lab for pair in weights for lab in pair}) if labels is None else labels)
+    labels = _labels(labels, len(labels), ParamError)
     bias = {str(k): float(v) for k, v in (bias or {}).items()}
     resp = {}
     memory = 1
@@ -199,6 +198,8 @@ def gen_glm_spiking(weights: dict, T: int, seed, labels=None,
 def random_markov_model(seed, nodes: int = 2, alphabet: int = 2, order: int = 1,
                         concentration: float = 1.0) -> DiscreteMarkovModel:
     """Dirichlet-random joint kernel and initial law."""
+    nodes, alphabet, order = (_integer(x, ParamError, what, 1) for x, what in
+                              ((nodes, "nodes"), (alphabet, "alphabet"), (order, "order")))
     rng = np.random.default_rng(seed)
     M = alphabet ** nodes
     kernel = rng.dirichlet(np.full(M, concentration), size=M ** order)
@@ -227,8 +228,8 @@ def random_var_model(seed, nodes: int = 2, order: int = 1, radius: float = 0.8,
     ``radius`` and exchangeable noise correlation ``noise_corr``."""
     if not 0.0 < radius < 1.0:
         raise ParamError("radius must be in (0, 1)")
+    d, order = _integer(nodes, ParamError, "nodes", 1), _integer(order, ParamError, "order", 1)
     rng = np.random.default_rng(seed)
-    d = nodes
     coeffs = rng.normal(size=(order, d, d)) * 0.4
     if labels is None:
         labels = tuple(f"x{i}" for i in range(d))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .calibration import _check_level
 from .core import _integer, _node_groups
 from .discrete import DiscreteMarkovModel, _Symbols, draw_symbols, sample_codes
 from .errors import ParamError, PartitionError
@@ -139,8 +140,7 @@ def stein_exponent_check(model: DiscreteMarkovModel, a_nodes, b_nodes, T_grid,
     Bivariate strictly positive models only.
     """
     trials = _integer(trials, ParamError, "trials", 1000)
-    if not 0.0 < miss_level < 1.0:
-        raise ParamError(f"miss_level must be in (0, 1), got {miss_level!r}")
+    _check_level(miss_level, "miss_level")
     T_grid = sorted(_integer(t, ParamError, "T", 1) for t in T_grid)
     a_idx, b_idx, _ = _node_groups(model.n_nodes, a_nodes, b_nodes)
     stationary_rate = measure_rate("di", model, a_idx, b_idx, n_max=rate_horizon)

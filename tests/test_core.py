@@ -49,6 +49,7 @@ from dirinfo.gaussian import (
 from dirinfo.inference import (
     VarFamily,
     generalized_llr,
+    infer_graph,
     llr_causality,
     llr_coupling,
     stein_exponent_check,
@@ -453,6 +454,88 @@ def test_cli_refuses_a_fractional_model_order(tmp_path, capsys, to_json, model):
             "--out", tmp_path / "d"]
     assert main([str(x) for x in argv]) == 1
     assert capsys.readouterr().err == "error: InvalidModel: order 1.5 is not an integer\n"
+
+
+# a law that sums to 1 + 9.99978e-13, within PMF_ATOL, though its sum rounded
+# to float64 reads 1.000000000001; and the same law two ulps further out, at
+# 1 + 1.000006e-12, though its float64 sum is within
+_EDGE_LAW = np.array([float.fromhex(h) for h in ("0x1.57bc4498df899p-3", "0x1.7776059593505p-3",
+                                                 "0x1.1c7cfc4c4f6afp-1", "0x1.7db38940b08c4p-4")])
+_OVER_LAW = np.array([*_EDGE_LAW[:3], float.fromhex("0x1.7db38940b08c6p-4")])
+_UNIFORM = np.full((4, 4), 0.25)
+
+
+def _law_doc(initial):
+    return {"alphabet_sizes": [2, 2], "order": 1, "kernel": _UNIFORM.ravel().tolist(),
+            "initial": list(initial)}
+
+
+def _two_nodes(labels):
+    return DiscreteMarkovModel((2, 2), 1, _UNIFORM, _EDGE_LAW, labels=labels)
+
+
+# a law, a label set and a model array are each checked by one rule in core:
+# a model and the law built from it get one verdict, and every site keeps its
+# error class (None: accepted)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: enumerate_joint(DiscreteMarkovModel((2, 2), 1, _UNIFORM, _EDGE_LAW), 2), None, None),
+    (lambda: enumerate_joint(model_from_json(_law_doc(_EDGE_LAW)), 2), None, None),
+    (lambda: SequenceDistribution((2, 2), 1, initial=_EDGE_LAW.reshape(2, 2)), None, None),
+    (lambda: SequenceDistribution((2, 2), 1, _EDGE_LAW.reshape(2, 2)), None, None),
+    (lambda: DiscreteMarkovModel((2, 2), 1, _UNIFORM, _OVER_LAW), InvalidModel,
+     "initial sums to 1.000000000001, not 1"),
+    (lambda: model_from_json(_law_doc(_OVER_LAW)), InvalidModel,
+     "initial sums to 1.000000000001, not 1"),
+    (lambda: TimeSeriesPanel(np.zeros((3, 2)), ("a", "a")), SchemaError,
+     "need 2 distinct labels, got ['a', 'a']"),
+    (lambda: TimeSeriesPanel(np.zeros((3, 2)), ("a",)), SchemaError,
+     "need 2 distinct labels, got ['a']"),
+    (lambda: _two_nodes(("a", "a")), InvalidModel, "need 2 distinct labels, got ['a', 'a']"),
+    (lambda: _two_nodes(("a", "b", "c")), InvalidModel,
+     "need 2 distinct labels, got ['a', 'b', 'c']"),
+    (lambda: VarModel(1, np.zeros((1, 2, 2)), np.eye(2), ("a", "a")), InvalidModel,
+     "need 2 distinct labels, got ['a', 'a']"),
+    (lambda: VarModel(1, np.zeros((1, 2, 2)), np.eye(2), ("a",)), InvalidModel,
+     "need 2 distinct labels, got ['a']"),
+    (lambda: make_partition(("a", "b", "a"), ("a",), ("b",)), PartitionError,
+     "need 3 distinct labels, got ['a', 'b', 'a']"),
+    (lambda: gen_glm_spiking({("a", "b"): [1.0]}, 20, 1, labels=("a", "b", "a")), ParamError,
+     "need 3 distinct labels, got ['a', 'b', 'a']"),
+    (lambda: TimeSeriesPanel(np.array([["1", "2"]]), ("a", "b")), SchemaError,
+     "panel values must be real numbers, got dtype <U1"),
+    (lambda: TimeSeriesPanel(np.ones((3, 2), dtype=complex), ("a", "b")), SchemaError,
+     "panel values must be real numbers, got dtype complex128"),
+    (lambda: VarModel(1, np.zeros((1, 2, 3)), np.eye(3), ("a", "b", "c")), InvalidModel,
+     "coeffs shape (1, 2, 3) != expected (1, 3, 3)"),
+    (lambda: VarModel(2, np.zeros((2, 2)), np.eye(2), ("a", "b")), InvalidModel,
+     "coeffs shape (1, 2, 2) != expected (2, 2, 2)"),
+    (lambda: llr_causality(_panel(), ("x0",), ("x1",), alpha="0.05"), ParamError,
+     "alpha must lie in (0, 1), got '0.05'"),
+    (lambda: infer_graph(_panel(), VarFamily(), alpha="0.05"), ParamError,
+     "alpha must lie in (0, 1), got '0.05'"),
+    (lambda: stein_exponent_check(delay_channel(0.1), (0,), (1,), (20,), trials=1000,
+                                  miss_level="0.2"),
+     ParamError, "miss_level must lie in (0, 1), got '0.2'"),
+    (lambda: random_markov_model(1, nodes=2.5), ParamError, "nodes 2.5 is not an integer"),
+    (lambda: random_markov_model(1, alphabet=2.5), ParamError, "alphabet 2.5 is not an integer"),
+    (lambda: random_markov_model(1, order=1.5), ParamError, "order 1.5 is not an integer"),
+    (lambda: random_var_model(1, nodes=2.5), ParamError, "nodes 2.5 is not an integer"),
+    (lambda: random_var_model(1, order=1.5), ParamError, "order 1.5 is not an integer"),
+], ids=["law_model", "law_model_json", "law_initial", "law_pmf", "over_law_model",
+        "over_law_model_json", "panel_duplicate_label", "panel_missing_label",
+        "model_duplicate_label", "model_extra_label", "var_duplicate_label",
+        "var_missing_label", "partition_duplicate_label", "glm_duplicate_label",
+        "string_panel", "complex_panel", "var_coeffs_shape", "var_coeffs_order",
+        "llr_string_alpha", "graph_string_alpha", "stein_string_miss_level",
+        "markov_nodes", "markov_alphabet", "markov_order", "var_nodes", "var_order"])
+def test_laws_labels_and_model_arrays_are_checked_once(call, error, message):
+    if error is None:
+        call()
+        return
+    with pytest.raises(DirinfoError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_symbolize_equal_width():

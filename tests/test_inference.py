@@ -870,7 +870,7 @@ def test_stein_rejects_degenerate_models():
 
 @pytest.mark.parametrize("miss_level", [0.0, 1.0, 1.5, -0.2, math.nan])
 def test_stein_refuses_a_miss_level_outside_0_1(miss_level):
-    with pytest.raises(ParamError, match=r"miss_level must be in \(0, 1\)"):
+    with pytest.raises(ParamError, match=r"miss_level must lie in \(0, 1\)"):
         stein_exponent_check(delay_channel(0.1), (0,), (1,), (20,), trials=1000,
                              miss_level=miss_level)
 
