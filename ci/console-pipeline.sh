@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `dirinfo` console script: simulate,
 # estimate, graph (both families, under chi-square and surrogate
-# calibration), test and decompose, then `check` every result and
-# `replay` every manifest; a model whose initial law sums to 1 within 1e-12,
-# though the sum rounds to 1.000000000001, must decompose; malformed node
-# groups, an unknown node label and a fractional model order must exit 1 with
-# one error line each.  Run from anywhere after `pip install .`:
+# calibration, the latter also on a panel that blocks of 5 do not divide),
+# test and decompose, then `check` every result and `replay` every manifest;
+# a model whose initial law sums to 1 within 1e-12, though the sum rounds to
+# 1.000000000001, must decompose; malformed node groups, an unknown node
+# label, a surrogate count below 20 and a fractional model order must exit 1
+# with one error line each.  Run from anywhere after `pip install .`:
 #   bash ci/console-pipeline.sh
 # It works in a fresh temporary directory and stops at the first failure.
 set -e
@@ -74,12 +75,20 @@ dirinfo estimate --input ch.csv --family discrete --order 2 --bins 3 --out md2
 dirinfo decompose --model md2.model.json --A x --B y --n 4 --out dd2
 dirinfo check dd2.json
 for run in md2 dd2; do dirinfo replay "$run.manifest.json"; done
+# T = 3001 rows cut into 600 blocks of 5 and one of 6
+dirinfo simulate chain --T 3001 --seed 13 --out ch3
+dirinfo test --input ch3.csv --family var --kind causality --A x --B y \
+  --calibration surrogate --seed 13 --out us
+dirinfo check us.json
+for run in ch3 us; do dirinfo replay "$run.manifest.json"; done
 refuses PartitionError "$disjoint" test --input nl.csv --family var --kind causality --A x --B x
 refuses PartitionError "$disjoint" test --input nl.csv --family var --kind causality --A x --B y --C x
 refuses PartitionError "$disjoint" decompose --model m.model.json --A x --B x
 refuses PartitionError "unknown node label 'w'" test --input nl.csv --family var --kind causality \
   --A w --B y
 refuses PartitionError "unknown node label 'w'" decompose --model m.model.json --A w --B y
+refuses CalibrationError "need at least 20 surrogates, got 10" test --input nl.csv --family var \
+  --kind causality --A x --B y --calibration surrogate --surrogates 10 --seed 3
 # the discrete model with an initial law that sums to 1 + 9.99978e-13, which
 # rounds to 1.000000000001: the model and the law enumerated from it must
 # both accept it

@@ -218,8 +218,8 @@ def _block_permutations(T, block_len, rng, count):
     shifts = starts - (np.cumsum(lengths, axis=1) - lengths) + offsets
     rotated = np.repeat(shifts.ravel(), lengths.ravel()).reshape(count, T)
     rotated += np.arange(T)
-    # every entry lies in [0, 2T): wrapping by lookup is cheaper than % T
-    return np.tile(np.arange(T), 2)[rotated]
+    # every entry lies in [0, 2T): wrapping in place is cheaper than % T
+    return np.subtract(rotated, T, out=rotated, where=rotated >= T)
 
 
 def _quantile_rank(alpha, n_surrogates):
@@ -246,35 +246,28 @@ def min_surrogates(level: float) -> int:
 
 
 def surrogate_count(surrogates, level) -> int:
-    """The surrogates a test at ``level`` draws: ``surrogates``, or by
-    default the larger of ``DEFAULT_SURROGATES`` and ``min_surrogates``."""
+    """The surrogates a test at ``level`` draws: ``surrogates``, or by default
+    the larger of ``DEFAULT_SURROGATES`` and ``min_surrogates``.  The one
+    reading of a surrogate count: one too few to calibrate the test is refused."""
+    need = min_surrogates(level)
     if surrogates is None:
-        return max(DEFAULT_SURROGATES, min_surrogates(level))
-    return _integer(surrogates, CalibrationError, "surrogates")
-
-
-def _check_surrogates(n_surrogates, alpha):
-    """Refuse a surrogate count below ``min_surrogates(alpha)``, which
-    cannot calibrate a test at level ``alpha``."""
-    if n_surrogates < MIN_SURROGATES:
-        raise CalibrationError(
-            f"need at least {MIN_SURROGATES} surrogates, got {n_surrogates}")
-    need = min_surrogates(alpha)
-    if n_surrogates < need:
-        raise CalibrationError(
-            f"surrogate calibration at level {alpha:.6g} needs at least {need} "
-            f"surrogates, got {n_surrogates}")
+        return max(DEFAULT_SURROGATES, need)
+    count = _integer(surrogates, CalibrationError, "surrogates")
+    if count < MIN_SURROGATES:
+        raise CalibrationError(f"need at least {MIN_SURROGATES} surrogates, got {count}")
+    if count < need:
+        raise CalibrationError(f"surrogate calibration at level {level:.6g} needs at "
+                               f"least {need} surrogates, got {count}")
+    return count
 
 
 def _surrogate_result(stat_of, T, block_len, n_surrogates, alpha, seed, n_obs,
                       stat) -> TestResult:
     """Calibrate ``stat`` against ``stat_of`` evaluated with A's rows
-    circularly block-permuted, ``n_surrogates`` times (None: the default
-    count at ``alpha``).  The permutations are drawn and evaluated in
-    chunks of at most ``_CHUNK_ENTRIES`` indices; ``stat_of`` refits only
+    circularly block-permuted, ``n_surrogates`` times (a count that
+    ``surrogate_count`` has read).  The permutations are drawn and evaluated
+    in chunks of at most ``_CHUNK_ENTRIES`` indices; ``stat_of`` refits only
     what A enters."""
-    n_surrogates = surrogate_count(n_surrogates, alpha)
-    _check_surrogates(n_surrogates, alpha)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ENTRIES // T)
     surr_stats = np.concatenate([
@@ -286,9 +279,12 @@ def _surrogate_result(stat_of, T, block_len, n_surrogates, alpha, seed, n_obs,
     return _decide(stat, threshold, p_value, "surrogate", None, n_obs, alpha)
 
 
-def _check_calibration(calibration):
+def _calibration_count(calibration, surrogates, level):
+    """``surrogate_count`` under surrogate calibration, None under chi-square
+    (``surrogates`` unread); an unknown calibration is a ``ParamError``."""
     if calibration not in ("chi_square", "surrogate"):
         raise ParamError(f"unknown calibration {calibration!r}")
+    return surrogate_count(surrogates, level) if calibration == "surrogate" else None
 
 
 def bonferroni_count(n_nodes: int) -> int:

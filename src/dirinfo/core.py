@@ -65,7 +65,7 @@ class TimeSeriesPanel:
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        values = _reals(self.values, "panel values", SchemaError)
         if values.ndim != 2:
             raise SchemaError(f"panel values must be 2-D, got shape {values.shape}")
         T, d = values.shape
@@ -74,8 +74,6 @@ class TimeSeriesPanel:
         if d < 2:
             raise SchemaError("panel needs at least two nodes")
         labels = _labels(self.labels, d, SchemaError)
-        if values.dtype.kind not in "biuf":
-            raise SchemaError(f"panel values must be real numbers, got dtype {values.dtype}")
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise SchemaError("panel contains missing or non-finite entries")
         values = values.copy()
@@ -404,15 +402,26 @@ def _xlogx_pairwise(x):
     return _xlogx_pairwise(x[:half]) + _xlogx_pairwise(x[half:])
 
 
+def _reals(array, what, error=InvalidModel) -> np.ndarray:
+    """``array`` as an array of real numbers (bool, integer or float), else
+    ``error``: no string is parsed, no ragged nesting reaches numpy."""
+    try:
+        array = np.asarray(array)
+    except ValueError:  # a ragged nesting, which numpy would hold as objects
+        array = np.asarray(None)
+    if array.dtype.kind not in "biuf":
+        raise error(f"{what} must be real numbers, got dtype {array.dtype}")
+    return array
+
+
 def _array(array, shape, what) -> np.ndarray:
-    """Validated read-only float copy of ``array``: of the given shape, and
-    finite.  The one reading of a model's array."""
-    array = np.asarray(array, dtype=float)
+    """Validated read-only float copy of ``array``: real numbers, of the
+    given shape, and finite.  The one reading of a model's array."""
+    array = np.array(_reals(array, what), dtype=float)
     if array.shape != shape:
         raise InvalidModel(f"{what} shape {array.shape} != expected {shape}")
     if not np.isfinite(array).all():
         raise InvalidModel(f"{what} has non-finite entries")
-    array = array.copy()
     array.setflags(write=False)
     return array
 
@@ -471,7 +480,7 @@ class SequenceDistribution:
         if pmf is not None:
             initial, width, what = pmf, n, "pmf"
         else:
-            width, what = np.ndim(initial) // max(d, 1), "initial law"
+            width, what = _reals(initial, "initial law").ndim // max(d, 1), "initial law"
             if not 1 <= width <= n:
                 raise InvalidModel(f"initial law spans {width} samples, horizon is {n}")
         initial = _law(initial, sizes * width, what)

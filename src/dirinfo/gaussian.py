@@ -29,7 +29,7 @@ import numpy as np
 
 from . import calibration as _calibration  # its _CHUNK_ENTRIES, patchable in one place
 from .core import (MeasureValue, TimeSeriesPanel, _array, _integer, _labels, _node_groups,
-                   _node_index, read_json)
+                   _node_index, _reals, read_json)
 from .errors import (
     InvalidModel,
     ParamError,
@@ -55,9 +55,10 @@ class VarModel:
 
     def __post_init__(self):
         p = _integer(self.order, InvalidModel, "order", 1)
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = _reals(self.coeffs, "coeffs")
         d = coeffs.shape[-1] if coeffs.ndim else 0
         coeffs = _array(coeffs[None] if coeffs.ndim == 2 else coeffs, (p, d, d), "coeffs")
+        _integer(d, InvalidModel, "nodes", 1)
         noise = _array(self.noise_cov, (d, d), "noise_cov")
         if np.max(np.abs(noise - noise.T)) > 1e-10:
             raise InvalidModel("noise_cov is not symmetric")

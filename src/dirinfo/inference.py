@@ -19,9 +19,8 @@ from .calibration import (  # the public names are re-exported
     DEFAULT_SURROGATES,
     MIN_SURROGATES,
     TestResult,
-    _check_calibration,
+    _calibration_count,
     _check_level,
-    _check_surrogates,
     _chi_square_result,
     _surrogate_result,
     bonferroni_count,
@@ -363,16 +362,17 @@ def _edge_test(family, build, data, args, alpha, calibration, surrogates,
                               weights=None if weights is None else weights())
 
 
-def _resolve(panel, family, builder, caller, groups, alpha, calibration):
-    """The family's statistic builder named ``builder``, its panel data and
-    the index tuples of the label groups A, B, C, once the groups, the
-    family, ``alpha`` and ``calibration`` pass their checks."""
+def _llr(panel, family, builder, caller, groups, alpha, calibration, surrogates, seed,
+         extra=()) -> TestResult:
+    """``caller``'s test of the groups A, B, C (then ``extra``) by the family's
+    builder named ``builder``, once the groups, the family, ``alpha``, the
+    calibration and its surrogate count, and the panel pass their checks."""
     groups = _node_groups(panel.labels, *groups)
     build = _family_method(family, builder, caller)
     _check_level(alpha)
+    surrogates = _calibration_count(calibration, surrogates, alpha)
     data = family._prepare(panel)
-    _check_calibration(calibration)
-    return build, data, groups
+    return _edge_test(family, build, data, groups + extra, alpha, calibration, surrogates, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +398,8 @@ def llr_causality(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     Surrogate calibration draws ``surrogates`` resamplings, by default
     ``max(DEFAULT_SURROGATES, min_surrogates(alpha))``.
     """
-    build, data, groups = _resolve(panel, family, "_causality", "llr_causality",
-                                   (a_labels, b_labels, c_labels), alpha, calibration)
-    return _edge_test(family, build, data, groups, alpha, calibration, surrogates, seed)
+    return _llr(panel, family, "_causality", "llr_causality", (a_labels, b_labels, c_labels),
+                alpha, calibration, surrogates, seed)
 
 
 def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
@@ -417,11 +416,8 @@ def llr_coupling(panel: TimeSeriesPanel, a_labels, b_labels, c_labels=(),
     the conditional-independence-graph convention) or only C's past.
     Surrogates default as in ``llr_causality``.
     """
-    mode = _as_mode(mode)
-    build, data, groups = _resolve(panel, family, "_coupling", "llr_coupling",
-                                   (a_labels, b_labels, c_labels), alpha, calibration)
-    return _edge_test(family, build, data, groups + (mode,), alpha, calibration,
-                      surrogates, seed)
+    return _llr(panel, family, "_coupling", "llr_coupling", (a_labels, b_labels, c_labels),
+                alpha, calibration, surrogates, seed, (_as_mode(mode),))
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +582,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
         level = alpha
     else:
         raise ParamError(f"unknown correction {correction!r}")
-    _check_calibration(calibration)
-    if calibration == "surrogate":
-        surrogates = surrogate_count(surrogates, level)
-        _check_surrogates(surrogates, level)
+    surrogates = _calibration_count(calibration, surrogates, level)
     causality = _family_method(family, "_causality", "infer_graph")
     coupling = _family_method(family, "_coupling", "infer_graph")
     data = family._prepare(panel)
@@ -632,7 +625,7 @@ def infer_graph(panel: TimeSeriesPanel, family, alpha: float = 0.05,
         "family": family.name,
         "order": family.order,
         "alpha": alpha, "correction": correction, "calibration": calibration,
-        "mode": mode.value, "surrogates": surrogates if calibration == "surrogate" else None,
+        "mode": mode.value, "surrogates": surrogates,
         "seed": seed,
     }
     return CausalityGraph(nodes=labels, directed=directed, undirected=undirected,

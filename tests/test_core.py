@@ -476,7 +476,8 @@ def _two_nodes(labels):
 
 # a law, a label set and a model array are each checked by one rule in core:
 # a model and the law built from it get one verdict, and every site keeps its
-# error class (None: accepted)
+# error class (None: accepted); an array is read as real numbers before numpy
+# parses a string or a ragged nesting
 @pytest.mark.parametrize("call, error, message", [
     (lambda: enumerate_joint(DiscreteMarkovModel((2, 2), 1, _UNIFORM, _EDGE_LAW), 2), None, None),
     (lambda: enumerate_joint(model_from_json(_law_doc(_EDGE_LAW)), 2), None, None),
@@ -521,13 +522,27 @@ def _two_nodes(labels):
     (lambda: random_markov_model(1, order=1.5), ParamError, "order 1.5 is not an integer"),
     (lambda: random_var_model(1, nodes=2.5), ParamError, "nodes 2.5 is not an integer"),
     (lambda: random_var_model(1, order=1.5), ParamError, "order 1.5 is not an integer"),
+    (lambda: VarModel(1, [[["a", "b"], ["c", "d"]]], np.eye(2), ("a", "b")), InvalidModel,
+     "coeffs must be real numbers, got dtype <U1"),
+    (lambda: DiscreteMarkovModel((2,), 1, [["a", "b"], ["c", "d"]], [.5, .5]), InvalidModel,
+     "kernel must be real numbers, got dtype <U1"),
+    (lambda: SequenceDistribution((2,), 1, ["a", "b"]), InvalidModel,
+     "pmf must be real numbers, got dtype <U1"),
+    (lambda: SequenceDistribution((2,), 2, [[.25, .25], [.5]]), InvalidModel,
+     "pmf must be real numbers, got dtype object"),
+    (lambda: SequenceDistribution((2,), 2, initial=[[.5], [.25, .25]], kernel=np.full((2, 2), .5)),
+     InvalidModel, "initial law must be real numbers, got dtype object"),
+    (lambda: VarModel(1, np.zeros((1, 0, 0)), np.zeros((0, 0)), ()), InvalidModel,
+     "nodes must be >= 1, got 0"),
 ], ids=["law_model", "law_model_json", "law_initial", "law_pmf", "over_law_model",
         "over_law_model_json", "panel_duplicate_label", "panel_missing_label",
         "model_duplicate_label", "model_extra_label", "var_duplicate_label",
         "var_missing_label", "partition_duplicate_label", "glm_duplicate_label",
         "string_panel", "complex_panel", "var_coeffs_shape", "var_coeffs_order",
         "llr_string_alpha", "graph_string_alpha", "stein_string_miss_level",
-        "markov_nodes", "markov_alphabet", "markov_order", "var_nodes", "var_order"])
+        "markov_nodes", "markov_alphabet", "markov_order", "var_nodes", "var_order",
+        "string_var_coeffs", "string_markov_kernel", "string_pmf", "ragged_pmf",
+        "ragged_initial_law", "var_zero_nodes"])
 def test_laws_labels_and_model_arrays_are_checked_once(call, error, message):
     if error is None:
         call()

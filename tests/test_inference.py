@@ -20,6 +20,7 @@ from dirinfo.core import (
 )
 from dirinfo.errors import (
     CalibrationError,
+    DirinfoError,
     ParamError,
     PartitionError,
     SingularDesign,
@@ -397,6 +398,20 @@ def test_surrogate_level_needs_enough_replicas():
                       alpha=0.001, calibration="surrogate", surrogates=200, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(calibration="surrogate", surrogates=10, seed=0), CalibrationError,
+     "need at least 20 surrogates, got 10"),
+    (dict(calibration="bootstrap"), ParamError, "unknown calibration 'bootstrap'"),
+], ids=["surrogate_count", "calibration"])
+@pytest.mark.parametrize("test", [llr_causality, llr_coupling])
+def test_calibration_and_count_are_read_before_the_panel(test, kwargs, error, message):
+    # a float panel, which the discrete family cannot prepare
+    panel = TimeSeriesPanel(np.linspace(0.0, 1.0, 100).reshape(50, 2), ("x0", "x1"))
+    with pytest.raises(DirinfoError) as caught:
+        test(panel, ["x0"], ["x1"], family=DiscreteMarkovFamily(), **kwargs)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 @pytest.mark.parametrize("level", [0.3, 0.05, 0.01, 0.001, 0.05 / 12, 0.05 / 84,
                                    0.05 / 112, 1e-4 / 84, 1e-4 / 112])
 def test_surrogate_count_rule_is_the_quantile_rank(level):
@@ -407,11 +422,11 @@ def test_surrogate_count_rule_is_the_quantile_rank(level):
         fits = (n >= inference.MIN_SURROGATES
                 and calibration._quantile_rank(level, n) <= n)
         if fits:
-            calibration._check_surrogates(n, level)
+            assert calibration.surrogate_count(n, level) == n
             continue
         least = inference.MIN_SURROGATES if n < inference.MIN_SURROGATES else need
         with pytest.raises(CalibrationError, match=f"at least {least} surrogates, got {n}$"):
-            calibration._check_surrogates(n, level)
+            calibration.surrogate_count(n, level)
 
 
 def test_graph_surrogate_level_checked_before_any_edge(monkeypatch):
@@ -604,6 +619,20 @@ def test_var_surrogate_chunk_memory():
     perms = calibration._block_permutations(T, 10, np.random.default_rng(0), S)
     stat_of(perms)
     assert _traced_peak(lambda: stat_of(perms)) <= 4 * S * T * 8
+
+
+def test_block_permutation_chunk_memory():
+    """One chunk of row orders (T = 5000, block length 5, S = 13, the
+    surrogate chunk at that T) holds its (S, T) int64 index and wraps it in
+    place: a second (S, T) index array, such as a wrap through a lookup
+    table, takes the traced peak past 2.5 of them."""
+    T, S = 5000, 13
+
+    def chunk():
+        return calibration._block_permutations(T, 5, np.random.default_rng(0), S)
+
+    chunk()  # numpy's first calls allocate caches of their own
+    assert _traced_peak(chunk) <= 2.5 * S * T * 8
 
 
 @pytest.mark.parametrize("T", [4000, 40000])
